@@ -269,14 +269,13 @@ def _need_k(claim_id, k, minimum):
 class MiningCache:
     """Memoized mining keyed by (s, k, bound); shared across claim verifiers."""
 
-    def __init__(self, workers=1):
-        self.workers = workers
+    def __init__(self):
         self._mined = {}
 
     def mine(self, s, k, n_max):
         key = (s, k, n_max)
         if key not in self._mined:
-            self._mined[key] = mine_obstructions(s, k, n_max, workers=self.workers)
+            self._mined[key] = mine_obstructions(s, k, n_max)
         return self._mined[key]
 
     def mine_inf(self, k, n_max=None):

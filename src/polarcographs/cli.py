@@ -224,7 +224,7 @@ def cmd_mine(args):
         raise CliError("mine requires --s and --k", EXIT_PARSE)
     n_max = args.n_max if args.n_max is not None else obstructions.default_mining_bound(k)
     _check_bound(n_max)
-    records = obstructions.mine_obstructions(s, k, n_max, workers=args.workers)
+    records = obstructions.mine_obstructions(s, k, n_max)
     _emit(obstructions.records_to_jsonl(records) if records else "", args.out)
     return EXIT_OK
 
@@ -235,7 +235,7 @@ def cmd_verify(args):
         raise CliError("--k must be finite for verify", EXIT_PARSE)
     if args.n_max is not None:
         _check_bound(args.n_max)
-    cache = catalog.MiningCache(workers=args.workers)
+    cache = catalog.MiningCache()
     try:
         if args.claim == "all":
             if k is None:
@@ -331,7 +331,6 @@ def build_parser():
     p.add_argument("--s", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mine)
 
@@ -339,7 +338,6 @@ def build_parser():
     p.add_argument("claim", help="a claim id or 'all'")
     p.add_argument("--k", default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--catalog-dir", default=None)
     _add_io_flags(p, formats=("table", "json"))
     p.set_defaults(func=cmd_verify)

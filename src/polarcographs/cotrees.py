@@ -53,7 +53,7 @@ class P4Certificate:
 class Cotree:
     """Immutable cotree node.  Leaves may carry the vertex id they represent."""
 
-    __slots__ = ("op", "children", "vertex", "_code", "_order", "_profile")
+    __slots__ = ("op", "children", "vertex", "_code", "_order", "_profile", "_deletions")
 
     def __init__(self, op, children=(), vertex=None):
         self.op = op
@@ -61,7 +61,8 @@ class Cotree:
         self.vertex = vertex
         self._code = None
         self._order = None
-        self._profile = None
+        self._profile = None  # polarity memo: signature antichain of this subtree
+        self._deletions = None  # polarity memo: profiles of this subtree minus one leaf
 
     @property
     def order(self):
@@ -91,15 +92,21 @@ def node(op, children):
     return Cotree(op, children)
 
 
-def validate(t):
-    """Check well-formedness; raises MalformedCotreeError."""
-    if t.op == LEAF:
-        return
+def check_node(t):
+    """Check one internal node's shape, not its subtrees; raises MalformedCotreeError."""
     if len(t.children) < 2:
         raise MalformedCotreeError("internal node with fewer than two children")
     for c in t.children:
         if c.op == t.op:
             raise MalformedCotreeError("labels do not alternate")
+
+
+def validate(t):
+    """Check well-formedness; raises MalformedCotreeError."""
+    if t.op == LEAF:
+        return
+    check_node(t)
+    for c in t.children:
         validate(c)
 
 

@@ -2,14 +2,21 @@
 
 Enumeration builds canonical cotrees bottom-up: a disconnected class of
 order n is a multiset (size >= 2) of connected classes with total order n,
-drawn in nondecreasing (order, code) order so every multiset appears once;
-a connected class of order n >= 2 is the label-flip of a disconnected one.
-Subtrees are shared between parents, so polarity profiles memoized on the
-nodes are computed once per connected class.
+drawn in nondecreasing (order, code) order so every multiset appears once.
+Each disconnected class is built together with its twin, the connected class
+of its complement: the complement of a union of connected parts is the join
+of their complements, so the twin is the JOIN of the parts' stored
+disconnected twins.  Every child is therefore a stored class or the shared
+leaf, no node is duplicated, and polarity profiles memoized on the nodes are
+computed once per class.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
 proper induced subgraph polar (induced subgraphs arise by iterated deletion).
+The deleted graphs' profiles come from ``polarity.deletion_profiles``, the
+memoized per-node DP over one-leaf deletions, so no deleted tree is built.
+The rare classes that pass are re-checked the explicit way, by rebuilding
+each deleted tree with ``remove_leaf`` and running the profile DP on it.
 """
 
 from __future__ import annotations
@@ -33,37 +40,30 @@ _SHARED_LEAF = cotrees.leaf()
 
 
 class CographEnumerator:
-    """Incremental generator of one cotree per unlabeled cograph class."""
+    """Incremental generator of one cotree per unlabeled cograph class.
+
+    ``twins[n][i]`` is the stored disconnected class whose complement is
+    ``connected[n][i]``; the shared leaf is its own twin.
+    """
 
     def __init__(self):
         self.connected = {1: [_SHARED_LEAF]}
+        self.twins = {1: [_SHARED_LEAF]}
         self.disconnected = {}
-        self._pool = [_SHARED_LEAF]  # connected classes, ascending (order, code)
+        # connected classes in ascending (order, code), with their twins
+        self._pool = [_SHARED_LEAF]
+        self._pool_twin = [_SHARED_LEAF]
         self._pool_order = [1]
         self._built = 1
-        self._flip_memo = {id(_SHARED_LEAF): _SHARED_LEAF}
-
-    def _flip(self, t):
-        key = id(t)
-        hit = self._flip_memo.get(key)
-        if hit is not None:
-            return hit
-        out = Cotree(
-            UNION if t.op == JOIN else JOIN,
-            tuple(sorted((self._flip(c) for c in t.children), key=canonical_code)),
-        )
-        self._flip_memo[key] = out
-        return out
 
     def _multisets(self, n):
-        """Multisets of >= 2 connected classes with total order n, each once."""
-        pool = self._pool
+        """Pool index tuples of >= 2 connected classes with total order n, each once."""
         pool_order = self._pool_order
         parts = []
         out = []
 
         def choose(start, remaining):
-            for j in range(start, len(pool)):
+            for j in range(start, len(pool_order)):
                 o = pool_order[j]
                 if o > remaining:
                     break  # pool is ascending in order
@@ -71,7 +71,7 @@ class CographEnumerator:
                 # a single later part of any order in [o, rest] always exists
                 if rest != 0 and rest < o:
                     continue
-                parts.append(pool[j])
+                parts.append(j)
                 if rest == 0:
                     if len(parts) >= 2:
                         out.append(tuple(parts))
@@ -87,17 +87,28 @@ class CographEnumerator:
             raise BoundExceededError(
                 f"enumeration bound {n} exceeds {ENUMERATION_MAX_ORDER}"
             )
+        pool = self._pool
+        pool_twin = self._pool_twin
         while self._built < n:
             m = self._built + 1
-            disc = [
-                Cotree(UNION, tuple(sorted(parts, key=canonical_code)))
-                for parts in self._multisets(m)
-            ]
+            disc = []
+            pairs = []
+            for parts in self._multisets(m):
+                d = Cotree(UNION, tuple(sorted((pool[j] for j in parts), key=canonical_code)))
+                c = Cotree(
+                    JOIN, tuple(sorted((pool_twin[j] for j in parts), key=canonical_code))
+                )
+                disc.append(d)
+                pairs.append((c, d))
             disc.sort(key=canonical_code)
-            conn = sorted((self._flip(t) for t in disc), key=canonical_code)
+            pairs.sort(key=lambda pair: canonical_code(pair[0]))
+            conn = [c for c, _ in pairs]
+            twins = [d for _, d in pairs]
             self.disconnected[m] = disc
             self.connected[m] = conn
-            self._pool.extend(conn)
+            self.twins[m] = twins
+            pool.extend(conn)
+            pool_twin.extend(twins)
             self._pool_order.extend([m] * len(conn))
             self._built = m
 
@@ -171,12 +182,6 @@ class ObstructionRecord:
 
 def encode_param(x):
     return "inf" if x == INF else int(x)
-
-
-def decode_param(x):
-    if x == "inf":
-        return INF
-    return int(x)
 
 
 def classify_type(g):
@@ -272,10 +277,12 @@ def is_minimal_obstruction(t, s, k):
     """True iff realize(t) is not (s,k)-polar but every vertex deletion is."""
     if polarity.profile_dp(t).admits(s, k):
         return False
+    if not polarity.deletions_admit(t, s, k):
+        return False
     for index in range(t.order):
         sub = remove_leaf(t, index)
         if sub is not None and not polarity.profile_dp(sub).admits(s, k):
-            return False
+            raise AssertionError("memoized deletion profiles disagree with an explicit deletion")
     return True
 
 
@@ -296,45 +303,19 @@ def _record_from_tree(t, s, k, bound, provenance="MINED"):
     )
 
 
-def _mine_serial(s, k, n_max, enumerator=None):
-    out = []
-    for t in enumerate_cographs(n_max, enumerator=enumerator):
-        if is_minimal_obstruction(t, s, k):
-            out.append(_record_from_tree(t, s, k, n_max))
-    return out
-
-
-def _candidate_worker(args):
-    g6, s_enc, k_enc, bound = args
-    s = decode_param(s_enc)
-    k = decode_param(k_enc)
-    t = cotrees.cotree_of(graphs.graph6_decode(g6))
-    if is_minimal_obstruction(t, s, k):
-        return _record_from_tree(t, s, k, bound)
-    return None
-
-
-def mine_obstructions(s, k, n_max, workers=1, enumerator=None):
+def mine_obstructions(s, k, n_max, enumerator=None):
     """All minimal (s,k)-polar obstructions of order <= n_max.
 
-    Deterministic output ordered by (order, canonical code) regardless of the
-    worker count.  The bound travels with every record: completeness beyond
-    n_max is never implied.
+    Deterministic output ordered by (order, canonical code).  The bound
+    travels with every record: completeness beyond n_max is never implied.
     """
     if n_max > ENUMERATION_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
-    if workers > 1:
-        import multiprocessing
-
-        tasks = [
-            (graphs.graph6_encode(cotrees.realize(t)), encode_param(s), encode_param(k), n_max)
-            for t in enumerate_cographs(n_max, enumerator=enumerator)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_candidate_worker, tasks, chunksize=256)
-        records = [r for r in results if r is not None]
-    else:
-        records = _mine_serial(s, k, n_max, enumerator=enumerator)
+    records = [
+        _record_from_tree(t, s, k, n_max)
+        for t in enumerate_cographs(n_max, enumerator=enumerator)
+        if is_minimal_obstruction(t, s, k)
+    ]
     records.sort(key=ObstructionRecord.sort_key)
     return records
 

@@ -7,6 +7,16 @@ signatures (parts-of-A, cliques-of-B) achievable by some partition of the
 subtree; every query then reduces to a dominance check.  ``INF`` stands for
 an unbounded side and is mapped to the graph order at query time.
 
+Profiles are memoized on the nodes, so subtrees shared between trees are
+solved once.  Each node's shape (at least two children, labels alternating)
+is checked once, on its first profile computation, before the memo is
+written; a malformed node therefore never carries a profile.  The same DP,
+run with prefix and suffix folds of sibling profiles, gives each node the
+set of profiles of its subtree minus one leaf (``deletion_profiles``), which
+minimality checks read instead of rebuilding deleted trees.  Equal profiles
+and deletion sets are interned, and merges of interned profiles memoized, in
+two tables of at most ``INTERN_LIMIT`` entries each.
+
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
 """
@@ -23,6 +33,14 @@ from .graphs import Graph, bits
 INF = math.inf
 
 _LEAF_SIGS = frozenset({(1, 0), (0, 1)})
+_EMPTY_SIGS = frozenset({(0, 0)})  # the empty graph
+_LEAF_DELETIONS = frozenset({_EMPTY_SIGS})
+
+# Interned profiles and deletion sets, and memoized merges of interned
+# profiles; each table holds at most INTERN_LIMIT entries.
+INTERN_LIMIT = 1 << 16
+_INTERNED = {}
+_COMBINED = {}
 
 BRUTE_FORCE_MAX_ORDER = 20
 
@@ -33,12 +51,16 @@ def _reduce(sigs):
     Dropping a dominated signature is sound: lowering either count never
     shrinks the set of feasible union/join combinations, and the combined
     signature is monotone in both inputs.
+
+    In (s, k) order a signature is dominated exactly when an earlier one
+    has no larger k, so one pass with a running minimum of k suffices.
     """
-    ordered = sorted(sigs)
     kept = []
-    for s, k in ordered:
-        if not any(s0 <= s and k0 <= k for s0, k0 in kept):
+    min_k = INF
+    for s, k in sorted(sigs):
+        if k < min_k:
             kept.append((s, k))
+            min_k = k
     return frozenset(kept)
 
 
@@ -76,18 +98,100 @@ def _merge_join(p1, p2):
     return out
 
 
+def _intern(value):
+    """The stored copy of an equal profile or deletion set, storing this one if new.
+
+    The nodes of one enumeration carry few distinct values, so each is held
+    once.  Past INTERN_LIMIT entries, values are returned unshared, which
+    costs memory but not correctness.
+    """
+    hit = _INTERNED.get(value)
+    if hit is not None:
+        return hit
+    if len(_INTERNED) < INTERN_LIMIT:
+        _INTERNED[value] = value
+    return value
+
+
+def _combine(merge, p, q):
+    """Interned ``_reduce(merge(p, q))``, memoized on the (interned) operands."""
+    key = (merge, p, q)
+    out = _COMBINED.get(key)
+    if out is None:
+        out = _intern(_reduce(merge(p, q)))
+        if len(_COMBINED) < INTERN_LIMIT:
+            _COMBINED[key] = out
+    return out
+
+
 def _node_profile(t):
-    if t._profile is not None:
-        return t._profile
+    """Memoized profile of a subtree; each node's shape is checked on its first call."""
+    prof = t._profile
+    if prof is not None:
+        return prof
     if t.op == LEAF:
         prof = _LEAF_SIGS
     else:
+        cotrees.check_node(t)
         merge = _merge_union if t.op == UNION else _merge_join
         prof = _node_profile(t.children[0])
         for child in t.children[1:]:
-            prof = _reduce(merge(prof, _node_profile(child)))
+            prof = _combine(merge, prof, _node_profile(child))
     t._profile = prof
     return prof
+
+
+def deletion_profiles(t):
+    """Set of the profiles (signature antichains) of t minus one leaf, over all leaves.
+
+    Memoized per node.  A leaf's set is {{(0, 0)}}, the empty graph's profile,
+    which is the identity of both merges.  An internal node folds its other
+    children's profiles to the left (prefix) and right (suffix) of each child
+    and merges them around each of that child's deletion profiles.  Siblings
+    that are one shared node give identical results, so only the first of
+    each run is used.
+    """
+    dels = t._deletions
+    if dels is not None:
+        return dels
+    if t.op == LEAF:
+        dels = _LEAF_DELETIONS
+    else:
+        _node_profile(t)  # checks the shape of every node below before it is trusted
+        merge = _merge_union if t.op == UNION else _merge_join
+        children = t.children
+        profs = [child._profile for child in children]
+        prefixes = [_EMPTY_SIGS]
+        for prof in profs[:-1]:
+            prefixes.append(_combine(merge, prefixes[-1], prof))
+        suffixes = [_EMPTY_SIGS] * (len(children) + 1)
+        for i in range(len(children) - 1, 0, -1):
+            suffixes[i] = _combine(merge, profs[i], suffixes[i + 1])
+        out = set()
+        previous = None
+        for i, child in enumerate(children):
+            if child is previous:
+                continue
+            previous = child
+            before, after = prefixes[i], suffixes[i + 1]
+            for sub in deletion_profiles(child):
+                out.add(_combine(merge, _combine(merge, before, sub), after))
+        dels = _intern(frozenset(out))
+    t._deletions = dels
+    return dels
+
+
+def _admits(signatures, n, s, k):
+    """True iff some signature of an order-n graph is dominated by (s, k)."""
+    s = n if s == INF else s
+    k = n if k == INF else k
+    return any(s0 <= s and k0 <= k for s0, k0 in signatures)
+
+
+def deletions_admit(t, s, k):
+    """True iff every one-leaf deletion of the cotree's cograph is (s,k)-polar."""
+    n = t.order - 1
+    return all(_admits(sigs, n, s, k) for sigs in deletion_profiles(t))
 
 
 @dataclass(frozen=True)
@@ -99,9 +203,7 @@ class PolarProfile:
 
     def admits(self, s, k):
         """True iff some stored signature is dominated by (s, k)."""
-        s = self.n if s == INF else s
-        k = self.n if k == INF else k
-        return any(s0 <= s and k0 <= k for s0, k0 in self.signatures)
+        return _admits(self.signatures, self.n, s, k)
 
     def closure(self):
         """All (s,k) pairs in [0..n]^2 the graph is polar for; oracle-comparison form."""
@@ -117,8 +219,12 @@ class PolarProfile:
 
 
 def profile_dp(t):
-    """Profile of the cograph realized by a normalized cotree."""
-    cotrees.validate(t)
+    """Profile of the cograph realized by a normalized cotree.
+
+    Raises MalformedCotreeError for a node with fewer than two children or a
+    child carrying its own label; nodes whose profile is memoized were
+    checked when it was computed.
+    """
     return PolarProfile(t.order, _node_profile(t))
 
 

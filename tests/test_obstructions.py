@@ -16,7 +16,7 @@ from polarcographs.obstructions import (
 )
 from polarcographs.polarity import INF
 
-from util import random_cotree
+from util import minimal_by_all_deletions, random_cotree
 
 # unlabeled cograph counts, frozen from two independent enumerators
 COGRAPH_COUNTS_10 = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
@@ -107,12 +107,6 @@ def test_record_json_fields():
     assert set(payload) >= {"code", "graph6", "order", "c", "i", "expression", "bound"}
 
 
-def test_parallel_mining_is_deterministic():
-    serial = mine_obstructions(INF, 2, 8)
-    parallel = mine_obstructions(INF, 2, 8, workers=2)
-    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
-
-
 def test_minimality_against_random_induced_subgraphs():
     # deletion-based minimality implies every proper induced subgraph is polar
     rng = random.Random(19)
@@ -143,3 +137,29 @@ def test_default_mining_bound():
 def test_fresh_enumerator_matches_shared():
     fresh = CographEnumerator()
     assert cograph_counts(6, enumerator=fresh) == COGRAPH_COUNTS_10[:6]
+
+
+def test_minimality_matches_all_deletions_oracle():
+    pairs = [(INF, 2), (INF, 3), (INF, 4), (2, 1), (2, 2), (1, INF), (INF, INF), (3, 3)]
+    for t in enumerate_cographs(10):
+        for s, k in pairs:
+            assert is_minimal_obstruction(t, s, k) == minimal_by_all_deletions(t, s, k), (
+                cotrees.render(t), s, k
+            )
+
+
+def test_connected_classes_are_joins_of_stored_twins():
+    enum = CographEnumerator()
+    enum.build_up_to(10)
+    shared_leaf = enum.connected[1][0]
+    stored = {id(d) for classes in enum.disconnected.values() for d in classes}
+    stored.add(id(shared_leaf))
+    for n in range(1, 11):
+        assert len(enum.twins[n]) == len(enum.connected[n])
+        for c, twin in zip(enum.connected[n], enum.twins[n]):
+            assert id(twin) in stored
+            assert cotrees.canonical_code(twin) == cotrees.canonical_code(
+                cotrees.flip_labels(c)
+            )
+            for child in c.children:
+                assert id(child) in stored

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarcographs import cotrees, expressions, graphs, polarity
+from polarcographs.cotrees import JOIN, UNION, Cotree, MalformedCotreeError
 from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
-from util import random_cotree
+from util import random_cotree, reduce_quadratic
 
 
 def _graph(text):
@@ -123,3 +124,59 @@ def test_is_polar_rejects_non_cograph():
 def test_bruteforce_order_cap():
     with pytest.raises(graphs.GraphError):
         polarity.profile_bruteforce(Graph.empty(polarity.BRUTE_FORCE_MAX_ORDER + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=30))
+def test_reduce_matches_quadratic_oracle(sigs):
+    assert polarity._reduce(sigs) == reduce_quadratic(sigs)
+
+
+@pytest.mark.parametrize("kind", ["unary", "non-alternating"])
+@pytest.mark.parametrize("memoized_sibling", [False, True])
+def test_profile_dp_rejects_malformed_node(kind, memoized_sibling):
+    leaf = cotrees.leaf
+    if kind == "unary":
+        bad = Cotree(UNION, (leaf(),))
+    else:
+        bad = Cotree(UNION, (leaf(), Cotree(UNION, (leaf(), leaf()))))
+    sibling = cotrees.cotree_of(_graph("K1 + K2"))
+    if memoized_sibling:
+        polarity.profile_dp(sibling)
+    root = Cotree(JOIN, (sibling, Cotree(UNION, (leaf(), Cotree(JOIN, (leaf(), bad))))))
+    with pytest.raises(MalformedCotreeError):
+        polarity.profile_dp(root)
+    assert bad._profile is None and root._profile is None
+    with pytest.raises(MalformedCotreeError):
+        polarity.deletion_profiles(root)
+    assert bad._deletions is None and root._deletions is None
+
+
+def _bruteforce_deletion_profiles(g):
+    return {
+        polarity.profile_bruteforce(graphs.delete_vertex(g, v)).signatures
+        for v in range(g.n)
+    }
+
+
+def test_deletion_profiles_match_bruteforce():
+    rng = random.Random(43)
+    for _ in range(40):
+        t = random_cotree(rng, rng.randint(1, 11))
+        g = cotrees.realize(t)
+        assert polarity.deletion_profiles(t) == _bruteforce_deletion_profiles(g), (
+            cotrees.render(t)
+        )
+
+
+def test_full_intern_tables_stay_bounded_and_correct(monkeypatch):
+    monkeypatch.setattr(polarity, "INTERN_LIMIT", 8)
+    monkeypatch.setattr(polarity, "_INTERNED", {})
+    monkeypatch.setattr(polarity, "_COMBINED", {})
+    rng = random.Random(47)
+    for _ in range(20):
+        t = random_cotree(rng, rng.randint(2, 9))
+        g = cotrees.realize(t)
+        assert polarity.profile_dp(t).closure() == polarity.profile_bruteforce(g).closure()
+        assert polarity.deletion_profiles(t) == _bruteforce_deletion_profiles(g)
+    assert len(polarity._INTERNED) == len(polarity._COMBINED) == 8

@@ -1,7 +1,9 @@
 """Shared test helpers: independent oracles and random generators.
 
 Everything here deliberately avoids the library's own canonical-code and
-DP machinery so it can serve as a cross-check.
+DP machinery so it can serve as a cross-check.  The exceptions are the
+differential oracles at the end, earlier versions of library code kept to
+check their faster replacements against.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from polarcographs import cotrees, graphs
+from polarcographs import cotrees, graphs, obstructions, polarity
 from polarcographs.cotrees import JOIN, UNION, Cotree
 
 
@@ -85,3 +87,26 @@ def _nx_has_induced_p4(G):
         if degs == [1, 1, 2, 2] and nx.is_connected(H):
             return True
     return False
+
+
+# -- differential oracles ---------------------------------------------------------
+
+
+def reduce_quadratic(sigs):
+    """Dominance-minimal antichain, testing each signature against every kept one."""
+    kept = []
+    for s, k in sorted(sigs):
+        if not any(s0 <= s and k0 <= k for s0, k0 in kept):
+            kept.append((s, k))
+    return frozenset(kept)
+
+
+def minimal_by_all_deletions(t, s, k):
+    """Minimality by rebuilding every one-leaf deletion and running the profile DP on it."""
+    if polarity.profile_dp(t).admits(s, k):
+        return False
+    for index in range(t.order):
+        sub = obstructions.remove_leaf(t, index)
+        if sub is not None and not polarity.profile_dp(sub).admits(s, k):
+            return False
+    return True
