@@ -5,6 +5,19 @@ statement is parameterized) and verified against exhaustive mining by
 canonical-code set equality.  Recursive constructions are checked in both
 directions: everything the recursion builds must be mined, and everything
 mined in the claim's scope must arise from the recursion.
+
+Every claim is one row of the ordered table ``CLAIMS``, in ``verify_all``
+order.  A row applies at every k >= ``k_min`` (at every k, None included,
+when unset) or only at ``k_only``, the k of a complete list, which is also
+its k when none is given.  A list claim has ``texts`` (k -> expression
+texts), ``covers`` ((record, k) -> whether the list must hold that mined
+record; unset covers all), ``mining`` ((s, k, bound) to mine, None meaning
+the claim's k or the default bound) and ``compare`` (the verdict, set
+equality unless overridden).  Any other claim has ``check`` ((claim id, k,
+cache, n_max) -> verdict).
+
+A verdict is PASS, FAIL, INFO (counted as passed) or INCONCLUSIVE: the
+bound does not reach past the claim, so it was not probed; not a pass.
 """
 
 from __future__ import annotations
@@ -12,6 +25,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import cotrees, expressions, graphs, obstructions, polarity
 from .cotrees import canonical_code, cotree_of
@@ -185,82 +200,26 @@ def _exprs(texts):
     return [expressions.parse(t) for t in texts]
 
 
+def _thm15_texts(k):
+    cores = [_u("P3", _rep(k - 1, "K2")), _u(_rep(k - 2, "K2"), "K1 * 2K2")]
+    for j in range(1, k):
+        for h in _connected_one_s_obstructions(j):
+            cores.append(_u(_rep(k - j - 1, "K2"), h))
+    if k >= 3:
+        cores.extend(FIG1)
+    return [f"P3 + ({core})" for core in cores]
+
+
+def _cor20_texts(item, core, k):
+    """Item m (1-3) lists pK1 + (k+2-m-p)K2 + core(p) for p = 1..k+2-m."""
+    p_max = k + 2 - item
+    return [_u(_rep(p, "K1"), _rep(p_max - p, "K2"), core(p)) for p in range(1, p_max + 1)]
+
+
 def instantiate(claim_id, k=None):
     """Concrete expression list for a list-shaped claim at parameter k."""
-    if claim_id == "fig1":
-        return _exprs(FIG1)
-    if claim_id == "thm2":
-        out = [f"P3 + ({h})" for h in FIG1]
-        out += [f"~(P3 + ({h}))" for h in FIG1]
-        return _exprs(out)
-    if claim_id == "remark4":
-        _need_k(claim_id, k, 0)
-        return _exprs([_u("K1", _rep(k + 1, "K2"))])
-    if claim_id == "thm6":
-        _need_k(claim_id, k, 2)
-        return _exprs([f"~(P3 + ({h}))" for h in FIG1])
-    if claim_id == "thm15":
-        _need_k(claim_id, k, 2)
-        cores = [_u("P3", _rep(k - 1, "K2")), _u(_rep(k - 2, "K2"), "K1 * 2K2")]
-        for j in range(1, k):
-            for h in _connected_one_s_obstructions(j):
-                cores.append(_u(_rep(k - j - 1, "K2"), h))
-        if k >= 3:
-            cores.extend(FIG1)
-        return _exprs([f"P3 + ({core})" for core in cores])
-    if claim_id == "thm18":
-        _need_k(claim_id, k, 2)
-        return _exprs(
-            [
-                _u(_rep(k + 1, "K1"), f"K{{{k + 1},{k + 1}}}"),
-                _u(_rep(k + 1, "K1"), "K1 * C4"),
-            ]
-        )
-    if claim_id == "cor-type-k+1-k":
-        _need_k(claim_id, k, 2)
-        cores = list(TYPE_KP1_K_CORES) + [f"~K2 * ({_u('K2', _rep(k, 'K1'))})"]
-        return _exprs([_u(_rep(k, "K1"), core) for core in cores])
-    if claim_id == "cor-type-k-k-1":
-        _need_k(claim_id, k, 3)
-        return _exprs([_u(_rep(k - 1, "K1"), core) for core in _type_k_km1_cores(k)])
-    if claim_id == "cor20-item1":
-        _need_k(claim_id, k, 1)
-        return _exprs(
-            [
-                _u(_rep(p, "K1"), _rep(k - p + 1, "K2"), f"K{{{p},{p}}}")
-                for p in range(1, k + 2)
-            ]
-        )
-    if claim_id == "cor20-item2":
-        _need_k(claim_id, k, 1)
-        return _exprs(
-            [
-                _u(_rep(p, "K1"), _rep(k - p, "K2"), f"~K2 * ({_u('K2', _rep(p, 'K1'))})")
-                for p in range(1, k + 1)
-            ]
-        )
-    if claim_id == "cor20-item3":
-        _need_k(claim_id, k, 2)
-        return _exprs(
-            [
-                _u(_rep(p, "K1"), _rep(k - p - 1, "K2"), f"K1 * ({_u('2K2', _rep(p, 'K1'))})")
-                for p in range(1, k)
-            ]
-        )
-    if claim_id == "thm21":
-        if k is not None and k != 2:
-            raise ClaimParameterError("thm21 is the k=2 list")
-        return _exprs(THM21_LIST)
-    if claim_id == "thm22":
-        if k is not None and k != 3:
-            raise ClaimParameterError("thm22 is the k=3 list")
-        return _exprs(THM22_LIST)
-    raise UnknownClaimError(claim_id)
-
-
-def _need_k(claim_id, k, minimum):
-    if k is None or k < minimum:
-        raise ClaimParameterError(f"claim {claim_id} needs k >= {minimum}, got {k}")
+    row = _row(claim_id, "texts")
+    return _exprs(row.texts(_claim_k(row, k)))
 
 
 # -- mining cache ------------------------------------------------------------------
@@ -277,11 +236,6 @@ class MiningCache:
         if key not in self._mined:
             self._mined[key] = mine_obstructions(s, k, n_max)
         return self._mined[key]
-
-    def mine_inf(self, k, n_max=None):
-        if n_max is None:
-            n_max = obstructions.default_mining_bound(k)
-        return self.mine(INF, k, n_max)
 
 
 def _codes_of_exprs(exprs):
@@ -332,7 +286,7 @@ class VerdictReport:
         )
 
 
-def _set_compare(claim, k, bound, expected_codes, actual_records, notes=""):
+def _set_compare(claim, k, bound, expected_codes, actual_records):
     actual = {r.code: r for r in actual_records}
     missing = sorted(expr for code, expr in expected_codes.items() if code not in actual)
     extra = sorted(r.graph6 for code, r in actual.items() if code not in expected_codes)
@@ -346,29 +300,10 @@ def _set_compare(claim, k, bound, expected_codes, actual_records, notes=""):
         actual=len(actual),
         missing=missing,
         extra=extra,
-        notes=notes,
     )
 
 
 # -- list claims --------------------------------------------------------------------
-
-
-def _scope_filter(claim_id, k, records):
-    if claim_id in ("fig1", "thm2", "thm21", "thm22"):
-        return records
-    if claim_id == "remark4":
-        return [r for r in records if graphs.is_cluster(_graph_of_record(r))[0]]
-    if claim_id == "thm6":
-        return [r for r in records if r.c == 1]
-    if claim_id == "thm15":
-        return [r for r in records if _has_p3_component(_graph_of_record(r))]
-    if claim_id == "thm18":
-        return [r for r in records if (r.c, r.i) == (k + 2, k + 1)]
-    if claim_id == "cor-type-k+1-k":
-        return [r for r in records if (r.c, r.i) == (k + 1, k)]
-    if claim_id == "cor-type-k-k-1":
-        return [r for r in records if (r.c, r.i) == (k, k - 1)]
-    raise UnknownClaimError(claim_id)
 
 
 def _has_p3_component(g):
@@ -380,59 +315,64 @@ def _has_p3_component(g):
     return False
 
 
-_MINING_PARAMS = {
-    # claim id -> (s, k-of-mining or None meaning the claim's k)
-    "fig1": (1, INF),
-    "thm2": (INF, INF),
-}
-
-
 def verify_list(claim_id, k=None, cache=None, n_max=None, expected_exprs=None):
     """Set-equality check between a claim's list and the mined obstructions."""
+    row = _row(claim_id, "texts")
+    k = _claim_k(row, k)
     cache = cache or MiningCache()
-    if claim_id in _MINING_PARAMS:
-        s_param, k_param = _MINING_PARAMS[claim_id]
-    else:
-        s_param, k_param = INF, k
+    s_mined, k_mined, bound = row.mining
+    if k_mined is None:
+        k_mined = k
     if n_max is None:
-        n_max = obstructions.default_mining_bound(k_param)
-        if claim_id == "thm2":
-            n_max = 10
-    records = cache.mine(s_param, k_param, n_max)
+        n_max = bound or obstructions.default_mining_bound(k_mined)
+    records = cache.mine(s_mined, k_mined, n_max)
     exprs = expected_exprs if expected_exprs is not None else instantiate(claim_id, k)
-    expected = _codes_of_exprs(exprs)
-    if claim_id.startswith("cor20-"):
-        return _verify_cor20(claim_id, k, n_max, exprs, records)
-    scoped = _scope_filter(claim_id, k, records)
-    notes = ""
-    if claim_id == "thm2":
-        notes = _complement_closure_note(records)
-    return _set_compare(claim_id, k, n_max, expected, scoped, notes=notes)
+    covered = [r for r in records if row.covers is None or row.covers(r, k)]
+    return row.compare(claim_id, k, n_max, exprs, covered)
 
 
-def _verify_cor20(claim_id, k, bound, exprs, records):
+def _compare_sets(claim_id, k, bound, exprs, records):
+    return _set_compare(claim_id, k, bound, _codes_of_exprs(exprs), records)
+
+
+def _compare_closed_under_complement(claim_id, k, bound, exprs, records):
+    report = _compare_sets(claim_id, k, bound, exprs, records)
+    codes = {r.code for r in records}
+    report.notes = "closed under complement"
+    for r in records:
+        if canonical_code(cotree_of(graphs.complement(_graph_of_record(r)))) not in codes:
+            report.notes = f"not closed under complement: {r.graph6}"
+            break
+    return report
+
+
+def _verify_cor20(item, claim_id, k, bound, exprs, records):
     """Membership for the full p range, uniqueness for the restricted one.
 
     Item m (1-3) covers type (k+3-m, p): the listed graph is a record for
-    1 <= p <= k+2-m, and the only record of its type when p <= k+1-m.
+    1 <= p <= k+2-m, and the only record of its type when p <= k+1-m.  Each
+    listed graph's p is its own number of isolated vertices; a p in range
+    with no listed graph is reported missing.
     """
-    item = int(claim_id[-1])
     c = k + 3 - item
     p_max = k + 2 - item
     uniq_max = k + 1 - item
     mined = {r.code: r for r in records}
-    missing, extra = [], []
-    for p, e in zip(range(1, p_max + 1), exprs):
-        code = canonical_code(cotree_of(expressions.evaluate(e)))
-        text = expressions.unparse(e)
+    missing, extra, found = [], [], set()
+    for e in exprs:
+        g = expressions.evaluate(e)
+        p = sum(1 for v in range(g.n) if g.degree(v) == 0)
+        code = canonical_code(cotree_of(g))
         r = mined.get(code)
-        if r is None or (r.c, r.i) != (c, p):
-            missing.append(text)
+        if r is None or (r.c, r.i) != (c, p) or not 1 <= p <= p_max:
+            missing.append(expressions.unparse(e))
             continue
+        found.add(p)
         if p <= uniq_max:
             extra.extend(
                 x.graph6 for x in records if (x.c, x.i) == (c, p) and x.code != code
             )
+    missing += [f"type ({c},{p}): not listed" for p in range(1, p_max + 1) if p not in found]
     status = "PASS" if not missing and not extra else "FAIL"
     return VerdictReport(
         claim=claim_id,
@@ -440,20 +380,11 @@ def _verify_cor20(claim_id, k, bound, exprs, records):
         bound=bound,
         status=status,
         expected=p_max,
-        actual=p_max - len(missing),
+        actual=len(found),
         missing=missing,
         extra=sorted(set(extra)),
         notes=f"membership p<={p_max}, uniqueness within type ({c},p) for p<={uniq_max}",
     )
-
-
-def _complement_closure_note(records):
-    codes = {r.code for r in records}
-    for r in records:
-        comp = graphs.complement(_graph_of_record(r))
-        if canonical_code(cotree_of(comp)) not in codes:
-            return f"not closed under complement: {r.graph6}"
-    return "closed under complement"
 
 
 # -- recursion claims -----------------------------------------------------------------
@@ -464,25 +395,18 @@ def _one_k_bound(m):
     return min(2 * m + 4, obstructions.ENUMERATION_MAX_ORDER)
 
 
-def verify_recursion(claim_id, k, cache=None, n_max=None, prev_n_max=None):
-    cache = cache or MiningCache()
-    if claim_id == "thm17":
-        return _verify_thm17(k, cache, n_max, prev_n_max)
-    if claim_id == "thm19":
-        return _verify_thm19(k, cache, n_max, prev_n_max)
-    if claim_id == "thm11":
-        return _verify_thm11(k, cache, n_max)
-    raise UnknownClaimError(claim_id)
+def verify_recursion(claim_id, k, cache=None, n_max=None):
+    """Verdict of a claim that is not a list (a recursion, a conjecture, a note)."""
+    row = _row(claim_id, "check")
+    return row.check(claim_id, _claim_k(row, k), cache or MiningCache(), n_max)
 
 
-def _verify_thm17(k, cache, n_max, prev_n_max):
+def _verify_thm17(claim_id, k, cache, n_max):
     """Type (2,1) records are exactly K1 + (K1 join H') over disconnected
     (inf,k-1)-obstructions H' that are (1,k)-polar."""
-    _need_k("thm17", k, 2)
     n_max = n_max or obstructions.default_mining_bound(k)
-    prev_n_max = prev_n_max or obstructions.default_mining_bound(k - 1)
     current = cache.mine(INF, k, n_max)
-    previous = cache.mine(INF, k - 1, prev_n_max)
+    previous = cache.mine(INF, k - 1, obstructions.default_mining_bound(k - 1))
     expected = {}
     for r in previous:
         if r.c < 2:
@@ -495,17 +419,15 @@ def _verify_thm17(k, cache, n_max, prev_n_max):
         )
         expected[canonical_code(cotree_of(lifted))] = f"K1 + K1 * ({r.expression})"
     actual = [r for r in current if (r.c, r.i) == (2, 1)]
-    return _set_compare("thm17", k, n_max, expected, actual)
+    return _set_compare(claim_id, k, n_max, expected, actual)
 
 
-def _verify_thm19(k, cache, n_max, prev_n_max):
+def _verify_thm19(claim_id, k, cache, n_max):
     """Every type (c,p) record with 1 <= p <= c-2 is K2 + (a type (c-1,p)
     record at level k-1 that is (1,k)-polar), and conversely."""
-    _need_k("thm19", k, 1)
     n_max = n_max or obstructions.default_mining_bound(k)
-    prev_n_max = prev_n_max or obstructions.default_mining_bound(k - 1)
     current = cache.mine(INF, k, n_max)
-    previous = cache.mine(INF, k - 1, prev_n_max)
+    previous = cache.mine(INF, k - 1, obstructions.default_mining_bound(k - 1))
     expected = {}
     scoped = []
     for c in range(3, k + 3):
@@ -519,7 +441,7 @@ def _verify_thm19(k, cache, n_max, prev_n_max):
                     continue
                 lifted = graphs.disjoint_union(graphs.Graph.complete(2), h)
                 expected[canonical_code(cotree_of(lifted))] = f"K2 + {r.expression}"
-    return _set_compare("thm19", k, n_max, expected, scoped)
+    return _set_compare(claim_id, k, n_max, expected, scoped)
 
 
 def _min_one_k(g):
@@ -552,10 +474,9 @@ def _aitch_conditions(h, kv):
     return True
 
 
-def _verify_thm11(k, cache, n_max):
+def _verify_thm11(claim_id, k, cache, n_max):
     """Records without isolated vertices or P3 components decompose as
     H1 + H2 with k = k1 + k2 - 1, and every such sum is a record."""
-    _need_k("thm11", k, 2)
     n_max = n_max or obstructions.default_mining_bound(k)
     current = cache.mine(INF, k, n_max)
     scoped = [
@@ -573,7 +494,7 @@ def _verify_thm11(k, cache, n_max):
 
     # backward: the recursion built from (1, k_i - 1)-obstruction mining
     expected = {}
-    fig1_codes = set(_codes_of_exprs(instantiate("fig1")))
+    fig1_codes = set(_codes_of_exprs(_exprs(FIG1)))
     for k1 in range(2, k):
         k2 = k + 1 - k1
         if k2 < 2 or k2 < k1:
@@ -587,7 +508,7 @@ def _verify_thm11(k, cache, n_max):
                     continue
                 expected[canonical_code(cotree_of(g))] = f"({e1}) + ({e2})"
 
-    report = _set_compare("thm11", k, n_max, expected, scoped)
+    report = _set_compare(claim_id, k, n_max, expected, scoped)
     if bad_forward:
         report.status = "FAIL"
         report.notes = f"no qualifying split for: {bad_forward}"
@@ -671,7 +592,11 @@ def _admits_thm11_split(g, k):
 
 
 def check_conjectures(k, n_max, cache=None):
-    """Verdicts for the uniqueness-per-type and order-bound conjectures."""
+    """Verdicts for the uniqueness-per-type and order-bound conjectures.
+
+    The order bound is INCONCLUSIVE when ``n_max`` does not reach past
+    3(k+1) and no record exceeds it: nothing beyond the bound was probed.
+    """
     cache = cache or MiningCache()
     records = cache.mine(INF, k, n_max)
     reports = []
@@ -703,7 +628,7 @@ def check_conjectures(k, n_max, cache=None):
     limit = 3 * (k + 1)
     max_order = max((r.order for r in records), default=0)
     over = [r.graph6 for r in records if r.order > limit]
-    status = "PASS" if not over else "FAIL"
+    status = "FAIL" if over else ("INCONCLUSIVE" if n_max <= limit else "PASS")
     notes = f"max mined order {max_order} vs conjectured bound {limit}"
     if n_max <= limit:
         notes += f"; bound {n_max} does not probe beyond the conjecture"
@@ -720,6 +645,16 @@ def check_conjectures(k, n_max, cache=None):
         )
     )
     return reports
+
+
+def _check_conjecture(claim_id, k, cache, n_max):
+    n = min(n_max or 3 * (k + 1) + 1, obstructions.ENUMERATION_MAX_ORDER)
+    return next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
+
+
+def _sixteen_note(claim_id, k, cache, n_max):
+    notes = "the aggregate count for min(s,k)=1 is informational only"
+    return VerdictReport(claim_id, k, None, "INFO", notes=notes)
 
 
 # -- structural lemma suites ---------------------------------------------------------
@@ -787,91 +722,140 @@ def check_lemma7(records, k):
 
 # -- claim registry / verify-all ------------------------------------------------------
 
-LIST_CLAIMS = (
-    "fig1",
-    "thm2",
-    "remark4",
-    "thm6",
-    "thm15",
-    "thm18",
-    "cor-type-k+1-k",
-    "cor-type-k-k-1",
-    "cor20-item1",
-    "cor20-item2",
-    "cor20-item3",
-    "thm21",
-    "thm22",
+
+@dataclass(frozen=True)
+class Claim:
+    """One row of the claim registry; the module docstring describes the fields."""
+
+    id: str
+    k_min: int | None = None
+    k_only: int | None = None
+    texts: Callable | None = None
+    covers: Callable | None = None
+    mining: tuple = (INF, None, None)
+    compare: Callable = _compare_sets
+    check: Callable | None = None
+
+    def applies_at(self, k):
+        if self.k_only is not None:
+            return k == self.k_only
+        return self.k_min is None or (k is not None and k >= self.k_min)
+
+
+CLAIMS = (
+    Claim("fig1", texts=lambda k: FIG1, mining=(1, INF, None)),
+    Claim(
+        "thm2",
+        texts=lambda k: [f"P3 + ({h})" for h in FIG1] + [f"~(P3 + ({h}))" for h in FIG1],
+        mining=(INF, INF, 10),
+        compare=_compare_closed_under_complement,
+    ),
+    Claim(
+        "remark4",
+        k_min=0,
+        texts=lambda k: [_u("K1", _rep(k + 1, "K2"))],
+        covers=lambda r, k: graphs.is_cluster(_graph_of_record(r))[0],
+    ),
+    Claim(
+        "thm6",
+        k_min=2,
+        texts=lambda k: [f"~(P3 + ({h}))" for h in FIG1],
+        covers=lambda r, k: r.c == 1,
+    ),
+    Claim(
+        "thm15",
+        k_min=2,
+        texts=_thm15_texts,
+        covers=lambda r, k: _has_p3_component(_graph_of_record(r)),
+    ),
+    Claim(
+        "thm18",
+        k_min=2,
+        texts=lambda k: [
+            _u(_rep(k + 1, "K1"), f"K{{{k + 1},{k + 1}}}"),
+            _u(_rep(k + 1, "K1"), "K1 * C4"),
+        ],
+        covers=lambda r, k: (r.c, r.i) == (k + 2, k + 1),
+    ),
+    Claim(
+        "cor-type-k+1-k",
+        k_min=2,
+        texts=lambda k: [
+            _u(_rep(k, "K1"), core)
+            for core in TYPE_KP1_K_CORES + (f"~K2 * ({_u('K2', _rep(k, 'K1'))})",)
+        ],
+        covers=lambda r, k: (r.c, r.i) == (k + 1, k),
+    ),
+    Claim(
+        "cor-type-k-k-1",
+        k_min=3,
+        texts=lambda k: [_u(_rep(k - 1, "K1"), core) for core in _type_k_km1_cores(k)],
+        covers=lambda r, k: (r.c, r.i) == (k, k - 1),
+    ),
+    Claim(
+        "cor20-item1",
+        k_min=1,
+        texts=partial(_cor20_texts, 1, lambda p: f"K{{{p},{p}}}"),
+        compare=partial(_verify_cor20, 1),
+    ),
+    Claim(
+        "cor20-item2",
+        k_min=1,
+        texts=partial(_cor20_texts, 2, lambda p: f"~K2 * ({_u('K2', _rep(p, 'K1'))})"),
+        compare=partial(_verify_cor20, 2),
+    ),
+    Claim(
+        "cor20-item3",
+        k_min=2,
+        texts=partial(_cor20_texts, 3, lambda p: f"K1 * ({_u('2K2', _rep(p, 'K1'))})"),
+        compare=partial(_verify_cor20, 3),
+    ),
+    Claim("thm21", k_only=2, texts=lambda k: THM21_LIST),
+    Claim("thm22", k_only=3, texts=lambda k: THM22_LIST),
+    Claim("thm11", k_min=2, check=_verify_thm11),
+    Claim("thm17", k_min=2, check=_verify_thm17),
+    Claim("thm19", k_min=1, check=_verify_thm19),
+    Claim("conj1", k_min=2, check=_check_conjecture),
+    Claim("conj2", k_min=1, check=_check_conjecture),
+    Claim("sixteen-note", check=_sixteen_note),
 )
 
-RECURSION_CLAIMS = ("thm11", "thm17", "thm19")
-
-CONJECTURE_CLAIMS = ("conj1", "conj2")
-
-INFO_CLAIMS = ("sixteen-note",)
-
-ALL_CLAIMS = LIST_CLAIMS + RECURSION_CLAIMS + CONJECTURE_CLAIMS + INFO_CLAIMS
+_ROWS = {row.id: row for row in CLAIMS}
 
 
-def _claim_applicable(claim_id, k):
-    minima = {
-        "fig1": None,
-        "thm2": None,
-        "remark4": 0,
-        "thm6": 2,
-        "thm15": 2,
-        "thm17": 2,
-        "thm18": 2,
-        "thm19": 1,
-        "thm11": 2,
-        "cor-type-k+1-k": 2,
-        "cor-type-k-k-1": 3,
-        "cor20-item1": 1,
-        "cor20-item2": 1,
-        "cor20-item3": 2,
-        "conj1": 2,
-        "conj2": 1,
-        "sixteen-note": None,
-    }
-    if claim_id == "thm21":
-        return k == 2
-    if claim_id == "thm22":
-        return k == 3
-    minimum = minima[claim_id]
-    return minimum is None or (k is not None and k >= minimum)
+def _row(claim_id, kind=None):
+    """The registry row of a claim, which must have the field ``kind`` if given."""
+    row = _ROWS.get(claim_id)
+    if row is None or (kind and getattr(row, kind) is None):
+        raise UnknownClaimError(claim_id)
+    return row
+
+
+def _claim_k(row, k):
+    """The k a claim is checked at; ClaimParameterError outside its range."""
+    if k is None and row.k_only is not None:
+        return row.k_only
+    if not row.applies_at(k):
+        need = f"k = {row.k_only}" if row.k_only is not None else f"k >= {row.k_min}"
+        raise ClaimParameterError(f"claim {row.id} needs {need}, got k={k}")
+    return k
 
 
 def verify_claim(claim_id, k=None, cache=None, n_max=None, catalog_dir=None):
-    cache = cache or MiningCache()
-    if claim_id == "sixteen-note":
-        return VerdictReport(
-            claim="sixteen-note",
-            k=k,
-            bound=None,
-            status="INFO",
-            notes="the aggregate count for min(s,k)=1 is informational only",
-        )
-    if claim_id in CONJECTURE_CLAIMS:
-        n = n_max or (3 * (k + 1) + 1 if k is not None else None)
-        n = min(n, obstructions.ENUMERATION_MAX_ORDER)
-        reports = check_conjectures(k, n, cache=cache)
-        return next(r for r in reports if r.claim == claim_id)
-    if claim_id in RECURSION_CLAIMS:
+    row = _row(claim_id)
+    if row.check is not None:
         return verify_recursion(claim_id, k, cache=cache, n_max=n_max)
-    if claim_id in LIST_CLAIMS:
-        expected = _load_catalog_exprs(catalog_dir, claim_id, k)
-        return verify_list(claim_id, k, cache=cache, n_max=n_max, expected_exprs=expected)
-    raise UnknownClaimError(claim_id)
+    expected = _load_catalog_exprs(catalog_dir, claim_id, _claim_k(row, k))
+    return verify_list(claim_id, k, cache=cache, n_max=n_max, expected_exprs=expected)
 
 
 def verify_all(k, cache=None, catalog_dir=None):
     cache = cache or MiningCache()
-    reports = []
-    for claim_id in ALL_CLAIMS:
-        if _claim_applicable(claim_id, k):
-            reports.append(
-                verify_claim(claim_id, k, cache=cache, catalog_dir=catalog_dir)
-            )
-    return reports
+    return [
+        verify_claim(row.id, k, cache=cache, catalog_dir=catalog_dir)
+        for row in CLAIMS
+        if row.applies_at(k)
+    ]
 
 
 # -- catalog files ---------------------------------------------------------------------
@@ -886,13 +870,13 @@ def write_claim_files(directory, k):
     """Expand every applicable list claim into a plain-text expression file."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    for claim_id in LIST_CLAIMS:
-        if not _claim_applicable(claim_id, k):
+    for row in CLAIMS:
+        if row.texts is None or not row.applies_at(k):
             continue
-        exprs = instantiate(claim_id, None if claim_id in ("fig1", "thm2") else k)
-        path = os.path.join(directory, _claim_filename(claim_id, k))
+        exprs = instantiate(row.id, k)
+        path = os.path.join(directory, _claim_filename(row.id, k))
         with open(path, "w") as fh:
-            fh.write(f"# {claim_id} at k={k}\n")
+            fh.write(f"# {row.id} at k={k}\n")
             for e in exprs:
                 fh.write(expressions.unparse(e) + "\n")
         written.append(path)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from polarcographs import catalog, cotrees, expressions, graphs
@@ -80,6 +82,47 @@ def test_conjecture_reports(cache):
     reports = check_conjectures(2, 10, cache=cache)
     assert {r.claim for r in reports} == {"conj1", "conj2"}
     assert all(r.status == "PASS" for r in reports)
+
+
+def test_unprobed_order_bound_is_inconclusive(cache):
+    reports = {r.claim: r for r in check_conjectures(2, 9, cache=cache)}
+    assert reports["conj2"].status == "INCONCLUSIVE"
+    assert not reports["conj2"].passed
+
+
+class _FixedCache:
+    def __init__(self, records):
+        self.records = records
+
+    def mine(self, s, k, n_max):
+        return self.records
+
+
+def test_record_over_the_order_bound_fails_even_unprobed():
+    over = SimpleNamespace(c=1, i=0, order=7, graph6="F????")
+    for n_max in (6, 7):
+        reports = {r.claim: r for r in check_conjectures(1, n_max, cache=_FixedCache([over]))}
+        assert reports["conj2"].status == "FAIL"
+        assert reports["conj2"].extra == ["F????"]
+
+
+def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
+    write_claim_files(tmp_path, 3)
+    path = tmp_path / "cor20-item1.k3.txt"
+    header, *lines = path.read_text().splitlines()
+    assert "4K1 + K{4,4}" in lines
+
+    report = verify_claim("cor20-item1", 3, cache=cache, catalog_dir=str(tmp_path))
+    assert (report.status, report.actual, report.expected) == ("PASS", 4, 4)
+
+    path.write_text("\n".join([header] + [x for x in lines if x != "4K1 + K{4,4}"]))
+    report = verify_claim("cor20-item1", 3, cache=cache, catalog_dir=str(tmp_path))
+    assert (report.status, report.actual) == ("FAIL", 3)
+    assert report.missing == ["type (5,4): not listed"]
+
+    path.write_text("\n".join([header] + lines[::-1]))
+    report = verify_claim("cor20-item1", 3, cache=cache, catalog_dir=str(tmp_path))
+    assert (report.status, report.actual, report.missing) == ("PASS", 4, [])
 
 
 def test_lemma_suites(cache):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polarcographs import cli
+from polarcographs import catalog, cli
 
 
 def run(capsys, *argv):
@@ -133,6 +133,28 @@ def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "remark4", "--k", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["status"] == "PASS"
+
+
+def test_verify_every_claim_without_k(capsys):
+    # a claim that needs k is a parameter error naming it; a fixed list is
+    # checked at its own k; no claim may crash into exit 1
+    for row in catalog.CLAIMS:
+        code, out, err = run(capsys, "verify", row.id)
+        if row.k_min is not None:
+            assert code == 2, row.id
+            assert row.id in err and "Traceback" not in err
+        else:
+            assert code == 0, (row.id, out, err)
+            assert out.split()[:2] in (["PASS", row.id], ["INFO", row.id])
+            if row.k_only is not None:
+                assert f"k={row.k_only}" in out
+
+
+def test_verify_unprobed_conjecture_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "verify", "conj2", "--k", "4", "--n-max", "9", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "INCONCLUSIVE" and payload["bound"] == 9
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
