@@ -594,11 +594,15 @@ def _admits_thm11_split(g, k):
 def check_conjectures(k, n_max, cache=None):
     """Verdicts for the uniqueness-per-type and order-bound conjectures.
 
-    The order bound is INCONCLUSIVE when ``n_max`` does not reach past
-    3(k+1) and no record exceeds it: nothing beyond the bound was probed.
+    Each is INCONCLUSIVE when ``n_max`` does not reach past 3(k+1) and
+    nothing fails: a record of a larger order could still break it, and no
+    such order was probed.
     """
     cache = cache or MiningCache()
     records = cache.mine(INF, k, n_max)
+    limit = 3 * (k + 1)
+    probed = n_max > limit
+    unprobed = f"; bound {n_max} does not probe beyond the conjecture"
     reports = []
 
     cells = {}
@@ -612,44 +616,46 @@ def check_conjectures(k, n_max, cache=None):
             found = len(cells.get((c, i), []))
             if found != 1:
                 bad.append(f"type ({c},{i}): {found} records")
+    notes = "exactly one record per type (c,i), 1 <= i <= c-2 <= k"
     reports.append(
         VerdictReport(
             claim="conj1",
             k=k,
             bound=n_max,
-            status="PASS" if not bad else "FAIL",
+            status="FAIL" if bad else ("PASS" if probed else "INCONCLUSIVE"),
             expected=checked,
             actual=checked - len(bad),
             missing=bad,
-            notes="exactly one record per type (c,i), 1 <= i <= c-2 <= k",
+            notes=notes if probed else notes + unprobed,
         )
     )
 
-    limit = 3 * (k + 1)
     max_order = max((r.order for r in records), default=0)
     over = [r.graph6 for r in records if r.order > limit]
-    status = "FAIL" if over else ("INCONCLUSIVE" if n_max <= limit else "PASS")
     notes = f"max mined order {max_order} vs conjectured bound {limit}"
-    if n_max <= limit:
-        notes += f"; bound {n_max} does not probe beyond the conjecture"
     reports.append(
         VerdictReport(
             claim="conj2",
             k=k,
             bound=n_max,
-            status=status,
+            status="FAIL" if over else ("PASS" if probed else "INCONCLUSIVE"),
             expected=0,
             actual=len(over),
             extra=over,
-            notes=notes,
+            notes=notes if probed else notes + unprobed,
         )
     )
     return reports
 
 
 def _check_conjecture(claim_id, k, cache, n_max):
-    n = min(n_max or 3 * (k + 1) + 1, obstructions.ENUMERATION_MAX_ORDER)
-    return next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
+    """One conjecture's verdict, probed at n_max or 3(k+1)+1 within the enumeration bound."""
+    wanted = n_max or 3 * (k + 1) + 1
+    n = min(wanted, obstructions.ENUMERATION_MAX_ORDER)
+    report = next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
+    if n < wanted:
+        report.notes += f"; probe clamped from order {wanted} to the enumeration bound {n}"
+    return report
 
 
 def _sixteen_note(claim_id, k, cache, n_max):
@@ -888,6 +894,6 @@ def _load_catalog_exprs(catalog_dir, claim_id, k):
         return None
     path = os.path.join(catalog_dir, _claim_filename(claim_id, k))
     if not os.path.exists(path):
-        return None
+        raise ClaimParameterError(f"claim {claim_id}: no catalog file {path}")
     with open(path) as fh:
         return expressions.load_expression_lines(fh.read())

@@ -229,6 +229,16 @@ def cmd_mine(args):
     return EXIT_OK
 
 
+def _verdict_table(reports):
+    """Text table of verdicts, one line each; the status column fits the widest status."""
+    width = max(len(r.status) for r in reports)
+    lines = []
+    for r in reports:
+        detail = f"{r.actual}/{r.expected}"
+        lines.append(f"{r.status:{width}s} {r.claim:16s} k={r.k} {detail:9s} {r.notes}")
+    return "\n".join(lines)
+
+
 def cmd_verify(args):
     k = _parse_param(args.k, "k")
     if k == INF:
@@ -258,11 +268,7 @@ def cmd_verify(args):
     if args.format == "json":
         body = "\n".join(r.to_json() for r in reports)
     else:
-        lines = []
-        for r in reports:
-            detail = f"{r.actual}/{r.expected}"
-            lines.append(f"{r.status:4s} {r.claim:16s} k={r.k} {detail:9s} {r.notes}")
-        body = "\n".join(lines)
+        body = _verdict_table(reports)
     _emit(body, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 

@@ -1,28 +1,42 @@
 """Isomorph-free cograph enumeration and minimal obstruction mining.
 
-Enumeration builds canonical cotrees bottom-up: a disconnected class of
-order n is a multiset (size >= 2) of connected classes with total order n,
-drawn in nondecreasing (order, code) order so every multiset appears once.
-Each disconnected class is built together with its twin, the connected class
-of its complement: the complement of a union of connected parts is the join
-of their complements, so the twin is the JOIN of the parts' stored
-disconnected twins.  Every child is therefore a stored class or the shared
-leaf, no node is duplicated, and polarity profiles memoized on the nodes are
-computed once per class.
+Enumeration builds canonical cotrees bottom-up, one recursion per order: a
+disconnected class of order n is a multiset (size >= 2) of connected classes
+with total order n, drawn in nondecreasing (order, index) order so every
+multiset appears once.  Each disconnected class is built together with its
+twin, the connected class of its complement: the complement of a union of
+connected parts is the join of their complements, so the twin is the JOIN of
+the parts' stored disconnected twins.  Every child is therefore a stored
+class or the shared leaf, and no node is duplicated.
+
+Enumerated nodes are well-formed by construction (at least two children,
+labels alternating), and each gets its order, canonical code and polarity
+profile when it is built.  The code joins the children's codes, which are
+already computed, in sorted order.  The recursion carries the union profile
+of the parts chosen so far, so each disconnected class costs one merge, and
+its twin's profile is the same profile with its coordinates swapped.  Each
+order's classes are sorted by code once and stored.  The cyclic garbage
+collector is paused while building: the enumerator allocates only acyclic
+trees, and the collector's passes over the growing heap of stored nodes would
+find nothing to free.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
 proper induced subgraph polar (induced subgraphs arise by iterated deletion).
-The deleted graphs' profiles come from ``polarity.deletion_profiles``, the
-memoized per-node DP over one-leaf deletions, so no deleted tree is built.
-The rare classes that pass are re-checked the explicit way, by rebuilding
-each deleted tree with ``remove_leaf`` and running the profile DP on it.
+The deleted graphs' profiles come from ``polarity.deletions_admit``, which
+merges the memoized per-node deletion profiles of the root's children one at
+a time and stops at the first non-polar deletion, so no deleted tree is
+built.  The rare classes that pass are re-checked the explicit way, by
+rebuilding each deleted tree with ``remove_leaf`` and running the profile DP
+on it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import cotrees, expressions, graphs, polarity
 from .cotrees import JOIN, LEAF, UNION, Cotree, canonical_code
@@ -37,88 +51,118 @@ class BoundExceededError(ValueError):
 
 
 _SHARED_LEAF = cotrees.leaf()
+_SHARED_LEAF._order = 1
+_SHARED_LEAF._code = canonical_code(_SHARED_LEAF)
+_SHARED_LEAF._profile = polarity.profile_dp(_SHARED_LEAF).signatures
+
+_CODE = attrgetter("_code")
+_UNION_HEAD = UNION.encode("ascii")
+_JOIN_HEAD = JOIN.encode("ascii")
 
 
 class CographEnumerator:
     """Incremental generator of one cotree per unlabeled cograph class.
 
-    ``twins[n][i]`` is the stored disconnected class whose complement is
-    ``connected[n][i]``; the shared leaf is its own twin.
+    ``connected[n]`` and ``twins[n]`` hold the classes of order n in the
+    order they were built: ``twins[n][i]`` is the stored disconnected class
+    whose complement is ``connected[n][i]``, and the shared leaf is its own
+    twin.  Every node gets its order, canonical code and profile when it is
+    built, so none is computed lazily later.
     """
 
     def __init__(self):
         self.connected = {1: [_SHARED_LEAF]}
         self.twins = {1: [_SHARED_LEAF]}
-        self.disconnected = {}
-        # connected classes in ascending (order, code), with their twins
-        self._pool = [_SHARED_LEAF]
-        self._pool_twin = [_SHARED_LEAF]
-        self._pool_order = [1]
+        self._classes = {1: (_SHARED_LEAF,)}  # each order's classes, sorted by code
         self._built = 1
 
-    def _multisets(self, n):
-        """Pool index tuples of >= 2 connected classes with total order n, each once."""
-        pool_order = self._pool_order
-        parts = []
-        out = []
-
-        def choose(start, remaining):
-            for j in range(start, len(pool_order)):
-                o = pool_order[j]
-                if o > remaining:
-                    break  # pool is ascending in order
-                rest = remaining - o
-                # a single later part of any order in [o, rest] always exists
-                if rest != 0 and rest < o:
-                    continue
-                parts.append(j)
-                if rest == 0:
-                    if len(parts) >= 2:
-                        out.append(tuple(parts))
-                else:
-                    choose(j, rest)
-                parts.pop()
-
-        choose(0, n)
-        return out
-
     def build_up_to(self, n):
+        """Build every order up to n, with the cyclic garbage collector paused.
+
+        The enumerator allocates only acyclic trees, which reference counting
+        frees, so collector passes over the growing heap of stored nodes find
+        nothing.  The caller's collector state is restored even on error.
+        """
         if n > ENUMERATION_MAX_ORDER:
             raise BoundExceededError(
                 f"enumeration bound {n} exceeds {ENUMERATION_MAX_ORDER}"
             )
-        pool = self._pool
-        pool_twin = self._pool_twin
-        while self._built < n:
-            m = self._built + 1
-            disc = []
-            pairs = []
-            for parts in self._multisets(m):
-                d = Cotree(UNION, tuple(sorted((pool[j] for j in parts), key=canonical_code)))
-                c = Cotree(
-                    JOIN, tuple(sorted((pool_twin[j] for j in parts), key=canonical_code))
+        if self._built >= n:
+            return
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while self._built < n:
+                m = self._built + 1
+                conn, twins = [], []
+                self._add_unions(m, [], [], None, 1, 0, m, conn, twins)
+                classes = conn + twins
+                classes.sort(key=_CODE)
+                self.connected[m] = conn
+                self.twins[m] = twins
+                self._classes[m] = tuple(classes)
+                self._built = m
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _add_unions(
+        self, m, parts, twin_parts, prof, o0, i0, remaining, new_connected, new_twins
+    ):
+        """Build each order-m class whose connected parts extend ``parts``, once.
+
+        Parts are drawn in nondecreasing (order, index) from ``connected``,
+        starting at ``connected[o0][i0]``, until their orders add up to m;
+        ``remaining`` is m minus the orders chosen so far and ``prof`` the
+        union profile of ``parts`` (None while it is empty).  Each multiset
+        of at least two parts gives a disconnected class, appended to
+        ``new_twins``, and its complement, the JOIN of the parts' stored
+        twins, appended to ``new_connected``.
+        """
+        connected, twins = self.connected, self.twins
+        union = polarity.union_profile
+        # a part that leaves room for another has order <= remaining // 2
+        for o in range(o0, remaining // 2 + 1):
+            block = connected[o]
+            twin_block = twins[o]
+            for i in range(i0 if o == o0 else 0, len(block)):
+                part = block[i]
+                self._add_unions(
+                    m,
+                    parts + [part],
+                    twin_parts + [twin_block[i]],
+                    part._profile if prof is None else union(prof, part._profile),
+                    o,
+                    i,
+                    remaining - o,
+                    new_connected,
+                    new_twins,
                 )
-                disc.append(d)
-                pairs.append((c, d))
-            disc.sort(key=canonical_code)
-            pairs.sort(key=lambda pair: canonical_code(pair[0]))
-            conn = [c for c, _ in pairs]
-            twins = [d for _, d in pairs]
-            self.disconnected[m] = disc
-            self.connected[m] = conn
-            self.twins[m] = twins
-            pool.extend(conn)
-            pool_twin.extend(twins)
-            self._pool_order.extend([m] * len(conn))
-            self._built = m
+        if not parts:
+            return
+        # the last part has the remaining order, at or after the previous part
+        block = connected[remaining]
+        twin_block = twins[remaining]
+        count = bytes((len(parts) + 1,))
+        complement = polarity.complement_profile
+        for i in range(i0 if remaining == o0 else 0, len(block)):
+            kids = sorted(parts + [block[i]], key=_CODE)
+            d = Cotree(UNION, kids)
+            d._order = m
+            d._code = _UNION_HEAD + count + b"".join(map(_CODE, kids))
+            d._profile = union(prof, block[i]._profile)
+            kids = sorted(twin_parts + [twin_block[i]], key=_CODE)
+            c = Cotree(JOIN, kids)
+            c._order = m
+            c._code = _JOIN_HEAD + count + b"".join(map(_CODE, kids))
+            c._profile = complement(d._profile)
+            new_twins.append(d)
+            new_connected.append(c)
 
     def classes_of_order(self, n):
+        """Every class of order n, sorted by canonical code (a stored tuple)."""
         self.build_up_to(n)
-        if n == 1:
-            return list(self.connected[1])
-        merged = self.connected[n] + self.disconnected[n]
-        merged.sort(key=canonical_code)
-        return merged
+        return self._classes[n]
 
 
 _ENUMERATOR = CographEnumerator()

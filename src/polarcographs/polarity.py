@@ -10,12 +10,17 @@ an unbounded side and is mapped to the graph order at query time.
 Profiles are memoized on the nodes, so subtrees shared between trees are
 solved once.  Each node's shape (at least two children, labels alternating)
 is checked once, on its first profile computation, before the memo is
-written; a malformed node therefore never carries a profile.  The same DP,
-run with prefix and suffix folds of sibling profiles, gives each node the
-set of profiles of its subtree minus one leaf (``deletion_profiles``), which
-minimality checks read instead of rebuilding deleted trees.  Equal profiles
-and deletion sets are interned, and merges of interned profiles memoized, in
-two tables of at most ``INTERN_LIMIT`` entries each.
+written; a malformed node therefore never carries a profile.  The cograph
+enumerator builds well-formed nodes only and sets their profiles itself,
+with ``union_profile`` and ``complement_profile``, so its nodes skip that
+check.  The same DP, run with prefix and suffix folds of sibling profiles,
+gives each node the set of profiles of its subtree minus one leaf
+(``deletion_profiles``).  Minimality checks call ``deletions_admit``, which
+reads those sets for the root's children only, one child at a time, stops at
+the first non-polar deletion, and never builds the root's own set.  Equal
+profiles and deletion sets are interned, merges of interned profiles
+memoized, and complements of interned profiles memoized, in three tables of
+at most ``INTERN_LIMIT`` entries each.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -36,11 +41,13 @@ _LEAF_SIGS = frozenset({(1, 0), (0, 1)})
 _EMPTY_SIGS = frozenset({(0, 0)})  # the empty graph
 _LEAF_DELETIONS = frozenset({_EMPTY_SIGS})
 
-# Interned profiles and deletion sets, and memoized merges of interned
-# profiles; each table holds at most INTERN_LIMIT entries.
+# Interned profiles and deletion sets, memoized merges of interned profiles
+# and memoized complements of interned profiles; each table holds at most
+# INTERN_LIMIT entries.
 INTERN_LIMIT = 1 << 16
 _INTERNED = {}
 _COMBINED = {}
+_SWAPPED = {}
 
 BRUTE_FORCE_MAX_ORDER = 20
 
@@ -124,6 +131,25 @@ def _combine(merge, p, q):
     return out
 
 
+def union_profile(p, q):
+    """Interned profile of the disjoint union of two graphs with interned profiles."""
+    return _combine(_merge_union, p, q)
+
+
+def complement_profile(p):
+    """Interned profile of the complement of a graph with an interned profile.
+
+    Complementing turns a complete multipartite A into a cluster and a
+    cluster B into a complete multipartite graph, so (s, k) becomes (k, s).
+    """
+    out = _SWAPPED.get(p)
+    if out is None:
+        out = _intern(frozenset((k, s) for s, k in p))
+        if len(_SWAPPED) < INTERN_LIMIT:
+            _SWAPPED[p] = out
+    return out
+
+
 def _node_profile(t):
     """Memoized profile of a subtree; each node's shape is checked on its first call."""
     prof = t._profile
@@ -189,9 +215,38 @@ def _admits(signatures, n, s, k):
 
 
 def deletions_admit(t, s, k):
-    """True iff every one-leaf deletion of the cotree's cograph is (s,k)-polar."""
+    """True iff every one-leaf deletion of the cotree's cograph is (s,k)-polar.
+
+    Lazy at the root: the root's own deletion set is neither built nor
+    stored.  Each child's memoized ``deletion_profiles`` are merged, one at a
+    time, with the profile of its siblings (a suffix fold and a prefix fold
+    built as the loop goes), and the first non-polar deletion ends the check.
+    """
     n = t.order - 1
-    return all(_admits(sigs, n, s, k) for sigs in deletion_profiles(t))
+    if t.op == LEAF:
+        return _admits(_EMPTY_SIGS, n, s, k)
+    s = n if s == INF else s
+    k = n if k == INF else k
+    _node_profile(t)  # checks the shape of every node below before it is trusted
+    merge = _merge_union if t.op == UNION else _merge_join
+    children = t.children
+    profs = [child._profile for child in children]
+    suffixes = [_EMPTY_SIGS] * (len(profs) + 1)
+    for i in range(len(profs) - 1, 0, -1):
+        suffixes[i] = _combine(merge, profs[i], suffixes[i + 1])
+    before = _EMPTY_SIGS
+    previous = None
+    for i, child in enumerate(children):
+        if i:
+            before = _combine(merge, before, profs[i - 1])
+        if child is previous:
+            continue
+        previous = child
+        siblings = _combine(merge, before, suffixes[i + 1])
+        for sub in deletion_profiles(child):
+            if not any(s0 <= s and k0 <= k for s0, k0 in _combine(merge, siblings, sub)):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from polarcographs.catalog import (
     check_lemma5,
     check_lemma7,
     instantiate,
+    verify_all,
     verify_claim,
     verify_list,
     verify_recursion,
@@ -86,8 +87,10 @@ def test_conjecture_reports(cache):
 
 def test_unprobed_order_bound_is_inconclusive(cache):
     reports = {r.claim: r for r in check_conjectures(2, 9, cache=cache)}
-    assert reports["conj2"].status == "INCONCLUSIVE"
-    assert not reports["conj2"].passed
+    for claim in ("conj1", "conj2"):
+        assert reports[claim].status == "INCONCLUSIVE"
+        assert not reports[claim].passed
+        assert "bound 9 does not probe" in reports[claim].notes
 
 
 class _FixedCache:
@@ -104,6 +107,21 @@ def test_record_over_the_order_bound_fails_even_unprobed():
         reports = {r.claim: r for r in check_conjectures(1, n_max, cache=_FixedCache([over]))}
         assert reports["conj2"].status == "FAIL"
         assert reports["conj2"].extra == ["F????"]
+
+
+def test_clamped_conjecture_probe_is_inconclusive_and_says_so():
+    # one record in every type (c,i) conj1 covers at k=4; the default probe,
+    # order 16, is past the enumeration bound
+    k = 4
+    records = [
+        SimpleNamespace(c=c, i=i, order=9, graph6="")
+        for c in range(3, k + 3)
+        for i in range(1, c - 1)
+    ]
+    for claim in ("conj1", "conj2"):
+        report = verify_claim(claim, k, cache=_FixedCache(records))
+        assert report.status == "INCONCLUSIVE" and report.bound == 15
+        assert "probe clamped from order 16 to the enumeration bound 15" in report.notes
 
 
 def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
@@ -146,6 +164,22 @@ def test_claim_files_roundtrip(tmp_path, cache):
     assert written
     report = verify_claim("thm21", 2, cache=cache, catalog_dir=str(tmp_path))
     assert report.status == "PASS"
+
+
+def test_missing_catalog_file_is_an_error(tmp_path, cache):
+    with pytest.raises(ClaimParameterError, match="thm21.k2.txt"):
+        verify_claim("thm21", 2, cache=cache, catalog_dir=str(tmp_path))
+    # claims without a list read no file
+    assert verify_claim("thm17", 2, cache=cache, catalog_dir=str(tmp_path)).status == "PASS"
+
+
+def test_verify_all_reads_written_claim_files(tmp_path, cache):
+    write_claim_files(tmp_path, 3)
+    reports = verify_all(3, cache=cache, catalog_dir=str(tmp_path))
+    assert len(reports) == 18 and all(r.passed for r in reports)
+    (tmp_path / "thm22.k3.txt").unlink()
+    with pytest.raises(ClaimParameterError, match="thm22.k3.txt"):
+        verify_all(3, cache=cache, catalog_dir=str(tmp_path))
 
 
 def test_unknown_claim_raises(cache):

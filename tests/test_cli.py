@@ -157,6 +157,32 @@ def test_verify_unprobed_conjecture_is_inconclusive(capsys):
     assert payload["status"] == "INCONCLUSIVE" and payload["bound"] == 9
 
 
+def test_verify_unprobed_uniqueness_conjecture_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "verify", "conj1", "--k", "2", "--n-max", "9")
+    assert code == 1
+    assert out.startswith("INCONCLUSIVE conj1 ")
+    assert "bound 9 does not probe beyond the conjecture" in out
+
+
+def test_verify_table_pads_the_status_column(capsys):
+    code, out, _ = run(capsys, "verify", "conj2", "--k", "2", "--n-max", "9")
+    assert code == 1
+    assert out.startswith("INCONCLUSIVE conj2 ")
+    rows = [
+        catalog.VerdictReport("fig1", 2, 9, "PASS", 4, 4),
+        catalog.VerdictReport("conj2", 2, 9, "INCONCLUSIVE"),
+        catalog.VerdictReport("sixteen-note", 2, None, "INFO"),
+    ]
+    lines = cli._verdict_table(rows).splitlines()
+    assert [line.index(" k=2 ") for line in lines] == [len("INCONCLUSIVE ") + 16] * 3
+
+
+def test_verify_missing_catalog_file(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "thm21", "--k", "2", "--catalog-dir", str(tmp_path))
+    assert code == 2
+    assert str(tmp_path / "thm21.k2.txt") in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "eval", "C4", "--out", str(target))

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -16,10 +17,17 @@ from polarcographs.obstructions import (
 )
 from polarcographs.polarity import INF
 
-from util import minimal_by_all_deletions, random_cotree
+from util import (
+    deletions_admit_materialised,
+    memo_free_copy,
+    minimal_by_all_deletions,
+    random_cotree,
+)
 
 # unlabeled cograph counts, frozen from two independent enumerators
 COGRAPH_COUNTS_10 = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
+
+ORACLE_PAIRS = [(INF, 2), (INF, 3), (INF, 4), (2, 1), (2, 2), (1, INF), (INF, INF), (3, 3)]
 
 
 def test_cograph_counts():
@@ -28,10 +36,13 @@ def test_cograph_counts():
 
 def test_enumeration_is_isomorph_free():
     seen = set()
+    previous = (0, b"")
     for t in enumerate_cographs(7):
         code = cotrees.canonical_code(t)
         assert code not in seen
         seen.add(code)
+        assert (t.order, code) > previous  # each order sorted by code
+        previous = (t.order, code)
     assert len(seen) == sum(COGRAPH_COUNTS_10[:7])
 
 
@@ -140,9 +151,8 @@ def test_fresh_enumerator_matches_shared():
 
 
 def test_minimality_matches_all_deletions_oracle():
-    pairs = [(INF, 2), (INF, 3), (INF, 4), (2, 1), (2, 2), (1, INF), (INF, INF), (3, 3)]
     for t in enumerate_cographs(10):
-        for s, k in pairs:
+        for s, k in ORACLE_PAIRS:
             assert is_minimal_obstruction(t, s, k) == minimal_by_all_deletions(t, s, k), (
                 cotrees.render(t), s, k
             )
@@ -151,9 +161,7 @@ def test_minimality_matches_all_deletions_oracle():
 def test_connected_classes_are_joins_of_stored_twins():
     enum = CographEnumerator()
     enum.build_up_to(10)
-    shared_leaf = enum.connected[1][0]
-    stored = {id(d) for classes in enum.disconnected.values() for d in classes}
-    stored.add(id(shared_leaf))
+    stored = {id(d) for classes in enum.twins.values() for d in classes}
     for n in range(1, 11):
         assert len(enum.twins[n]) == len(enum.connected[n])
         for c, twin in zip(enum.connected[n], enum.twins[n]):
@@ -163,3 +171,59 @@ def test_connected_classes_are_joins_of_stored_twins():
             )
             for child in c.children:
                 assert id(child) in stored
+
+
+def test_lazy_deletion_check_matches_materialised_oracle():
+    for t in enumerate_cographs(10):
+        for s, k in ORACLE_PAIRS:
+            assert polarity.deletions_admit(t, s, k) == deletions_admit_materialised(t, s, k), (
+                cotrees.render(t), s, k
+            )
+
+
+def test_build_time_values_match_the_dp_and_the_oracle():
+    for t in enumerate_cographs(10):
+        copy = memo_free_copy(t)
+        assert t._profile == polarity.profile_dp(copy).signatures, cotrees.render(t)
+        assert t._code == cotrees.canonical_code(copy)
+        assert t._order == copy.order
+        if t.order <= 8:
+            expected = polarity.profile_bruteforce(cotrees.realize(t)).signatures
+            assert t._profile == expected, cotrees.render(t)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_pauses_and_restores_gc(monkeypatch, enabled):
+    seen = []
+    complement = polarity.complement_profile
+
+    def recording(prof):
+        seen.append(gc.isenabled())
+        return complement(prof)
+
+    monkeypatch.setattr(polarity, "complement_profile", recording)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        enum = CographEnumerator()
+        enum.build_up_to(6)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen and not any(seen)
+    assert [len(enum.classes_of_order(n)) for n in range(1, 7)] == COGRAPH_COUNTS_10[:6]
+
+
+def test_build_restores_gc_when_it_raises(monkeypatch):
+    def failing(p, q):
+        raise RuntimeError("merge failed")
+
+    monkeypatch.setattr(polarity, "union_profile", failing)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            CographEnumerator().build_up_to(5)
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was_enabled else gc.disable()

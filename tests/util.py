@@ -12,7 +12,7 @@ import itertools
 import random
 
 from polarcographs import cotrees, graphs, obstructions, polarity
-from polarcographs.cotrees import JOIN, UNION, Cotree
+from polarcographs.cotrees import JOIN, LEAF, UNION, Cotree
 
 
 def random_cotree(rng: random.Random, n, op=None):
@@ -110,3 +110,15 @@ def minimal_by_all_deletions(t, s, k):
         if sub is not None and not polarity.profile_dp(sub).admits(s, k):
             return False
     return True
+
+
+def deletions_admit_materialised(t, s, k):
+    """Every one-leaf deletion polar, read from the root's full memoized deletion set."""
+    return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in polarity.deletion_profiles(t))
+
+
+def memo_free_copy(t):
+    """A copy of a cotree made of new nodes, none carrying a memoized value."""
+    if t.op == LEAF:
+        return Cotree(LEAF)
+    return Cotree(t.op, tuple(memo_free_copy(c) for c in t.children))
