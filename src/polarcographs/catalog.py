@@ -395,6 +395,23 @@ def _one_k_bound(m):
     return min(2 * m + 4, obstructions.ENUMERATION_MAX_ORDER)
 
 
+def _one_k_clamps(ms):
+    """(notes, short) for the (1,m) minings of each m in ms: a note for each
+    bound clamped by the enumeration bound, and whether one falls below the
+    order 2m+2 of K_{m+1,m+1}, so that mining may miss (1,m)-obstructions."""
+    notes = []
+    short = False
+    for m in sorted(ms):
+        n = _one_k_bound(m)
+        if n < 2 * m + 4:
+            note = f"(1,{m}) mining clamped from order {2 * m + 4} to the enumeration bound {n}"
+            if n < 2 * m + 2:
+                note += f", below the order {2 * m + 2} of K_{{{m + 1},{m + 1}}}"
+                short = True
+            notes.append(note)
+    return notes, short
+
+
 def verify_recursion(claim_id, k, cache=None, n_max=None):
     """Verdict of a claim that is not a list (a recursion, a conjecture, a note)."""
     row = _row(claim_id, "check")
@@ -495,10 +512,8 @@ def _verify_thm11(claim_id, k, cache, n_max):
     # backward: the recursion built from (1, k_i - 1)-obstruction mining
     expected = {}
     fig1_codes = set(_codes_of_exprs(_exprs(FIG1)))
-    for k1 in range(2, k):
-        k2 = k + 1 - k1
-        if k2 < 2 or k2 < k1:
-            continue
+    splits = [(k1, k + 1 - k1) for k1 in range(2, k) if k + 1 - k1 >= k1]
+    for k1, k2 in splits:
         for h1, e1 in _thm11_sides(k1, cache, fig1_codes):
             for h2, e2 in _thm11_sides(k2, cache, fig1_codes):
                 if not _thm11_condition4(h1, e1, h2, e2, k1, k2, cache, fig1_codes):
@@ -509,11 +524,15 @@ def _verify_thm11(claim_id, k, cache, n_max):
                 expected[canonical_code(cotree_of(g))] = f"({e1}) + ({e2})"
 
     report = _set_compare(claim_id, k, n_max, expected, scoped)
+    clamps, short = _one_k_clamps({ki - 1 for split in splits for ki in split})
     if bad_forward:
         report.status = "FAIL"
         report.notes = f"no qualifying split for: {bad_forward}"
+    elif short:
+        report.status = "INCONCLUSIVE"
     elif report.status == "PASS":
         report.notes = "both directions verified"
+    report.notes = "; ".join(filter(None, [report.notes, *clamps]))
     return report
 
 

@@ -23,12 +23,16 @@ find nothing to free.
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
 proper induced subgraph polar (induced subgraphs arise by iterated deletion).
-The deleted graphs' profiles come from ``polarity.deletions_admit``, which
-merges the memoized per-node deletion profiles of the root's children one at
-a time and stops at the first non-polar deletion, so no deleted tree is
-built.  The rare classes that pass are re-checked the explicit way, by
-rebuilding each deleted tree with ``remove_leaf`` and running the profile DP
-on it.
+The root's verdict is one lookup of its build-time profile in the (s,k)
+verdict table of ``polarity.verdicts``, which needs no graph order, so no
+profile object is built per class.  The deleted graphs' verdicts come from
+``polarity.deletions_admit``, which first looks up the root's children in the
+same table (each is an induced subgraph of a deletion), then merges their
+memoized deletion profiles one at a time and stops at the first non-polar
+deletion, so no deleted tree is built.  The rare classes that pass both
+checks are re-checked the explicit way: the root by the profile DP, and each
+deletion by rebuilding the deleted tree with ``remove_leaf`` and running the
+profile DP on it.
 """
 
 from __future__ import annotations
@@ -318,11 +322,22 @@ def remove_leaf(t, index):
 
 
 def is_minimal_obstruction(t, s, k):
-    """True iff realize(t) is not (s,k)-polar but every vertex deletion is."""
-    if polarity.profile_dp(t).admits(s, k):
+    """True iff realize(t) is not (s,k)-polar but every vertex deletion is.
+
+    The root's verdict is one lookup of its profile in the (s,k) verdict
+    table.  A class that passes both checks is re-checked the explicit way,
+    its root by the profile DP and each deletion by ``remove_leaf`` and the
+    DP; a disagreement raises AssertionError.
+    """
+    prof = t._profile
+    if prof is None:  # not built by the enumerator; the empty profile is not None
+        prof = polarity.profile_dp(t).signatures
+    if polarity.verdicts(s, k)[prof]:
         return False
     if not polarity.deletions_admit(t, s, k):
         return False
+    if polarity.profile_dp(t).admits(s, k):
+        raise AssertionError("the verdict table disagrees with the profile DP")
     for index in range(t.order):
         sub = remove_leaf(t, index)
         if sub is not None and not polarity.profile_dp(sub).admits(s, k):

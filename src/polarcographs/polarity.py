@@ -5,7 +5,7 @@ multipartite graph with at most s parts and B inducing a cluster with at
 most k cliques.  The DP computes, per cotree node, the antichain of *exact*
 signatures (parts-of-A, cliques-of-B) achievable by some partition of the
 subtree; every query then reduces to a dominance check.  ``INF`` stands for
-an unbounded side and is mapped to the graph order at query time.
+an unbounded side.
 
 Profiles are memoized on the nodes, so subtrees shared between trees are
 solved once.  Each node's shape (at least two children, labels alternating)
@@ -15,12 +15,22 @@ enumerator builds well-formed nodes only and sets their profiles itself,
 with ``union_profile`` and ``complement_profile``, so its nodes skip that
 check.  The same DP, run with prefix and suffix folds of sibling profiles,
 gives each node the set of profiles of its subtree minus one leaf
-(``deletion_profiles``).  Minimality checks call ``deletions_admit``, which
-reads those sets for the root's children only, one child at a time, stops at
-the first non-polar deletion, and never builds the root's own set.  Equal
-profiles and deletion sets are interned, merges of interned profiles
-memoized, and complements of interned profiles memoized, in three tables of
-at most ``INTERN_LIMIT`` entries each.
+(``deletion_profiles``).  Equal profiles and deletion sets are interned,
+merges of interned profiles memoized, and complements of interned profiles
+memoized, in three tables of at most ``INTERN_LIMIT`` entries each.
+
+Whether a profile admits a given (s, k) is read from that pair's verdict
+table (``verdicts``), a dict from profile to verdict that fills itself on a
+miss.  A verdict needs no graph order: every signature of an order-n graph is
+at most (n, n), so comparing with ``INF`` directly answers the same as
+mapping ``INF`` to n first.  One table per (s, k) therefore serves graphs of
+every order.  Minimality checks call ``deletions_admit``, which first looks
+up each of the root's children in the table (a child is an induced subgraph
+of a one-vertex deletion, so one non-polar child settles the check), then
+merges each child's deletion profiles with its siblings' profile one at a
+time, stops at the first non-polar deletion, and never builds the root's own
+set.  The tables, and the dict of tables, hold at most ``INTERN_LIMIT``
+entries each; past the cap a verdict is computed and not stored.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -41,13 +51,14 @@ _LEAF_SIGS = frozenset({(1, 0), (0, 1)})
 _EMPTY_SIGS = frozenset({(0, 0)})  # the empty graph
 _LEAF_DELETIONS = frozenset({_EMPTY_SIGS})
 
-# Interned profiles and deletion sets, memoized merges of interned profiles
-# and memoized complements of interned profiles; each table holds at most
-# INTERN_LIMIT entries.
+# Interned profiles and deletion sets, memoized merges of interned profiles,
+# memoized complements of interned profiles, and the verdict table of each
+# (s, k); each table holds at most INTERN_LIMIT entries.
 INTERN_LIMIT = 1 << 16
 _INTERNED = {}
 _COMBINED = {}
 _SWAPPED = {}
+_VERDICTS = {}
 
 BRUTE_FORCE_MAX_ORDER = 20
 
@@ -214,23 +225,61 @@ def _admits(signatures, n, s, k):
     return any(s0 <= s and k0 <= k for s0, k0 in signatures)
 
 
+class _Verdicts(dict):
+    """Profile -> whether it admits (s, k), computed and stored on a miss.
+
+    No order is needed: signatures of an order-n graph are at most (n, n),
+    so ``s0 <= INF`` is as true as ``s0 <= n``.  Past INTERN_LIMIT entries a
+    verdict is returned without being stored.
+    """
+
+    __slots__ = ("s", "k")
+
+    def __init__(self, s, k):
+        super().__init__()
+        self.s = s
+        self.k = k
+
+    def __missing__(self, prof):
+        s, k = self.s, self.k
+        verdict = any(s0 <= s and k0 <= k for s0, k0 in prof)
+        if len(self) < INTERN_LIMIT:
+            self[prof] = verdict
+        return verdict
+
+
+def verdicts(s, k):
+    """The verdict table of (s, k): ``verdicts(s, k)[prof]`` is True iff a graph
+    with profile ``prof`` is (s, k)-polar.  INF lifts a bound."""
+    table = _VERDICTS.get((s, k))
+    if table is None:
+        table = _Verdicts(s, k)
+        if len(_VERDICTS) < INTERN_LIMIT:
+            _VERDICTS[(s, k)] = table
+    return table
+
+
 def deletions_admit(t, s, k):
     """True iff every one-leaf deletion of the cotree's cograph is (s,k)-polar.
 
-    Lazy at the root: the root's own deletion set is neither built nor
-    stored.  Each child's memoized ``deletion_profiles`` are merged, one at a
-    time, with the profile of its siblings (a suffix fold and a prefix fold
-    built as the loop goes), and the first non-polar deletion ends the check.
+    Each child of the root is first looked up in the verdict table: it is an
+    induced subgraph of the deletion of a leaf outside it, so a non-polar
+    child settles the check.  The root's own deletion set is neither built
+    nor stored.  Each child's memoized ``deletion_profiles`` are merged, one
+    at a time, with the profile of its siblings (a suffix fold and a prefix
+    fold built as the loop goes), and the first non-polar deletion ends the
+    check.
     """
-    n = t.order - 1
+    table = verdicts(s, k)
     if t.op == LEAF:
-        return _admits(_EMPTY_SIGS, n, s, k)
-    s = n if s == INF else s
-    k = n if k == INF else k
+        return table[_EMPTY_SIGS]
     _node_profile(t)  # checks the shape of every node below before it is trusted
     merge = _merge_union if t.op == UNION else _merge_join
     children = t.children
     profs = [child._profile for child in children]
+    for prof in profs:
+        if not table[prof]:
+            return False
     suffixes = [_EMPTY_SIGS] * (len(profs) + 1)
     for i in range(len(profs) - 1, 0, -1):
         suffixes[i] = _combine(merge, profs[i], suffixes[i + 1])
@@ -244,7 +293,7 @@ def deletions_admit(t, s, k):
         previous = child
         siblings = _combine(merge, before, suffixes[i + 1])
         for sub in deletion_profiles(child):
-            if not any(s0 <= s and k0 <= k for s0, k0 in _combine(merge, siblings, sub)):
+            if not table[_combine(merge, siblings, sub)]:
                 return False
     return True
 

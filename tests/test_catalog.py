@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarcographs import catalog, cotrees, expressions, graphs
+from polarcographs import catalog, cotrees, expressions, graphs, obstructions
 from polarcographs.catalog import (
     ClaimParameterError,
     UnknownClaimError,
@@ -122,6 +122,29 @@ def test_clamped_conjecture_probe_is_inconclusive_and_says_so():
         report = verify_claim(claim, k, cache=_FixedCache(records))
         assert report.status == "INCONCLUSIVE" and report.bound == 15
         assert "probe clamped from order 16 to the enumeration bound 15" in report.notes
+
+
+def test_thm11_notes_a_clamped_one_k_mining(monkeypatch):
+    # at k=3 thm11 mines (1,1)-obstructions to order 2m+4 = 6; K_{2,2} has order 4
+    monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 5)
+    report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
+    assert report.status == "FAIL"  # n_max=3 cannot hold the sums the recursion builds
+    assert report.notes == "(1,1) mining clamped from order 6 to the enumeration bound 5"
+    monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 3)
+    report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
+    assert report.status == "INCONCLUSIVE" and not report.passed
+    assert report.notes == (
+        "(1,1) mining clamped from order 6 to the enumeration bound 3, below the order 4 of K_{2,2}"
+    )
+
+
+def test_thm11_one_k_minings_are_unclamped_up_to_k5():
+    # thm11 at k mines (1,m) for m <= k-2
+    assert catalog._one_k_clamps(range(1, 4)) == ([], False)
+    assert catalog._one_k_clamps([6]) == (
+        ["(1,6) mining clamped from order 16 to the enumeration bound 15"],
+        False,
+    )
 
 
 def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):

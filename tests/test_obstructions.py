@@ -5,6 +5,7 @@ import random
 import pytest
 
 from polarcographs import cotrees, expressions, graphs, obstructions, polarity
+from polarcographs.cotrees import LEAF
 from polarcographs.obstructions import (
     BoundExceededError,
     CographEnumerator,
@@ -27,7 +28,9 @@ from util import (
 # unlabeled cograph counts, frozen from two independent enumerators
 COGRAPH_COUNTS_10 = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
 
-ORACLE_PAIRS = [(INF, 2), (INF, 3), (INF, 4), (2, 1), (2, 2), (1, INF), (INF, INF), (3, 3)]
+# every (s,k) of the grid, run in one process so that the verdict tables of
+# many pairs are filled side by side
+ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
 
 
 def test_cograph_counts():
@@ -179,6 +182,63 @@ def test_lazy_deletion_check_matches_materialised_oracle():
             assert polarity.deletions_admit(t, s, k) == deletions_admit_materialised(t, s, k), (
                 cotrees.render(t), s, k
             )
+
+
+def test_verdict_tables_match_the_order_aware_rule():
+    profiles = set()
+    for t in enumerate_cographs(10):
+        profiles.add(t._profile)
+        for s, k in ORACLE_PAIRS:
+            verdict = polarity.verdicts(s, k)[t._profile]
+            assert verdict == polarity._admits(t._profile, t.order, s, k), (
+                cotrees.render(t), s, k
+            )
+    assert frozenset() in profiles  # the profile of a class that is not (inf,inf)-polar
+
+
+def test_capped_verdict_tables_stop_growing_and_mine_the_same(monkeypatch):
+    expected = mine_obstructions(INF, 3, 10)
+    monkeypatch.setattr(polarity, "INTERN_LIMIT", 4)
+    for table in ("_INTERNED", "_COMBINED", "_SWAPPED", "_VERDICTS"):
+        monkeypatch.setattr(polarity, table, {})
+    assert mine_obstructions(INF, 3, 10, enumerator=CographEnumerator()) == expected
+    assert list(polarity._VERDICTS) == [(INF, 3)]
+    assert len(polarity._VERDICTS[(INF, 3)]) == 4
+    for s, k in ORACLE_PAIRS:
+        assert polarity.verdicts(s, k)[frozenset({(1, 1)})] == (s >= 1 and k >= 1)
+    assert len(polarity._VERDICTS) == 4
+    assert all(len(table) <= 4 for table in polarity._VERDICTS.values())
+
+
+def test_profile_dp_runs_on_no_root_but_the_survivors(monkeypatch):
+    # the empty profile, of every class that is not (inf,inf)-polar, is looked
+    # up like any other; only the classes that pass are re-checked by the DP
+    called = []
+    profile_dp = polarity.profile_dp
+
+    def recording(t):
+        called.append(t)
+        return profile_dp(t)
+
+    monkeypatch.setattr(polarity, "profile_dp", recording)
+    for t in enumerate_cographs(10):
+        for s, k in ((INF, INF), (INF, 2), (1, 1)):
+            called.clear()
+            minimal = is_minimal_obstruction(t, s, k)
+            assert any(c is t for c in called) == minimal, (cotrees.render(t), s, k)
+
+
+def test_a_non_polar_child_settles_the_deletion_check():
+    screened = 0
+    for t in enumerate_cographs(8):
+        for s, k in ORACLE_PAIRS:
+            if t.op == LEAF or all(polarity.verdicts(s, k)[c._profile] for c in t.children):
+                continue
+            copy = memo_free_copy(t)
+            assert not polarity.deletions_admit(copy, s, k)
+            assert all(c._deletions is None for c in copy.children), cotrees.render(t)
+            screened += 1
+    assert screened
 
 
 def test_build_time_values_match_the_dp_and_the_oracle():
