@@ -412,6 +412,24 @@ def _one_k_clamps(ms):
     return notes, short
 
 
+def _compare_up_to(claim_id, k, n_max, built, records):
+    """``_set_compare`` of the recursion's graphs of order <= n_max with the records.
+
+    ``built`` maps a canonical code to (order, expression).  A graph above
+    the bound cannot be among records mined to it, so it is dropped and the
+    notes count it; when every graph was dropped and no record is in scope,
+    nothing was probed and the verdict is INCONCLUSIVE.
+    """
+    expected = {code: expr for code, (order, expr) in built.items() if order <= n_max}
+    report = _set_compare(claim_id, k, n_max, expected, records)
+    dropped = len(built) - len(expected)
+    if dropped:
+        report.notes = f"left out {dropped} expected graph(s) above order {n_max}"
+        if not expected and not records:
+            report.status = "INCONCLUSIVE"
+    return report
+
+
 def verify_recursion(claim_id, k, cache=None, n_max=None):
     """Verdict of a claim that is not a list (a recursion, a conjecture, a note)."""
     row = _row(claim_id, "check")
@@ -434,9 +452,9 @@ def _verify_thm17(claim_id, k, cache, n_max):
         lifted = graphs.disjoint_union(
             graphs.Graph.empty(1), graphs.join(graphs.Graph.empty(1), h)
         )
-        expected[canonical_code(cotree_of(lifted))] = f"K1 + K1 * ({r.expression})"
+        expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K1 + K1 * ({r.expression})")
     actual = [r for r in current if (r.c, r.i) == (2, 1)]
-    return _set_compare(claim_id, k, n_max, expected, actual)
+    return _compare_up_to(claim_id, k, n_max, expected, actual)
 
 
 def _verify_thm19(claim_id, k, cache, n_max):
@@ -457,8 +475,8 @@ def _verify_thm19(claim_id, k, cache, n_max):
                 if not polarity.is_polar(h, 1, k, want_witness=False)[0]:
                     continue
                 lifted = graphs.disjoint_union(graphs.Graph.complete(2), h)
-                expected[canonical_code(cotree_of(lifted))] = f"K2 + {r.expression}"
-    return _set_compare(claim_id, k, n_max, expected, scoped)
+                expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K2 + {r.expression}")
+    return _compare_up_to(claim_id, k, n_max, expected, scoped)
 
 
 def _min_one_k(g):
@@ -521,18 +539,19 @@ def _verify_thm11(claim_id, k, cache, n_max):
                 g = graphs.disjoint_union(h1, h2)
                 if _has_p3_component(g):
                     continue
-                expected[canonical_code(cotree_of(g))] = f"({e1}) + ({e2})"
+                expected[canonical_code(cotree_of(g))] = (g.n, f"({e1}) + ({e2})")
 
-    report = _set_compare(claim_id, k, n_max, expected, scoped)
+    report = _compare_up_to(claim_id, k, n_max, expected, scoped)
     clamps, short = _one_k_clamps({ki - 1 for split in splits for ki in split})
+    notes = [report.notes]
     if bad_forward:
         report.status = "FAIL"
-        report.notes = f"no qualifying split for: {bad_forward}"
+        notes.append(f"no qualifying split for: {bad_forward}")
     elif short:
         report.status = "INCONCLUSIVE"
     elif report.status == "PASS":
-        report.notes = "both directions verified"
-    report.notes = "; ".join(filter(None, [report.notes, *clamps]))
+        notes.append("both directions verified")
+    report.notes = "; ".join(filter(None, notes + clamps))
     return report
 
 

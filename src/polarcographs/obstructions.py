@@ -33,6 +33,20 @@ deletion, so no deleted tree is built.  The rare classes that pass both
 checks are re-checked the explicit way: the root by the profile DP, and each
 deletion by rebuilding the deleted tree with ``remove_leaf`` and running the
 profile DP on it.
+
+Mining checks classes one by one only up to a split order; above it, it
+works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
+depends on a class's type alone.  The enumerated classes are bucketed by
+type, and each higher order is walked as the multisets of blocks (order,
+type, number of classes): unions of connected blocks and joins of
+disconnected ones, the leaf being both.  Each multiset gives its node's type
+by the pair rule and its number of classes as a product of binomials; the
+numbers of each order must add up to the cograph count of an independent
+Euler transform (OEIS A000084), or mining raises.  Types stop growing while
+classes roughly triple per order, so the walk and its algebra stay small.  A
+multiset whose type is a minimal obstruction is expanded into cotrees, down
+to the buckets, and each expanded cotree is re-checked by
+``is_minimal_obstruction``.
 """
 
 from __future__ import annotations
@@ -40,6 +54,8 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
+from math import comb
 from operator import attrgetter
 
 from . import cotrees, expressions, graphs, polarity
@@ -362,19 +378,190 @@ def _record_from_tree(t, s, k, bound, provenance="MINED"):
     )
 
 
+# Classes of order at most this are enumerated and checked one by one; above
+# it, mining works on (s,k)-types.  At or above n_max it is class-level mining.
+_SPLIT_ORDER = 8
+
+# the parent labels a class with this root label can sit under
+_PARENTS = {LEAF: (UNION, JOIN), JOIN: (UNION,), UNION: (JOIN,)}
+_OTHER = {UNION: JOIN, JOIN: UNION}
+
+
+def _euler_cograph_counts(n_max):
+    """Unlabeled cographs of orders 1..n_max (OEIS A000084) by the Euler transform.
+
+    A cograph is the multiset of its components, and for n >= 2 exactly half
+    of the a(n) classes are connected, so a(n) is the Euler transform of
+    c(1) = 1, c(n) = a(n)/2.  Solving the transform's recurrence
+    n a(n) = sum_{j=1..n} s(j) a(n-j), s(j) = sum_{d | j} d c(d), for a(n)
+    gives the loop below.  It shares nothing with the enumerator.
+    """
+    a, c = [1, 1], [0, 1]
+    for n in range(2, n_max + 1):
+        s = [sum(d * c[d] for d in range(1, j + 1) if j % d == 0) for j in range(n)]
+        own = sum(d * c[d] for d in range(1, n) if n % d == 0)
+        a.append(2 * (sum(s[j] * a[n - j] for j in range(1, n)) + own) // n)
+        c.append(a[n] // 2)
+    return a[1 : n_max + 1]
+
+
+def _walk(algebra, pool, n, op, emit):
+    """Call ``emit(chosen, type, count)`` for every op-node of order n over ``pool``.
+
+    ``pool`` lists blocks (order, type, classes) of orders below n, so every
+    node has at least two children.  A node takes r >= 1 of a block's
+    classes, with repetition, from each block it uses: ``chosen`` lists
+    (pool index, r) pairs, ``type`` is the node's type and ``count`` the
+    number of classes it stands for, the product of C(classes + r - 1, r).
+    """
+    combine = algebra.combine
+    chosen = []
+
+    def extend(start, remaining, acc, count):
+        for b in range(start, len(pool)):
+            o, t, c = pool[b]
+            if o > remaining:
+                return
+            typ = acc
+            for r in range(1, remaining // o + 1):
+                typ = combine(op, typ, t)
+                chosen.append((b, r))
+                left = remaining - r * o
+                if left:
+                    extend(b + 1, left, typ, count * comb(c + r - 1, r))
+                else:
+                    emit(chosen, typ, count * comb(c + r - 1, r))
+                chosen.pop()
+
+    extend(0, n, algebra.number(polarity.EMPTY_TYPE), 1)
+
+
+def _mine_types(s, k, n_max, split, enum):
+    """Minimal (s,k)-obstructions of order <= n_max, as cotrees, mined over types.
+
+    Orders up to ``split`` are enumerated, each class checked with
+    ``is_minimal_obstruction`` and bucketed by type; higher orders are walked
+    (see the module docstring).  A class count that differs from the Euler
+    transform's raises AssertionError.
+    """
+    algebra = polarity.TypeAlgebra(s, k)
+    expected = _euler_cograph_counts(n_max)
+    pools = {UNION: [], JOIN: []}  # blocks of the children each parent label takes
+    starts = {UNION: {}, JOIN: {}}  # order -> pool length before its blocks
+    buckets = {}  # (order, parent label, type) -> enumerated classes
+    found = []
+    hits = []  # (label, blocks) of each hit multiset above the split
+
+    def add_blocks(n, groups):
+        for op in (UNION, JOIN):
+            starts[op][n] = len(pools[op])
+            pools[op].extend((n, i, groups[op][i]) for i in sorted(groups[op]))
+
+    for n in range(1, split + 1):
+        classes = enum.classes_of_order(n)
+        if len(classes) != expected[n - 1]:
+            raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
+        groups = {UNION: {}, JOIN: {}}
+        for t in classes:
+            i = algebra.of_class(t)
+            minimal = is_minimal_obstruction(t, s, k)
+            if minimal != algebra.hit[i]:
+                raise AssertionError("a class's type disagrees with its minimality check")
+            if minimal:
+                found.append(t)
+            for op in _PARENTS[t.op]:
+                buckets.setdefault((n, op, i), []).append(t)
+                groups[op][i] = groups[op].get(i, 0) + 1
+        add_blocks(n, groups)
+
+    for n in range(split + 1, n_max + 1):
+        made = {}  # parent label -> {type: classes}: a union node is a child of joins
+        for op in (UNION, JOIN):
+            pool, totals = pools[op], made.setdefault(_OTHER[op], {})
+
+            def emit(chosen, typ, count):  # called only by this iteration's walk
+                totals[typ] = totals.get(typ, 0) + count
+                if algebra.hit[typ]:
+                    hits.append((op, tuple((pool[b][0], pool[b][1], r) for b, r in chosen)))
+
+            _walk(algebra, pool, n, op, emit)
+        total = sum(sum(totals.values()) for totals in made.values())
+        if total != expected[n - 1]:
+            raise AssertionError(
+                f"the type walk covers {total} classes of order {n}, not {expected[n - 1]}"
+            )
+        add_blocks(n, made)
+
+    return found + _expand(algebra, hits, pools, starts, buckets, split)
+
+
+def _expand(algebra, hits, pools, starts, buckets, split):
+    """The cotrees of the hit multisets, drawn down to the enumerated buckets.
+
+    A block of order above the split stands for the nodes of its type that
+    a walk of its order builds; the walks needed are run again, highest
+    order first, keeping only the multisets of the types asked for.
+    """
+    wanted = {}  # (order, label) -> types whose label-nodes of that order are needed
+    multisets = {}  # (order, label, type) -> blocks of each such node
+
+    def ask(op, blocks):
+        for o, i, _ in blocks:
+            if o > split:
+                wanted.setdefault((o, _OTHER[op]), set()).add(i)
+
+    for op, blocks in hits:
+        ask(op, blocks)
+    for o in range(max((o for o, _ in wanted), default=split), split, -1):
+        for op in (UNION, JOIN):
+            types = wanted.get((o, op))
+            if not types:
+                continue
+            pool = pools[op][: starts[op][o]]
+
+            def emit(chosen, typ, count):  # called only by this iteration's walk
+                if typ in types:
+                    blocks = tuple((pool[b][0], pool[b][1], r) for b, r in chosen)
+                    multisets.setdefault((o, op, typ), []).append(blocks)
+                    ask(op, blocks)
+
+            _walk(algebra, pool, o, op, emit)
+
+    built = {}
+
+    def children(o, op, i):
+        """The classes of order o and type i that an op-node takes as children."""
+        if o <= split:
+            return buckets[(o, op, i)]
+        key = (o, op, i)
+        if key not in built:
+            inner = _OTHER[op]
+            built[key] = [t for blocks in multisets[(o, inner, i)] for t in nodes(inner, blocks)]
+        return built[key]
+
+    def nodes(op, blocks):
+        picks = [combinations_with_replacement(children(o, op, i), r) for o, i, r in blocks]
+        return [cotrees.node(op, [t for part in pick for t in part]) for pick in product(*picks)]
+
+    return [t for op, blocks in hits for t in nodes(op, blocks)]
+
+
 def mine_obstructions(s, k, n_max, enumerator=None):
     """All minimal (s,k)-polar obstructions of order <= n_max.
 
     Deterministic output ordered by (order, canonical code).  The bound
     travels with every record: completeness beyond n_max is never implied.
+    Every class found above the split order is re-checked by
+    ``is_minimal_obstruction``; a class it rejects raises AssertionError.
     """
     if n_max > ENUMERATION_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
-    records = [
-        _record_from_tree(t, s, k, n_max)
-        for t in enumerate_cographs(n_max, enumerator=enumerator)
-        if is_minimal_obstruction(t, s, k)
-    ]
+    split = min(_SPLIT_ORDER, n_max)
+    records = []
+    for t in _mine_types(s, k, n_max, split, enumerator or _ENUMERATOR):
+        if t.order > split and not is_minimal_obstruction(t, s, k):
+            raise AssertionError("a class mined by its type is not a minimal obstruction")
+        records.append(_record_from_tree(t, s, k, n_max))
     records.sort(key=ObstructionRecord.sort_key)
     return records
 

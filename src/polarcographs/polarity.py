@@ -32,6 +32,15 @@ time, stops at the first non-polar deletion, and never builds the root's own
 set.  The tables, and the dict of tables, hold at most ``INTERN_LIMIT``
 entries each; past the cap a verdict is computed and not stored.
 
+Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
+profile and one-leaf-deleted profiles with every signature coordinate capped
+at max(s,1)+1 and max(k,1)+1 (2 for an unbounded side).  The merges only add
+coordinates and compare them with 0 and 1, so capping commutes with them, and
+whether a class is a minimal obstruction depends on its type alone.  The type
+of a node follows from its children's types by one pair rule, and there are
+finitely many types per (s, k), so the algebra's tables, which live as long
+as one mining call, do not grow with the order.
+
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
 """
@@ -296,6 +305,84 @@ def deletions_admit(t, s, k):
             if not table[_combine(merge, siblings, sub)]:
                 return False
     return True
+
+
+# -- (s,k)-types ------------------------------------------------------------------
+
+
+def cap_profile(prof, caps):
+    """The reduced profile with each signature's coordinates capped at ``caps``."""
+    cs, ck = caps
+    return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
+
+
+EMPTY_TYPE = (_EMPTY_SIGS, frozenset())  # the identity of the pair rule
+_MERGES = {UNION: _merge_union, JOIN: _merge_join}
+
+
+class TypeAlgebra:
+    """The (s,k)-types met by one computation, numbered as they are first met.
+
+    A class's type is its capped profile with the set of the capped profiles
+    of its one-leaf deletions.  The merges add coordinates and test them
+    against 0 and 1 only, so capping both at some c >= 2 commutes with union,
+    join and dominance; ``caps`` are max(s,1)+1 and max(k,1)+1, which keep
+    ``s0 <= s`` exact, and 2 for an unbounded side.  A class is a minimal
+    obstruction exactly when its capped profile is not polar and each capped
+    deleted profile is (``hit``), and the type of a node follows from its
+    children's types by the pair rule (``combine``), so both depend on the
+    type alone.  The tables live as long as the algebra and are bounded by
+    the number of types, which is finite for each (s, k).
+    """
+
+    def __init__(self, s, k):
+        self.caps = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
+        self.polar = verdicts(s, k)
+        self.types = []  # number -> (capped profile, capped deleted profiles)
+        self.hit = []  # number -> whether the type's classes are minimal obstructions
+        self._numbers = {}
+        self._merged = {}
+        self._combined = {UNION: {}, JOIN: {}}
+
+    def number(self, typ):
+        """The number of a type, giving it the next one if it is new."""
+        i = self._numbers.get(typ)
+        if i is None:
+            i = self._numbers[typ] = len(self.types)
+            self.types.append(typ)
+            prof, dels = typ
+            self.hit.append(not self.polar[prof] and all(self.polar[d] for d in dels))
+        return i
+
+    def of_class(self, t):
+        """The number of a cotree's type, capped from its exact profile and deletion set."""
+        caps = self.caps
+        prof = cap_profile(_node_profile(t), caps)
+        return self.number((prof, frozenset(cap_profile(d, caps) for d in deletion_profiles(t))))
+
+    def _merge(self, op, p, q):
+        """Capped profile of op(G1, G2) from the capped profiles of G1 and G2, memoized."""
+        key = (op, p, q)
+        out = self._merged.get(key)
+        if out is None:
+            out = self._merged[key] = cap_profile(_MERGES[op](p, q), self.caps)
+        return out
+
+    def combine(self, op, i, j):
+        """The number of the type of op(G1, G2) from the numbers of G1's and G2's types.
+
+        The pair rule: a deletion of op(G1, G2) deletes a vertex of G1 or of
+        G2, so its profile is a deleted profile of one side merged with the
+        other side's whole profile.
+        """
+        memo = self._combined[op]
+        out = memo.get((i, j))
+        if out is None:
+            (p1, d1), (p2, d2) = self.types[i], self.types[j]
+            merge = self._merge
+            dels = frozenset([merge(op, d, p2) for d in d1] + [merge(op, p1, d) for d in d2])
+            out = memo[(i, j)] = self.number((merge(op, p1, p2), dels))
+        return out
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,38 @@ def test_thm11_notes_a_clamped_one_k_mining(monkeypatch):
     # at k=3 thm11 mines (1,1)-obstructions to order 2m+4 = 6; K_{2,2} has order 4
     monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 5)
     report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
-    assert report.status == "FAIL"  # n_max=3 cannot hold the sums the recursion builds
-    assert report.notes == "(1,1) mining clamped from order 6 to the enumeration bound 5"
+    assert report.status == "INCONCLUSIVE"  # n_max=3 cannot hold the sums the recursion builds
+    assert report.notes == (
+        "left out 3 expected graph(s) above order 3; "
+        "(1,1) mining clamped from order 6 to the enumeration bound 5"
+    )
     monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 3)
     report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
     assert report.status == "INCONCLUSIVE" and not report.passed
     assert report.notes == (
+        "left out 1 expected graph(s) above order 3; "
         "(1,1) mining clamped from order 6 to the enumeration bound 3, below the order 4 of K_{2,2}"
     )
+
+
+@pytest.mark.parametrize(
+    "claim, k, n_max, dropped, kept",
+    [
+        ("thm11", 3, 3, 3, 0),  # sums of order 8 to 10
+        ("thm11", 3, 9, 1, 2),
+        ("thm17", 3, 5, 9, 0),
+        ("thm17", 3, 9, 6, 3),
+        ("thm19", 3, 5, 6, 0),
+        ("thm19", 3, 10, 1, 5),
+    ],
+)
+def test_recursion_compares_only_graphs_within_the_bound(cache, claim, k, n_max, dropped, kept):
+    report = verify_recursion(claim, k, cache=cache, n_max=n_max)
+    assert (report.expected, report.missing, report.extra) == (kept, [], [])
+    assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
+    assert report.status == ("PASS" if kept else "INCONCLUSIVE")
+    default = verify_recursion(claim, k, cache=cache)
+    assert default.status == "PASS" and "left out" not in default.notes
 
 
 def test_thm11_one_k_minings_are_unclamped_up_to_k5():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 
@@ -287,3 +288,77 @@ def test_build_restores_gc_when_it_raises(monkeypatch):
         assert gc.isenabled()
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+# OEIS A000084, unlabeled cographs of orders 1..15
+A000084 = (1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908, 437502, 1399068)
+
+# sha256 of the JSONL of each mining, from the class-level miner
+MINED_DIGESTS = {
+    (INF, 4, 14): (84, "3232e4b6a14b8c18f51407f63d5d96f1ed09c84e3642d65f5a50bdd7638a7b19"),
+    (2, 2, 13): (50, "f4ee6c3e048cdec80102860003349f4f90c239327583923225eac26b9933ad60"),
+    (1, 3, 10): (13, "b07a3a306d6b8ee4b89a11601785f9fff6ee79abb96bcf93bc2c69bb8e6baeb4"),
+    (0, 0, 4): (1, "462ab09c6c36dbff105734558f4531121eeb83b186847c4fc0b184793b562bec"),
+    (INF, INF, 10): (8, "3f9e7a4795bda7ffb302d9ec530f2c652ff6cfa34174085e35e6206fb257f8e2"),
+}
+
+
+def _jsonl(records):
+    return [r.to_json() for r in records]
+
+
+def test_type_mining_at_any_split_matches_class_level_mining(monkeypatch):
+    # at split = n_max every class is enumerated and checked one by one
+    for s, k in ORACLE_PAIRS:
+        monkeypatch.setattr(obstructions, "_SPLIT_ORDER", 10)
+        oracle = _jsonl(mine_obstructions(s, k, 10))
+        for split in (1, 4, 8):
+            monkeypatch.setattr(obstructions, "_SPLIT_ORDER", split)
+            assert _jsonl(mine_obstructions(s, k, 10)) == oracle, (s, k, split)
+
+
+@pytest.mark.parametrize("key", list(MINED_DIGESTS))
+def test_mined_records_match_the_pinned_digests(key):
+    records = mine_obstructions(*key)
+    digest = hashlib.sha256(obstructions.records_to_jsonl(records).encode()).hexdigest()
+    assert (len(records), digest) == MINED_DIGESTS[key]
+
+
+def test_mining_at_the_largest_supported_order():
+    assert obstructions.ENUMERATION_MAX_ORDER == 15
+    assert len(mine_obstructions(INF, 4, 15)) == 85
+    assert len(mine_obstructions(1, 8, 15)) == 26
+
+
+def test_type_walk_counts_every_class_up_to_order_15(monkeypatch):
+    assert obstructions._euler_cograph_counts(15) == list(A000084)
+    walk = obstructions._walk
+    totals = {}
+
+    def counting(algebra, pool, n, op, emit):
+        first = (n, op) not in totals  # later walks of an order rebuild hits only
+        totals.setdefault((n, op), 0)
+
+        def counted(chosen, typ, count):
+            if first:
+                totals[(n, op)] += count
+            emit(chosen, typ, count)
+
+        walk(algebra, pool, n, op, counted)
+
+    monkeypatch.setattr(obstructions, "_walk", counting)
+    mine_obstructions(INF, 4, 15, enumerator=CographEnumerator())
+    split = obstructions._SPLIT_ORDER
+    for n in range(split + 1, 16):
+        assert totals[(n, cotrees.UNION)] == totals[(n, cotrees.JOIN)] == A000084[n - 1] // 2
+
+
+def test_a_walk_that_misses_a_block_fails_the_completeness_check(monkeypatch):
+    walk = obstructions._walk
+
+    def skipping(algebra, pool, n, op, emit):
+        walk(algebra, pool[:-1], n, op, emit)
+
+    monkeypatch.setattr(obstructions, "_walk", skipping)
+    with pytest.raises(AssertionError, match="the type walk covers"):
+        mine_obstructions(INF, 4, 10)

@@ -180,3 +180,55 @@ def test_full_intern_tables_stay_bounded_and_correct(monkeypatch):
         assert polarity.profile_dp(t).closure() == polarity.profile_bruteforce(g).closure()
         assert polarity.deletion_profiles(t) == _bruteforce_deletion_profiles(g)
     assert len(polarity._INTERNED) == len(polarity._COMBINED) == 8
+
+
+GRID = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
+
+
+def _stored_profiles(n_max):
+    from polarcographs.obstructions import enumerate_cographs
+
+    return sorted({t._profile for t in enumerate_cographs(n_max)}, key=sorted)
+
+
+def test_capping_commutes_with_merges_and_complement():
+    profiles = _stored_profiles(10)
+    for caps in {polarity.TypeAlgebra(s, k).caps for s, k in GRID}:
+        capped = {p: polarity.cap_profile(p, caps) for p in profiles}
+        swapped_caps = caps[::-1]
+        for p in profiles:
+            swap = frozenset((b, a) for a, b in capped[p])
+            assert swap == polarity.cap_profile(polarity.complement_profile(p), swapped_caps)
+            for q in profiles:
+                for merge in (polarity._merge_union, polarity._merge_join):
+                    assert polarity.cap_profile(merge(p, q), caps) == polarity.cap_profile(
+                        merge(capped[p], capped[q]), caps
+                    ), (p, q, caps, merge.__name__)
+
+
+def test_caps_keep_every_verdict():
+    profiles = _stored_profiles(10)
+    for s, k in GRID:
+        caps = polarity.TypeAlgebra(s, k).caps
+        table = polarity.verdicts(s, k)
+        for p in profiles:
+            assert table[polarity.cap_profile(p, caps)] == table[p], (p, s, k)
+
+
+def test_pair_rule_folds_children_to_the_class_type():
+    from polarcographs.obstructions import enumerate_cographs
+
+    by_caps = {}  # the numbering and the pair rule depend on the caps only
+    for s, k in GRID:
+        algebra = polarity.TypeAlgebra(s, k)
+        by_caps.setdefault(algebra.caps, algebra)
+    algebras = list(by_caps.values())
+    empty = [algebra.number(polarity.EMPTY_TYPE) for algebra in algebras]
+    for t in enumerate_cographs(10):
+        if t.op == cotrees.LEAF:
+            continue
+        for algebra, acc in zip(algebras, empty):
+            for child in t.children:
+                acc = algebra.combine(t.op, acc, algebra.of_class(child))
+            assert acc == algebra.of_class(t), (cotrees.render(t), algebra.caps)
+
