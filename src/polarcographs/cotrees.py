@@ -53,7 +53,7 @@ class P4Certificate:
 class Cotree:
     """Immutable cotree node.  Leaves may carry the vertex id they represent."""
 
-    __slots__ = ("op", "children", "vertex", "_code", "_order", "_profile", "_deletions")
+    __slots__ = ("op", "children", "vertex", "_code", "_order", "_profile")
 
     def __init__(self, op, children=(), vertex=None):
         self.op = op
@@ -62,7 +62,6 @@ class Cotree:
         self._code = None
         self._order = None
         self._profile = None  # polarity memo: signature antichain of this subtree
-        self._deletions = None  # polarity memo: profiles of this subtree minus one leaf
 
     @property
     def order(self):

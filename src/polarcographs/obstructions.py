@@ -10,35 +10,29 @@ the parts' stored disconnected twins.  Every child is therefore a stored
 class or the shared leaf, and no node is duplicated.
 
 Enumerated nodes are well-formed by construction (at least two children,
-labels alternating), and each gets its order, canonical code and polarity
-profile when it is built.  The code joins the children's codes, which are
-already computed, in sorted order.  The recursion carries the union profile
-of the parts chosen so far, so each disconnected class costs one merge, and
-its twin's profile is the same profile with its coordinates swapped.  Each
-order's classes are sorted by code once and stored.  The cyclic garbage
-collector is paused while building: the enumerator allocates only acyclic
-trees, and the collector's passes over the growing heap of stored nodes would
-find nothing to free.
+labels alternating), and each gets its order and canonical code when it is
+built; the code joins the children's codes, which are already computed, in
+sorted order.  No profile is computed while building: ``polarity.profile_dp``
+computes and memoizes one on the first node that asks.  Each order's classes
+are sorted by code once and stored.  The cyclic garbage collector is paused
+while building: the enumerator allocates only acyclic trees, and the
+collector's passes over the growing heap of stored nodes would find nothing
+to free.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
 proper induced subgraph polar (induced subgraphs arise by iterated deletion).
-The root's verdict is one lookup of its build-time profile in the (s,k)
-verdict table of ``polarity.verdicts``, which needs no graph order, so no
-profile object is built per class.  The deleted graphs' verdicts come from
-``polarity.deletions_admit``, which first looks up the root's children in the
-same table (each is an induced subgraph of a deletion), then merges their
-memoized deletion profiles one at a time and stops at the first non-polar
-deletion, so no deleted tree is built.  The rare classes that pass both
-checks are re-checked the explicit way: the root by the profile DP, and each
-deletion by rebuilding the deleted tree with ``remove_leaf`` and running the
-profile DP on it.
+``is_minimal_obstruction`` checks the root with the profile DP and, for a
+non-polar root, each deletion by rebuilding the deleted tree with
+``remove_leaf`` and running the profile DP on it.
 
 Mining checks classes one by one only up to a split order; above it, it
 works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
-depends on a class's type alone.  The enumerated classes are bucketed by
-type, and each higher order is walked as the multisets of blocks (order,
-type, number of classes): unions of connected blocks and joins of
+depends on a class's type alone.  Each enumerated class is typed by folding
+its children's types with the pair rule, checked with
+``is_minimal_obstruction`` (the two must agree, or mining raises) and
+bucketed by type.  Each higher order is walked as the multisets of blocks
+(order, type, number of classes): unions of connected blocks and joins of
 disconnected ones, the leaf being both.  Each multiset gives its node's type
 by the pair rule and its number of classes as a product of binomials; the
 numbers of each order must add up to the cograph count of an independent
@@ -73,7 +67,6 @@ class BoundExceededError(ValueError):
 _SHARED_LEAF = cotrees.leaf()
 _SHARED_LEAF._order = 1
 _SHARED_LEAF._code = canonical_code(_SHARED_LEAF)
-_SHARED_LEAF._profile = polarity.profile_dp(_SHARED_LEAF).signatures
 
 _CODE = attrgetter("_code")
 _UNION_HEAD = UNION.encode("ascii")
@@ -86,8 +79,8 @@ class CographEnumerator:
     ``connected[n]`` and ``twins[n]`` hold the classes of order n in the
     order they were built: ``twins[n][i]`` is the stored disconnected class
     whose complement is ``connected[n][i]``, and the shared leaf is its own
-    twin.  Every node gets its order, canonical code and profile when it is
-    built, so none is computed lazily later.
+    twin.  Every node gets its order and canonical code when it is built;
+    profiles are left to ``polarity.profile_dp``.
     """
 
     def __init__(self):
@@ -115,7 +108,7 @@ class CographEnumerator:
             while self._built < n:
                 m = self._built + 1
                 conn, twins = [], []
-                self._add_unions(m, [], [], None, 1, 0, m, conn, twins)
+                self._add_unions(m, [], [], 1, 0, m, conn, twins)
                 classes = conn + twins
                 classes.sort(key=_CODE)
                 self.connected[m] = conn
@@ -126,21 +119,17 @@ class CographEnumerator:
             if enabled:
                 gc.enable()
 
-    def _add_unions(
-        self, m, parts, twin_parts, prof, o0, i0, remaining, new_connected, new_twins
-    ):
+    def _add_unions(self, m, parts, twin_parts, o0, i0, remaining, new_connected, new_twins):
         """Build each order-m class whose connected parts extend ``parts``, once.
 
         Parts are drawn in nondecreasing (order, index) from ``connected``,
         starting at ``connected[o0][i0]``, until their orders add up to m;
-        ``remaining`` is m minus the orders chosen so far and ``prof`` the
-        union profile of ``parts`` (None while it is empty).  Each multiset
+        ``remaining`` is m minus the orders chosen so far.  Each multiset
         of at least two parts gives a disconnected class, appended to
         ``new_twins``, and its complement, the JOIN of the parts' stored
         twins, appended to ``new_connected``.
         """
         connected, twins = self.connected, self.twins
-        union = polarity.union_profile
         # a part that leaves room for another has order <= remaining // 2
         for o in range(o0, remaining // 2 + 1):
             block = connected[o]
@@ -151,7 +140,6 @@ class CographEnumerator:
                     m,
                     parts + [part],
                     twin_parts + [twin_block[i]],
-                    part._profile if prof is None else union(prof, part._profile),
                     o,
                     i,
                     remaining - o,
@@ -164,18 +152,15 @@ class CographEnumerator:
         block = connected[remaining]
         twin_block = twins[remaining]
         count = bytes((len(parts) + 1,))
-        complement = polarity.complement_profile
         for i in range(i0 if remaining == o0 else 0, len(block)):
             kids = sorted(parts + [block[i]], key=_CODE)
             d = Cotree(UNION, kids)
             d._order = m
             d._code = _UNION_HEAD + count + b"".join(map(_CODE, kids))
-            d._profile = union(prof, block[i]._profile)
             kids = sorted(twin_parts + [twin_block[i]], key=_CODE)
             c = Cotree(JOIN, kids)
             c._order = m
             c._code = _JOIN_HEAD + count + b"".join(map(_CODE, kids))
-            c._profile = complement(d._profile)
             new_twins.append(d)
             new_connected.append(c)
 
@@ -340,24 +325,15 @@ def remove_leaf(t, index):
 def is_minimal_obstruction(t, s, k):
     """True iff realize(t) is not (s,k)-polar but every vertex deletion is.
 
-    The root's verdict is one lookup of its profile in the (s,k) verdict
-    table.  A class that passes both checks is re-checked the explicit way,
-    its root by the profile DP and each deletion by ``remove_leaf`` and the
-    DP; a disagreement raises AssertionError.
+    Checks the root with the profile DP, then each deletion with
+    ``remove_leaf`` and the DP, stopping at the first non-polar one.
     """
-    prof = t._profile
-    if prof is None:  # not built by the enumerator; the empty profile is not None
-        prof = polarity.profile_dp(t).signatures
-    if polarity.verdicts(s, k)[prof]:
-        return False
-    if not polarity.deletions_admit(t, s, k):
-        return False
     if polarity.profile_dp(t).admits(s, k):
-        raise AssertionError("the verdict table disagrees with the profile DP")
+        return False
     for index in range(t.order):
         sub = remove_leaf(t, index)
         if sub is not None and not polarity.profile_dp(sub).admits(s, k):
-            raise AssertionError("memoized deletion profiles disagree with an explicit deletion")
+            return False
     return True
 
 
@@ -439,10 +415,11 @@ def _walk(algebra, pool, n, op, emit):
 def _mine_types(s, k, n_max, split, enum):
     """Minimal (s,k)-obstructions of order <= n_max, as cotrees, mined over types.
 
-    Orders up to ``split`` are enumerated, each class checked with
-    ``is_minimal_obstruction`` and bucketed by type; higher orders are walked
-    (see the module docstring).  A class count that differs from the Euler
-    transform's raises AssertionError.
+    Orders up to ``split`` are enumerated, each class typed by the pair rule,
+    checked with ``is_minimal_obstruction`` and bucketed by type; higher
+    orders are walked (see the module docstring).  A class whose check
+    disagrees with its type's verdict, or a class count that differs from
+    the Euler transform's, raises AssertionError.
     """
     algebra = polarity.TypeAlgebra(s, k)
     expected = _euler_cograph_counts(n_max)

@@ -10,36 +10,17 @@ an unbounded side.
 Profiles are memoized on the nodes, so subtrees shared between trees are
 solved once.  Each node's shape (at least two children, labels alternating)
 is checked once, on its first profile computation, before the memo is
-written; a malformed node therefore never carries a profile.  The cograph
-enumerator builds well-formed nodes only and sets their profiles itself,
-with ``union_profile`` and ``complement_profile``, so its nodes skip that
-check.  The same DP, run with prefix and suffix folds of sibling profiles,
-gives each node the set of profiles of its subtree minus one leaf
-(``deletion_profiles``).  Equal profiles and deletion sets are interned,
-merges of interned profiles memoized, and complements of interned profiles
-memoized, in three tables of at most ``INTERN_LIMIT`` entries each.
-
-Whether a profile admits a given (s, k) is read from that pair's verdict
-table (``verdicts``), a dict from profile to verdict that fills itself on a
-miss.  A verdict needs no graph order: every signature of an order-n graph is
-at most (n, n), so comparing with ``INF`` directly answers the same as
-mapping ``INF`` to n first.  One table per (s, k) therefore serves graphs of
-every order.  Minimality checks call ``deletions_admit``, which first looks
-up each of the root's children in the table (a child is an induced subgraph
-of a one-vertex deletion, so one non-polar child settles the check), then
-merges each child's deletion profiles with its siblings' profile one at a
-time, stops at the first non-polar deletion, and never builds the root's own
-set.  The tables, and the dict of tables, hold at most ``INTERN_LIMIT``
-entries each; past the cap a verdict is computed and not stored.
+written; a malformed node therefore never carries a profile.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
 profile and one-leaf-deleted profiles with every signature coordinate capped
 at max(s,1)+1 and max(k,1)+1 (2 for an unbounded side).  The merges only add
 coordinates and compare them with 0 and 1, so capping commutes with them, and
 whether a class is a minimal obstruction depends on its type alone.  The type
-of a node follows from its children's types by one pair rule, and there are
-finitely many types per (s, k), so the algebra's tables, which live as long
-as one mining call, do not grow with the order.
+of a node follows from its children's types by one pair rule, starting from
+the leaf's type, so no exact deletion set is ever built.  There are finitely
+many types per (s, k), so the algebra's tables, which live as long as one
+mining call, do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -58,16 +39,6 @@ INF = math.inf
 
 _LEAF_SIGS = frozenset({(1, 0), (0, 1)})
 _EMPTY_SIGS = frozenset({(0, 0)})  # the empty graph
-_LEAF_DELETIONS = frozenset({_EMPTY_SIGS})
-
-# Interned profiles and deletion sets, memoized merges of interned profiles,
-# memoized complements of interned profiles, and the verdict table of each
-# (s, k); each table holds at most INTERN_LIMIT entries.
-INTERN_LIMIT = 1 << 16
-_INTERNED = {}
-_COMBINED = {}
-_SWAPPED = {}
-_VERDICTS = {}
 
 BRUTE_FORCE_MAX_ORDER = 20
 
@@ -125,51 +96,6 @@ def _merge_join(p1, p2):
     return out
 
 
-def _intern(value):
-    """The stored copy of an equal profile or deletion set, storing this one if new.
-
-    The nodes of one enumeration carry few distinct values, so each is held
-    once.  Past INTERN_LIMIT entries, values are returned unshared, which
-    costs memory but not correctness.
-    """
-    hit = _INTERNED.get(value)
-    if hit is not None:
-        return hit
-    if len(_INTERNED) < INTERN_LIMIT:
-        _INTERNED[value] = value
-    return value
-
-
-def _combine(merge, p, q):
-    """Interned ``_reduce(merge(p, q))``, memoized on the (interned) operands."""
-    key = (merge, p, q)
-    out = _COMBINED.get(key)
-    if out is None:
-        out = _intern(_reduce(merge(p, q)))
-        if len(_COMBINED) < INTERN_LIMIT:
-            _COMBINED[key] = out
-    return out
-
-
-def union_profile(p, q):
-    """Interned profile of the disjoint union of two graphs with interned profiles."""
-    return _combine(_merge_union, p, q)
-
-
-def complement_profile(p):
-    """Interned profile of the complement of a graph with an interned profile.
-
-    Complementing turns a complete multipartite A into a cluster and a
-    cluster B into a complete multipartite graph, so (s, k) becomes (k, s).
-    """
-    out = _SWAPPED.get(p)
-    if out is None:
-        out = _intern(frozenset((k, s) for s, k in p))
-        if len(_SWAPPED) < INTERN_LIMIT:
-            _SWAPPED[p] = out
-    return out
-
-
 def _node_profile(t):
     """Memoized profile of a subtree; each node's shape is checked on its first call."""
     prof = t._profile
@@ -182,49 +108,9 @@ def _node_profile(t):
         merge = _merge_union if t.op == UNION else _merge_join
         prof = _node_profile(t.children[0])
         for child in t.children[1:]:
-            prof = _combine(merge, prof, _node_profile(child))
+            prof = _reduce(merge(prof, _node_profile(child)))
     t._profile = prof
     return prof
-
-
-def deletion_profiles(t):
-    """Set of the profiles (signature antichains) of t minus one leaf, over all leaves.
-
-    Memoized per node.  A leaf's set is {{(0, 0)}}, the empty graph's profile,
-    which is the identity of both merges.  An internal node folds its other
-    children's profiles to the left (prefix) and right (suffix) of each child
-    and merges them around each of that child's deletion profiles.  Siblings
-    that are one shared node give identical results, so only the first of
-    each run is used.
-    """
-    dels = t._deletions
-    if dels is not None:
-        return dels
-    if t.op == LEAF:
-        dels = _LEAF_DELETIONS
-    else:
-        _node_profile(t)  # checks the shape of every node below before it is trusted
-        merge = _merge_union if t.op == UNION else _merge_join
-        children = t.children
-        profs = [child._profile for child in children]
-        prefixes = [_EMPTY_SIGS]
-        for prof in profs[:-1]:
-            prefixes.append(_combine(merge, prefixes[-1], prof))
-        suffixes = [_EMPTY_SIGS] * (len(children) + 1)
-        for i in range(len(children) - 1, 0, -1):
-            suffixes[i] = _combine(merge, profs[i], suffixes[i + 1])
-        out = set()
-        previous = None
-        for i, child in enumerate(children):
-            if child is previous:
-                continue
-            previous = child
-            before, after = prefixes[i], suffixes[i + 1]
-            for sub in deletion_profiles(child):
-                out.add(_combine(merge, _combine(merge, before, sub), after))
-        dels = _intern(frozenset(out))
-    t._deletions = dels
-    return dels
 
 
 def _admits(signatures, n, s, k):
@@ -232,79 +118,6 @@ def _admits(signatures, n, s, k):
     s = n if s == INF else s
     k = n if k == INF else k
     return any(s0 <= s and k0 <= k for s0, k0 in signatures)
-
-
-class _Verdicts(dict):
-    """Profile -> whether it admits (s, k), computed and stored on a miss.
-
-    No order is needed: signatures of an order-n graph are at most (n, n),
-    so ``s0 <= INF`` is as true as ``s0 <= n``.  Past INTERN_LIMIT entries a
-    verdict is returned without being stored.
-    """
-
-    __slots__ = ("s", "k")
-
-    def __init__(self, s, k):
-        super().__init__()
-        self.s = s
-        self.k = k
-
-    def __missing__(self, prof):
-        s, k = self.s, self.k
-        verdict = any(s0 <= s and k0 <= k for s0, k0 in prof)
-        if len(self) < INTERN_LIMIT:
-            self[prof] = verdict
-        return verdict
-
-
-def verdicts(s, k):
-    """The verdict table of (s, k): ``verdicts(s, k)[prof]`` is True iff a graph
-    with profile ``prof`` is (s, k)-polar.  INF lifts a bound."""
-    table = _VERDICTS.get((s, k))
-    if table is None:
-        table = _Verdicts(s, k)
-        if len(_VERDICTS) < INTERN_LIMIT:
-            _VERDICTS[(s, k)] = table
-    return table
-
-
-def deletions_admit(t, s, k):
-    """True iff every one-leaf deletion of the cotree's cograph is (s,k)-polar.
-
-    Each child of the root is first looked up in the verdict table: it is an
-    induced subgraph of the deletion of a leaf outside it, so a non-polar
-    child settles the check.  The root's own deletion set is neither built
-    nor stored.  Each child's memoized ``deletion_profiles`` are merged, one
-    at a time, with the profile of its siblings (a suffix fold and a prefix
-    fold built as the loop goes), and the first non-polar deletion ends the
-    check.
-    """
-    table = verdicts(s, k)
-    if t.op == LEAF:
-        return table[_EMPTY_SIGS]
-    _node_profile(t)  # checks the shape of every node below before it is trusted
-    merge = _merge_union if t.op == UNION else _merge_join
-    children = t.children
-    profs = [child._profile for child in children]
-    for prof in profs:
-        if not table[prof]:
-            return False
-    suffixes = [_EMPTY_SIGS] * (len(profs) + 1)
-    for i in range(len(profs) - 1, 0, -1):
-        suffixes[i] = _combine(merge, profs[i], suffixes[i + 1])
-    before = _EMPTY_SIGS
-    previous = None
-    for i, child in enumerate(children):
-        if i:
-            before = _combine(merge, before, profs[i - 1])
-        if child is previous:
-            continue
-        previous = child
-        siblings = _combine(merge, before, suffixes[i + 1])
-        for sub in deletion_profiles(child):
-            if not table[_combine(merge, siblings, sub)]:
-                return False
-    return True
 
 
 # -- (s,k)-types ------------------------------------------------------------------
@@ -317,6 +130,7 @@ def cap_profile(prof, caps):
 
 
 EMPTY_TYPE = (_EMPTY_SIGS, frozenset())  # the identity of the pair rule
+_LEAF_TYPE = (_LEAF_SIGS, frozenset({_EMPTY_SIGS}))  # caps are >= 2, so capping keeps it
 _MERGES = {UNION: _merge_union, JOIN: _merge_join}
 
 
@@ -332,17 +146,19 @@ class TypeAlgebra:
     deleted profile is (``hit``), and the type of a node follows from its
     children's types by the pair rule (``combine``), so both depend on the
     type alone.  The tables live as long as the algebra and are bounded by
-    the number of types, which is finite for each (s, k).
+    the number of types, which is finite for each (s, k), and by the nodes
+    typed with ``of_class``.
     """
 
     def __init__(self, s, k):
+        self.s, self.k = s, k
         self.caps = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
-        self.polar = verdicts(s, k)
         self.types = []  # number -> (capped profile, capped deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self._numbers = {}
         self._merged = {}
         self._combined = {UNION: {}, JOIN: {}}
+        self._of_node = {}
 
     def number(self, typ):
         """The number of a type, giving it the next one if it is new."""
@@ -350,15 +166,27 @@ class TypeAlgebra:
         if i is None:
             i = self._numbers[typ] = len(self.types)
             self.types.append(typ)
+            s, k = self.s, self.k
             prof, dels = typ
-            self.hit.append(not self.polar[prof] and all(self.polar[d] for d in dels))
+            polar = [any(a <= s and b <= k for a, b in p) for p in (prof, *dels)]
+            self.hit.append(not polar[0] and all(polar[1:]))
         return i
 
     def of_class(self, t):
-        """The number of a cotree's type, capped from its exact profile and deletion set."""
-        caps = self.caps
-        prof = cap_profile(_node_profile(t), caps)
-        return self.number((prof, frozenset(cap_profile(d, caps) for d in deletion_profiles(t))))
+        """The number of a cotree's type: its children's types folded by the pair rule.
+
+        Memoized per node; a leaf has the leaf's type.
+        """
+        i = self._of_node.get(t)
+        if i is None:
+            if t.op == LEAF:
+                i = self.number(_LEAF_TYPE)
+            else:
+                i = self.number(EMPTY_TYPE)
+                for child in t.children:
+                    i = self.combine(t.op, i, self.of_class(child))
+            self._of_node[t] = i
+        return i
 
     def _merge(self, op, p, q):
         """Capped profile of op(G1, G2) from the capped profiles of G1 and G2, memoized."""

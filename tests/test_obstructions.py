@@ -6,7 +6,6 @@ import random
 import pytest
 
 from polarcographs import cotrees, expressions, graphs, obstructions, polarity
-from polarcographs.cotrees import LEAF
 from polarcographs.obstructions import (
     BoundExceededError,
     CographEnumerator,
@@ -20,6 +19,7 @@ from polarcographs.obstructions import (
 from polarcographs.polarity import INF
 
 from util import (
+    deletion_profiles,
     deletions_admit_materialised,
     memo_free_copy,
     minimal_by_all_deletions,
@@ -29,8 +29,7 @@ from util import (
 # unlabeled cograph counts, frozen from two independent enumerators
 COGRAPH_COUNTS_10 = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
 
-# every (s,k) of the grid, run in one process so that the verdict tables of
-# many pairs are filled side by side
+# every (s,k) of the grid
 ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
 
 
@@ -155,11 +154,19 @@ def test_fresh_enumerator_matches_shared():
 
 
 def test_minimality_matches_all_deletions_oracle():
+    # the type's verdict against explicit deletions and against the exact deletion set
+    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
-        for s, k in ORACLE_PAIRS:
-            assert is_minimal_obstruction(t, s, k) == minimal_by_all_deletions(t, s, k), (
-                cotrees.render(t), s, k
-            )
+        dels = None  # built once per class, on the first non-polar root
+        for algebra, s, k in algebras:
+            hit = algebra.hit[algebra.of_class(t)]
+            assert hit == minimal_by_all_deletions(t, s, k), (cotrees.render(t), s, k)
+            if not polarity.profile_dp(t).admits(s, k):
+                if dels is None:
+                    dels = deletion_profiles(t)
+                assert hit == deletions_admit_materialised(t, s, k, dels), (
+                    cotrees.render(t), s, k
+                )
 
 
 def test_connected_classes_are_joins_of_stored_twins():
@@ -177,92 +184,32 @@ def test_connected_classes_are_joins_of_stored_twins():
                 assert id(child) in stored
 
 
-def test_lazy_deletion_check_matches_materialised_oracle():
-    for t in enumerate_cographs(10):
-        for s, k in ORACLE_PAIRS:
-            assert polarity.deletions_admit(t, s, k) == deletions_admit_materialised(t, s, k), (
-                cotrees.render(t), s, k
-            )
-
-
-def test_verdict_tables_match_the_order_aware_rule():
-    profiles = set()
-    for t in enumerate_cographs(10):
-        profiles.add(t._profile)
-        for s, k in ORACLE_PAIRS:
-            verdict = polarity.verdicts(s, k)[t._profile]
-            assert verdict == polarity._admits(t._profile, t.order, s, k), (
-                cotrees.render(t), s, k
-            )
-    assert frozenset() in profiles  # the profile of a class that is not (inf,inf)-polar
-
-
-def test_capped_verdict_tables_stop_growing_and_mine_the_same(monkeypatch):
-    expected = mine_obstructions(INF, 3, 10)
-    monkeypatch.setattr(polarity, "INTERN_LIMIT", 4)
-    for table in ("_INTERNED", "_COMBINED", "_SWAPPED", "_VERDICTS"):
-        monkeypatch.setattr(polarity, table, {})
-    assert mine_obstructions(INF, 3, 10, enumerator=CographEnumerator()) == expected
-    assert list(polarity._VERDICTS) == [(INF, 3)]
-    assert len(polarity._VERDICTS[(INF, 3)]) == 4
-    for s, k in ORACLE_PAIRS:
-        assert polarity.verdicts(s, k)[frozenset({(1, 1)})] == (s >= 1 and k >= 1)
-    assert len(polarity._VERDICTS) == 4
-    assert all(len(table) <= 4 for table in polarity._VERDICTS.values())
-
-
-def test_profile_dp_runs_on_no_root_but_the_survivors(monkeypatch):
-    # the empty profile, of every class that is not (inf,inf)-polar, is looked
-    # up like any other; only the classes that pass are re-checked by the DP
-    called = []
-    profile_dp = polarity.profile_dp
-
-    def recording(t):
-        called.append(t)
-        return profile_dp(t)
-
-    monkeypatch.setattr(polarity, "profile_dp", recording)
-    for t in enumerate_cographs(10):
-        for s, k in ((INF, INF), (INF, 2), (1, 1)):
-            called.clear()
-            minimal = is_minimal_obstruction(t, s, k)
-            assert any(c is t for c in called) == minimal, (cotrees.render(t), s, k)
-
-
-def test_a_non_polar_child_settles_the_deletion_check():
-    screened = 0
-    for t in enumerate_cographs(8):
-        for s, k in ORACLE_PAIRS:
-            if t.op == LEAF or all(polarity.verdicts(s, k)[c._profile] for c in t.children):
-                continue
-            copy = memo_free_copy(t)
-            assert not polarity.deletions_admit(copy, s, k)
-            assert all(c._deletions is None for c in copy.children), cotrees.render(t)
-            screened += 1
-    assert screened
-
-
 def test_build_time_values_match_the_dp_and_the_oracle():
-    for t in enumerate_cographs(10):
+    # the enumerator sets order and code only; profiles wait for the DP
+    fresh = CographEnumerator()
+    cograph_counts(10, enumerator=fresh)
+    classes = [t for n in range(1, 11) for t in fresh.classes_of_order(n)]
+    assert all(t._profile is None for t in classes if t.order > 1)  # the leaf is shared
+    for t in classes:
         copy = memo_free_copy(t)
-        assert t._profile == polarity.profile_dp(copy).signatures, cotrees.render(t)
+        prof = polarity.profile_dp(t).signatures
+        assert prof == polarity.profile_dp(copy).signatures, cotrees.render(t)
         assert t._code == cotrees.canonical_code(copy)
         assert t._order == copy.order
         if t.order <= 8:
             expected = polarity.profile_bruteforce(cotrees.realize(t)).signatures
-            assert t._profile == expected, cotrees.render(t)
+            assert prof == expected, cotrees.render(t)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     seen = []
-    complement = polarity.complement_profile
 
-    def recording(prof):
+    def recording(op, children):
         seen.append(gc.isenabled())
-        return complement(prof)
+        return cotrees.Cotree(op, children)
 
-    monkeypatch.setattr(polarity, "complement_profile", recording)
+    monkeypatch.setattr(obstructions, "Cotree", recording)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -276,10 +223,10 @@ def test_build_pauses_and_restores_gc(monkeypatch, enabled):
 
 
 def test_build_restores_gc_when_it_raises(monkeypatch):
-    def failing(p, q):
-        raise RuntimeError("merge failed")
+    def failing(op, children):
+        raise RuntimeError("node construction failed")
 
-    monkeypatch.setattr(polarity, "union_profile", failing)
+    monkeypatch.setattr(obstructions, "Cotree", failing)
     was_enabled = gc.isenabled()
     try:
         gc.enable()

@@ -8,7 +8,7 @@ from polarcographs.cotrees import JOIN, UNION, Cotree, MalformedCotreeError
 from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
-from util import random_cotree, reduce_quadratic
+from util import deletion_profiles, random_cotree, reduce_quadratic
 
 
 def _graph(text):
@@ -147,9 +147,6 @@ def test_profile_dp_rejects_malformed_node(kind, memoized_sibling):
     with pytest.raises(MalformedCotreeError):
         polarity.profile_dp(root)
     assert bad._profile is None and root._profile is None
-    with pytest.raises(MalformedCotreeError):
-        polarity.deletion_profiles(root)
-    assert bad._deletions is None and root._deletions is None
 
 
 def _bruteforce_deletion_profiles(g):
@@ -164,41 +161,30 @@ def test_deletion_profiles_match_bruteforce():
     for _ in range(40):
         t = random_cotree(rng, rng.randint(1, 11))
         g = cotrees.realize(t)
-        assert polarity.deletion_profiles(t) == _bruteforce_deletion_profiles(g), (
+        assert deletion_profiles(t) == _bruteforce_deletion_profiles(g), (
             cotrees.render(t)
         )
-
-
-def test_full_intern_tables_stay_bounded_and_correct(monkeypatch):
-    monkeypatch.setattr(polarity, "INTERN_LIMIT", 8)
-    monkeypatch.setattr(polarity, "_INTERNED", {})
-    monkeypatch.setattr(polarity, "_COMBINED", {})
-    rng = random.Random(47)
-    for _ in range(20):
-        t = random_cotree(rng, rng.randint(2, 9))
-        g = cotrees.realize(t)
-        assert polarity.profile_dp(t).closure() == polarity.profile_bruteforce(g).closure()
-        assert polarity.deletion_profiles(t) == _bruteforce_deletion_profiles(g)
-    assert len(polarity._INTERNED) == len(polarity._COMBINED) == 8
 
 
 GRID = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
 
 
 def _stored_profiles(n_max):
+    """Each distinct (profile, order) of the classes of order <= n_max."""
     from polarcographs.obstructions import enumerate_cographs
 
-    return sorted({t._profile for t in enumerate_cographs(n_max)}, key=sorted)
+    return {(polarity.profile_dp(t).signatures, t.order) for t in enumerate_cographs(n_max)}
 
 
 def test_capping_commutes_with_merges_and_complement():
-    profiles = _stored_profiles(10)
+    profiles = {p for p, _ in _stored_profiles(10)}
     for caps in {polarity.TypeAlgebra(s, k).caps for s, k in GRID}:
         capped = {p: polarity.cap_profile(p, caps) for p in profiles}
         swapped_caps = caps[::-1]
         for p in profiles:
             swap = frozenset((b, a) for a, b in capped[p])
-            assert swap == polarity.cap_profile(polarity.complement_profile(p), swapped_caps)
+            complement = frozenset((b, a) for a, b in p)
+            assert swap == polarity.cap_profile(complement, swapped_caps)
             for q in profiles:
                 for merge in (polarity._merge_union, polarity._merge_join):
                     assert polarity.cap_profile(merge(p, q), caps) == polarity.cap_profile(
@@ -210,25 +196,21 @@ def test_caps_keep_every_verdict():
     profiles = _stored_profiles(10)
     for s, k in GRID:
         caps = polarity.TypeAlgebra(s, k).caps
-        table = polarity.verdicts(s, k)
-        for p in profiles:
-            assert table[polarity.cap_profile(p, caps)] == table[p], (p, s, k)
+        for p, n in profiles:
+            capped = polarity.cap_profile(p, caps)
+            assert polarity._admits(capped, n, s, k) == polarity._admits(p, n, s, k), (p, s, k)
 
 
 def test_pair_rule_folds_children_to_the_class_type():
+    # of_class folds the children's types; the oracle caps the exact profile
+    # and deletion set of each class
     from polarcographs.obstructions import enumerate_cographs
 
-    by_caps = {}  # the numbering and the pair rule depend on the caps only
-    for s, k in GRID:
-        algebra = polarity.TypeAlgebra(s, k)
-        by_caps.setdefault(algebra.caps, algebra)
-    algebras = list(by_caps.values())
-    empty = [algebra.number(polarity.EMPTY_TYPE) for algebra in algebras]
+    algebras = [polarity.TypeAlgebra(s, k) for s, k in GRID]
     for t in enumerate_cographs(10):
-        if t.op == cotrees.LEAF:
-            continue
-        for algebra, acc in zip(algebras, empty):
-            for child in t.children:
-                acc = algebra.combine(t.op, acc, algebra.of_class(child))
-            assert acc == algebra.of_class(t), (cotrees.render(t), algebra.caps)
-
+        prof, dels = polarity.profile_dp(t).signatures, deletion_profiles(t)
+        for algebra in algebras:
+            caps = algebra.caps
+            capped_dels = frozenset(polarity.cap_profile(d, caps) for d in dels)
+            exact = (polarity.cap_profile(prof, caps), capped_dels)
+            assert algebra.types[algebra.of_class(t)] == exact, (cotrees.render(t), caps)

@@ -112,9 +112,46 @@ def minimal_by_all_deletions(t, s, k):
     return True
 
 
-def deletions_admit_materialised(t, s, k):
-    """Every one-leaf deletion polar, read from the root's full memoized deletion set."""
-    return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in polarity.deletion_profiles(t))
+def deletion_profiles(t):
+    """Set of the profiles (signature antichains) of t minus one leaf, over all leaves.
+
+    The library's exact deletion sets before types replaced them.  A leaf's
+    set is {{(0, 0)}}, the empty graph's profile, which is the identity of
+    both merges.  An internal node folds its other children's profiles to the
+    left (prefix) and right (suffix) of each child and merges them around
+    each of that child's deletion profiles.
+    """
+    empty = frozenset({(0, 0)})
+    if t.op == LEAF:
+        return frozenset({empty})
+    polarity.profile_dp(t)  # checks the shape of every node below before it is trusted
+    merge = polarity._merge_union if t.op == UNION else polarity._merge_join
+
+    def fold(p, q):
+        return polarity._reduce(merge(p, q))
+
+    profs = [polarity.profile_dp(child).signatures for child in t.children]
+    prefixes = [empty]
+    for prof in profs[:-1]:
+        prefixes.append(fold(prefixes[-1], prof))
+    suffixes = [empty] * (len(profs) + 1)
+    for i in range(len(profs) - 1, 0, -1):
+        suffixes[i] = fold(profs[i], suffixes[i + 1])
+    out = set()
+    for i, child in enumerate(t.children):
+        for sub in deletion_profiles(child):
+            out.add(fold(fold(prefixes[i], sub), suffixes[i + 1]))
+    return frozenset(out)
+
+
+def deletions_admit_materialised(t, s, k, dels=None):
+    """Every one-leaf deletion polar, read from the root's full deletion set.
+
+    ``dels`` is that set if the caller has already built it.
+    """
+    if dels is None:
+        dels = deletion_profiles(t)
+    return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in dels)
 
 
 def memo_free_copy(t):
