@@ -31,15 +31,22 @@ works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
 depends on a class's type alone.  Each enumerated class is typed by folding
 its children's types with the pair rule, checked with
 ``is_minimal_obstruction`` (the two must agree, or mining raises) and
-bucketed by type.  Each higher order is walked as the multisets of blocks
-(order, type, number of classes): unions of connected blocks and joins of
-disconnected ones, the leaf being both.  Each multiset gives its node's type
-by the pair rule and its number of classes as a product of binomials; the
-numbers of each order must add up to the cograph count of an independent
-Euler transform (OEIS A000084), or mining raises.  Types stop growing while
-classes roughly triple per order, so the walk and its algebra stay small.  A
-multiset whose type is a minimal obstruction is expanded into cotrees, down
-to the buckets, and each expanded cotree is re-checked by
+bucketed by type.  Higher orders are counted, not built, by one knapsack per
+parent label over blocks (order, type, number of classes): unions of
+connected blocks and joins of disconnected ones, the leaf being both.  The
+knapsack adds the blocks one at a time and keeps, for each total order, the
+number of multisets of each type, a multiset's type following by the pair
+rule and its number of classes being a product of binomials.  Only live types
+(``TypeAlgebra.live``) and hits are kept by type; every other multiset is
+only counted, since no extension of it is live or a hit.  Once every block
+below an order is in, the knapsack's numbers of that order must add up to
+the cograph count of an independent Euler transform (OEIS A000084), or
+mining raises; its live types become the blocks of that order and its hit
+types are the minimal obstructions.  Types stop growing while classes
+roughly triple per order, so the knapsack and its algebra stay small.  Each
+hit type is expanded into cotrees by following the knapsack's back-pointers
+down to the buckets, through blocks of lower order only; the number of
+cotrees must equal the knapsack's count, and each is re-checked by
 ``is_minimal_obstruction``.
 """
 
@@ -47,8 +54,9 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 from operator import attrgetter
 
@@ -381,35 +389,89 @@ def _euler_cograph_counts(n_max):
     return a[1 : n_max + 1]
 
 
-def _walk(algebra, pool, n, op, emit):
-    """Call ``emit(chosen, type, count)`` for every op-node of order n over ``pool``.
+class _TypeKnapsack:
+    """The op-nodes over the multisets of the blocks added so far, by (order, type).
 
-    ``pool`` lists blocks (order, type, classes) of orders below n, so every
-    node has at least two children.  A node takes r >= 1 of a block's
-    classes, with repetition, from each block it uses: ``chosen`` lists
-    (pool index, r) pairs, ``type`` is the node's type and ``count`` the
-    number of classes it stands for, the product of C(classes + r - 1, r).
+    ``blocks`` lists (order, type, classes) in the order they were added, a
+    block of type None standing for classes that are not live.  For each
+    total order m, ``live[m]`` and ``hits[m]`` map each live or hit type met
+    to its entry, and ``dead[m]`` counts every other multiset, hits
+    included: an extension of a multiset that is not live is never live nor
+    a hit, so it is only counted.  A live multiset of order n_max is only
+    counted too, since nothing extends it and it is no block.  An entry is
+    an ``array('q')``: its number of multisets, then one packed back-pointer
+    per contribution (previous type, block index, copies), in block order,
+    standing for the multisets whose last block is that block, taken that
+    many times, over a multiset of earlier blocks of that previous type.
+    Once every block of order < n is in, the entries of order n count
+    exactly the op-nodes of order n; ``limits[n]`` records how many blocks
+    that was, and ``_expand`` follows only pointers below it.
     """
-    combine = algebra.combine
-    chosen = []
 
-    def extend(start, remaining, acc, count):
-        for b in range(start, len(pool)):
-            o, t, c = pool[b]
-            if o > remaining:
-                return
-            typ = acc
-            for r in range(1, remaining // o + 1):
-                typ = combine(op, typ, t)
-                chosen.append((b, r))
-                left = remaining - r * o
-                if left:
-                    extend(b + 1, left, typ, count * comb(c + r - 1, r))
-                else:
-                    emit(chosen, typ, count * comb(c + r - 1, r))
-                chosen.pop()
+    def __init__(self, algebra, op, n_max):
+        self.algebra, self.op, self.n_max = algebra, op, n_max
+        self.blocks = []
+        self.live = [{} for _ in range(n_max + 1)]
+        self.hits = [{} for _ in range(n_max + 1)]
+        self.dead = [0] * (n_max + 1)
+        self.limits = {}
+        self.live[0][algebra.number(polarity.EMPTY_TYPE)] = array("q", [1])
 
-    extend(0, n, algebra.number(polarity.EMPTY_TYPE), 1)
+    def add(self, o, i, c):
+        """Add a block of c classes of order o and type i (None: not live).
+
+        Bases are taken from the highest total order down, so each base
+        counts only multisets of earlier blocks; a base of m0 gains r copies
+        of the block, in C(c + r - 1, r) ways, at total order m0 + r o.
+        """
+        b = len(self.blocks)
+        self.blocks.append((o, i, c))
+        n_max, op, live, hits, dead = self.n_max, self.op, self.live, self.hits, self.dead
+        combine, is_live, is_hit = self.algebra.combine, self.algebra.live, self.algebra.hit
+        weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
+        for m0 in range(n_max - o, -1, -1):
+            top = (n_max - m0) // o
+            absorbed = dead[m0]
+            if i is None:  # no multiset with this block is live
+                absorbed += sum(entry[0] for entry in live[m0].values())
+            if absorbed:
+                for r in range(1, top + 1):
+                    dead[m0 + r * o] += absorbed * weights[r]
+            if i is None:
+                continue
+            for t0, base in live[m0].items():
+                # previous type, block index (32 bits), copies (8 bits)
+                typ, m, count, packed = t0, m0, base[0], t0 << 40 | b << 8
+                for r in range(1, top + 1):
+                    typ = combine(op, typ, i)
+                    m += o
+                    if is_live[typ] and m < n_max:
+                        table = live[m]
+                    else:
+                        table = hits[m] if is_hit[typ] else None
+                    if table is not None:
+                        entry = table.get(typ)
+                        if entry is None:
+                            entry = table[typ] = array("q", [0])
+                        entry[0] += count * weights[r]
+                        entry.append(packed | r)
+                    if table is not live[m]:  # no more copies give a live type or a hit
+                        for rest in range(r, top + 1):
+                            dead[m0 + rest * o] += count * weights[rest]
+                        break
+
+    def nodes(self, n):
+        """(live types, hit types, not-live count) of the op-nodes of order n.
+
+        The types map to their numbers of classes.  Valid once every block
+        of order < n is in, and before any of order n.
+        """
+        self.limits[n] = len(self.blocks)
+        return (
+            {typ: entry[0] for typ, entry in self.live[n].items()},
+            {typ: entry[0] for typ, entry in self.hits[n].items()},
+            self.dead[n],
+        )
 
 
 def _mine_types(s, k, n_max, split, enum):
@@ -417,28 +479,34 @@ def _mine_types(s, k, n_max, split, enum):
 
     Orders up to ``split`` are enumerated, each class typed by the pair rule,
     checked with ``is_minimal_obstruction`` and bucketed by type; higher
-    orders are walked (see the module docstring).  A class whose check
-    disagrees with its type's verdict, or a class count that differs from
-    the Euler transform's, raises AssertionError.
+    orders are counted by one knapsack per parent label (see the module
+    docstring).  A class whose check disagrees with its type's verdict, a
+    class count that differs from the Euler transform's, or a hit whose
+    expansion differs from its count raises AssertionError.
     """
     algebra = polarity.TypeAlgebra(s, k)
     expected = _euler_cograph_counts(n_max)
-    pools = {UNION: [], JOIN: []}  # blocks of the children each parent label takes
-    starts = {UNION: {}, JOIN: {}}  # order -> pool length before its blocks
+    # the knapsack of a parent label takes the blocks of the children it takes
+    knapsacks = {op: _TypeKnapsack(algebra, op, n_max) for op in (UNION, JOIN)}
     buckets = {}  # (order, parent label, type) -> enumerated classes
     found = []
-    hits = []  # (label, blocks) of each hit multiset above the split
+    hits = []  # (label, order, type, classes) of each hit type above the split
 
-    def add_blocks(n, groups):
-        for op in (UNION, JOIN):
-            starts[op][n] = len(pools[op])
-            pools[op].extend((n, i, groups[op][i]) for i in sorted(groups[op]))
+    def add_blocks(n, groups, dead):
+        if n == n_max:  # no later order takes them
+            return
+        for op, knapsack in knapsacks.items():
+            for i in sorted(groups[op]):
+                knapsack.add(n, i, groups[op][i])
+            if dead[op]:
+                knapsack.add(n, None, dead[op])
 
     for n in range(1, split + 1):
         classes = enum.classes_of_order(n)
         if len(classes) != expected[n - 1]:
             raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
         groups = {UNION: {}, JOIN: {}}
+        dead = {UNION: 0, JOIN: 0}
         for t in classes:
             i = algebra.of_class(t)
             minimal = is_minimal_obstruction(t, s, k)
@@ -447,80 +515,76 @@ def _mine_types(s, k, n_max, split, enum):
             if minimal:
                 found.append(t)
             for op in _PARENTS[t.op]:
-                buckets.setdefault((n, op, i), []).append(t)
-                groups[op][i] = groups[op].get(i, 0) + 1
-        add_blocks(n, groups)
+                if algebra.live[i]:
+                    buckets.setdefault((n, op, i), []).append(t)
+                    groups[op][i] = groups[op].get(i, 0) + 1
+                else:
+                    dead[op] += 1
+        add_blocks(n, groups, dead)
 
     for n in range(split + 1, n_max + 1):
-        made = {}  # parent label -> {type: classes}: a union node is a child of joins
-        for op in (UNION, JOIN):
-            pool, totals = pools[op], made.setdefault(_OTHER[op], {})
-
-            def emit(chosen, typ, count):  # called only by this iteration's walk
-                totals[typ] = totals.get(typ, 0) + count
-                if algebra.hit[typ]:
-                    hits.append((op, tuple((pool[b][0], pool[b][1], r) for b, r in chosen)))
-
-            _walk(algebra, pool, n, op, emit)
-        total = sum(sum(totals.values()) for totals in made.values())
+        groups, dead, total = {}, {}, 0
+        for op, knapsack in knapsacks.items():
+            live, hit, not_live = knapsack.nodes(n)
+            other = _OTHER[op]  # an op-node is a child of the other label
+            groups[other], dead[other] = live, not_live
+            total += sum(live.values()) + not_live
+            hits.extend((op, n, i, c) for i, c in hit.items())
         if total != expected[n - 1]:
             raise AssertionError(
-                f"the type walk covers {total} classes of order {n}, not {expected[n - 1]}"
+                f"the type knapsack counts {total} classes of order {n}, not {expected[n - 1]}"
             )
-        add_blocks(n, made)
+        add_blocks(n, groups, dead)
 
-    return found + _expand(algebra, hits, pools, starts, buckets, split)
+    return found + _expand(knapsacks, hits, buckets, split)
 
 
-def _expand(algebra, hits, pools, starts, buckets, split):
-    """The cotrees of the hit multisets, drawn down to the enumerated buckets.
+def _expand(knapsacks, hits, buckets, split):
+    """The cotrees of the hit types, drawn down to the enumerated buckets.
 
-    A block of order above the split stands for the nodes of its type that
-    a walk of its order builds; the walks needed are run again, highest
-    order first, keeping only the multisets of the types asked for.
+    Each hit follows its knapsack's back-pointers below the limit of its
+    order, so its children come from blocks of lower order only; a block
+    above the split is expanded the same way in the other label's knapsack.
+    A hit that expands to other than its number of classes raises
+    AssertionError.
     """
-    wanted = {}  # (order, label) -> types whose label-nodes of that order are needed
-    multisets = {}  # (order, label, type) -> blocks of each such node
+    built = {}  # (parent label, block index) -> the block's classes
 
-    def ask(op, blocks):
-        for o, i, _ in blocks:
-            if o > split:
-                wanted.setdefault((o, _OTHER[op]), set()).add(i)
-
-    for op, blocks in hits:
-        ask(op, blocks)
-    for o in range(max((o for o, _ in wanted), default=split), split, -1):
-        for op in (UNION, JOIN):
-            types = wanted.get((o, op))
-            if not types:
-                continue
-            pool = pools[op][: starts[op][o]]
-
-            def emit(chosen, typ, count):  # called only by this iteration's walk
-                if typ in types:
-                    blocks = tuple((pool[b][0], pool[b][1], r) for b, r in chosen)
-                    multisets.setdefault((o, op, typ), []).append(blocks)
-                    ask(op, blocks)
-
-            _walk(algebra, pool, o, op, emit)
-
-    built = {}
-
-    def children(o, op, i):
-        """The classes of order o and type i that an op-node takes as children."""
+    def children(op, b):
+        o, i, _ = knapsacks[op].blocks[b]
         if o <= split:
             return buckets[(o, op, i)]
-        key = (o, op, i)
-        if key not in built:
-            inner = _OTHER[op]
-            built[key] = [t for blocks in multisets[(o, inner, i)] for t in nodes(inner, blocks)]
-        return built[key]
+        if (op, b) not in built:
+            built[(op, b)] = nodes(_OTHER[op], o, i)
+        return built[(op, b)]
 
-    def nodes(op, blocks):
-        picks = [combinations_with_replacement(children(o, op, i), r) for o, i, r in blocks]
-        return [cotrees.node(op, [t for part in pick for t in part]) for pick in product(*picks)]
+    def folds(op, m, typ, limit):
+        """The child tuples of the multisets of order m and type typ over blocks below limit."""
+        if m == 0:
+            return [()]
+        knapsack, out = knapsacks[op], []
+        table = knapsack.live if knapsack.algebra.live[typ] else knapsack.hits
+        for packed in table[m][typ][1:]:  # the first item is the count
+            b = packed >> 8 & 0xFFFFFFFF
+            if b >= limit:
+                break
+            r = packed & 0xFF
+            picks = list(combinations_with_replacement(children(op, b), r))
+            for prefix in folds(op, m - r * knapsack.blocks[b][0], packed >> 40, b):
+                out.extend(prefix + pick for pick in picks)
+        return out
 
-    return [t for op, blocks in hits for t in nodes(op, blocks)]
+    def nodes(op, n, i):
+        limit = knapsacks[op].limits[n]
+        return [cotrees.node(op, kids) for kids in folds(op, n, i, limit)]
+
+    out = []
+    for op, n, i, count in hits:
+        trees = nodes(op, n, i)
+        if len(trees) != count:
+            raise AssertionError(f"a hit type expands to {len(trees)} classes, not {count}")
+        out.extend(trees)
+    return out
 
 
 def mine_obstructions(s, k, n_max, enumerator=None):

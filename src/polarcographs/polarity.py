@@ -145,9 +145,15 @@ class TypeAlgebra:
     obstruction exactly when its capped profile is not polar and each capped
     deleted profile is (``hit``), and the type of a node follows from its
     children's types by the pair rule (``combine``), so both depend on the
-    type alone.  The tables live as long as the algebra and are bounded by
-    the number of types, which is finite for each (s, k), and by the nodes
-    typed with ``of_class``.
+    type alone.  A type is ``live`` when its capped profile is polar; every
+    type met is a graph's, so by heredity its capped deleted profiles are
+    then polar too.  Non-live types absorb: if a child of a node, or the fold
+    of some but not all of its children, is not polar, then neither is the
+    node, nor the node minus a vertex outside that part, so the node is
+    neither live nor a hit.  Hence every child of a hit, and every fold of
+    some but not all of its children, is live.  The tables live as long as
+    the algebra and are bounded by the number of types, which is finite for
+    each (s, k), and by the nodes typed with ``of_class``.
     """
 
     def __init__(self, s, k):
@@ -155,6 +161,7 @@ class TypeAlgebra:
         self.caps = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
         self.types = []  # number -> (capped profile, capped deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
+        self.live = []  # number -> whether the type's classes are polar
         self._numbers = {}
         self._merged = {}
         self._combined = {UNION: {}, JOIN: {}}
@@ -170,6 +177,7 @@ class TypeAlgebra:
             prof, dels = typ
             polar = [any(a <= s and b <= k for a, b in p) for p in (prof, *dels)]
             self.hit.append(not polar[0] and all(polar[1:]))
+            self.live.append(polar[0])
         return i
 
     def of_class(self, t):

@@ -229,6 +229,36 @@ def test_verify_all_reads_written_claim_files(tmp_path, cache):
         verify_all(3, cache=cache, catalog_dir=str(tmp_path))
 
 
+# every verify_all(4) row: (claim, status, expected, actual, missing, extra)
+VERIFY_ALL_K4 = [
+    ("fig1", "PASS", 4, 4, [], []),
+    ("thm2", "PASS", 8, 8, [], []),
+    ("remark4", "PASS", 1, 1, [], []),
+    ("thm6", "PASS", 4, 4, [], []),
+    ("thm15", "PASS", 13, 13, [], []),
+    ("thm18", "PASS", 2, 2, [], []),
+    ("cor-type-k+1-k", "PASS", 7, 7, [], []),
+    ("cor-type-k-k-1", "PASS", 8, 8, [], []),
+    ("cor20-item1", "PASS", 5, 5, [], []),
+    ("cor20-item2", "PASS", 4, 4, [], []),
+    ("cor20-item3", "PASS", 3, 3, [], []),
+    ("thm11", "PASS", 9, 9, [], []),
+    ("thm17", "PASS", 19, 19, [], []),
+    ("thm19", "PASS", 10, 10, [], []),
+    ("conj1", "INCONCLUSIVE", 10, 10, [], []),
+    ("conj2", "INCONCLUSIVE", 0, 0, [], []),
+    ("sixteen-note", "INFO", 0, 0, [], []),
+]
+
+
+def test_verify_all_at_k4_pins_every_row(cache):
+    rows = [
+        (r.claim, r.status, r.expected, r.actual, r.missing, r.extra)
+        for r in verify_all(4, cache=cache)
+    ]
+    assert rows == VERIFY_ALL_K4
+
+
 def test_unknown_claim_raises(cache):
     with pytest.raises(UnknownClaimError):
         verify_claim("thm99", 2, cache=cache)

@@ -271,41 +271,95 @@ def test_mined_records_match_the_pinned_digests(key):
     assert (len(records), digest) == MINED_DIGESTS[key]
 
 
+# sha256 of the JSONL of each mining at the largest supported order
+LARGEST_ORDER_DIGESTS = {
+    (INF, 4, 15): (85, "183474a8ffcd5752d724b7ca53f9193300714c46d41e51ff1660bd3fca961f89"),
+    (1, 8, 15): (26, "3cdc2015da264770ce26d8d1ac3a62a760f63746cd98d88d8e5899b0a2e39674"),
+}
+
+
 def test_mining_at_the_largest_supported_order():
     assert obstructions.ENUMERATION_MAX_ORDER == 15
-    assert len(mine_obstructions(INF, 4, 15)) == 85
-    assert len(mine_obstructions(1, 8, 15)) == 26
+    for key, pinned in LARGEST_ORDER_DIGESTS.items():
+        records = mine_obstructions(*key)
+        digest = hashlib.sha256(obstructions.records_to_jsonl(records).encode()).hexdigest()
+        assert (len(records), digest) == pinned, key
 
 
-def test_type_walk_counts_every_class_up_to_order_15(monkeypatch):
+def test_type_knapsack_counts_every_class_up_to_order_15(monkeypatch):
     assert obstructions._euler_cograph_counts(15) == list(A000084)
-    walk = obstructions._walk
+    nodes = obstructions._TypeKnapsack.nodes
     totals = {}
 
-    def counting(algebra, pool, n, op, emit):
-        first = (n, op) not in totals  # later walks of an order rebuild hits only
-        totals.setdefault((n, op), 0)
+    def counting(knapsack, n):
+        live, hits, dead = nodes(knapsack, n)
+        assert all(knapsack.algebra.live[i] for i in live)
+        assert all(knapsack.algebra.hit[i] for i in hits)
+        totals[(n, knapsack.op)] = sum(live.values()) + dead
+        return live, hits, dead
 
-        def counted(chosen, typ, count):
-            if first:
-                totals[(n, op)] += count
-            emit(chosen, typ, count)
-
-        walk(algebra, pool, n, op, counted)
-
-    monkeypatch.setattr(obstructions, "_walk", counting)
+    monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", counting)
     mine_obstructions(INF, 4, 15, enumerator=CographEnumerator())
     split = obstructions._SPLIT_ORDER
+    assert sorted({n for n, _ in totals}) == list(range(split + 1, 16))
     for n in range(split + 1, 16):
         assert totals[(n, cotrees.UNION)] == totals[(n, cotrees.JOIN)] == A000084[n - 1] // 2
 
 
-def test_a_walk_that_misses_a_block_fails_the_completeness_check(monkeypatch):
-    walk = obstructions._walk
+def test_a_knapsack_that_misses_a_block_fails_the_completeness_check(monkeypatch):
+    add = obstructions._TypeKnapsack.add
+    dropped = []
 
-    def skipping(algebra, pool, n, op, emit):
-        walk(algebra, pool[:-1], n, op, emit)
+    def skipping(knapsack, o, i, c):
+        if o == obstructions._SPLIT_ORDER + 1 and not dropped:
+            dropped.append((o, i, c))
+            return
+        add(knapsack, o, i, c)
 
-    monkeypatch.setattr(obstructions, "_walk", skipping)
-    with pytest.raises(AssertionError, match="the type walk covers"):
+    monkeypatch.setattr(obstructions._TypeKnapsack, "add", skipping)
+    with pytest.raises(AssertionError, match="the type knapsack counts"):
         mine_obstructions(INF, 4, 10)
+    assert dropped
+
+
+def test_a_lost_back_pointer_fails_the_expansion_count_check(monkeypatch):
+    nodes = obstructions._TypeKnapsack.nodes
+    lost = []
+
+    def losing(knapsack, n):
+        live, hits, dead = nodes(knapsack, n)
+        if hits and not lost:
+            lost.append(knapsack.hits[n][min(hits)].pop())  # the count stays
+        return live, hits, dead
+
+    monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", losing)
+    with pytest.raises(AssertionError, match="a hit type expands to"):
+        mine_obstructions(INF, 4, 14)
+    assert lost
+
+
+def test_live_types_absorb_and_hits_have_live_children():
+    # live: the class and each one-leaf deletion are polar; exhaustive at order <= 10
+    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in ORACLE_PAIRS]
+    for t in enumerate_cographs(10):
+        deleted = [remove_leaf(t, index) for index in range(t.order)]
+        profiles = [polarity.profile_dp(t)] + [
+            polarity.profile_dp(sub) for sub in deleted if sub is not None
+        ]
+        for algebra, s, k in algebras:
+            i = algebra.of_class(t)
+            live = all(p.admits(s, k) for p in profiles)
+            assert algebra.live[i] == live, (cotrees.render(t), s, k)
+            if t.op == cotrees.LEAF:
+                continue
+            kids = [algebra.of_class(child) for child in t.children]
+            if not all(algebra.live[j] for j in kids):
+                assert not algebra.live[i] and not algebra.hit[i], (cotrees.render(t), s, k)
+            if algebra.hit[i]:
+                # each child, and the fold of all children but one, is live
+                assert all(algebra.live[j] for j in kids), (cotrees.render(t), s, k)
+                for skip in range(len(kids)):
+                    rest = algebra.number(polarity.EMPTY_TYPE)
+                    for j in kids[:skip] + kids[skip + 1 :]:
+                        rest = algebra.combine(t.op, rest, j)
+                    assert algebra.live[rest], (cotrees.render(t), s, k)
