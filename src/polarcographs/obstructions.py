@@ -28,8 +28,10 @@ non-polar root, each deletion by rebuilding the deleted tree with
 
 Mining checks classes one by one only up to a split order; above it, it
 works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
-depends on a class's type alone.  Each enumerated class is typed by folding
-its children's types with the pair rule, checked with
+depends on a class's type alone.  A type keeps only the least polar of its
+capped deleted profiles, which keeps the types few: 129 for (inf,4) up to
+order 15, against 1,213 with every deleted profile.  Each enumerated class
+is typed by folding its children's types with the pair rule, checked with
 ``is_minimal_obstruction`` (the two must agree, or mining raises) and
 bucketed by type.  Higher orders are counted, not built, by one knapsack per
 parent label over blocks (order, type, number of classes): unions of

@@ -13,14 +13,17 @@ is checked once, on its first profile computation, before the memo is
 written; a malformed node therefore never carries a profile.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
-profile and one-leaf-deleted profiles with every signature coordinate capped
-at max(s,1)+1 and max(k,1)+1 (2 for an unbounded side).  The merges only add
-coordinates and compare them with 0 and 1, so capping commutes with them, and
-whether a class is a minimal obstruction depends on its type alone.  The type
-of a node follows from its children's types by one pair rule, starting from
-the leaf's type, so no exact deletion set is ever built.  There are finitely
-many types per (s, k), so the algebra's tables, which live as long as one
-mining call, do not grow with the order.
+profile and its least polar one-leaf-deleted profiles, with every signature
+coordinate capped at max(s,1)+1 and max(k,1)+1 (2 for an unbounded side).
+The merges only add coordinates and compare them with 0 and 1, so capping
+commutes with them, and whether a class is a minimal obstruction depends on
+its type alone.  The merges, capping and the (s,k) test are monotone in how
+polar a profile is, so the least polar deleted profiles decide whether all
+of them are polar, before and after a merge.  The type of a node follows
+from its children's types by one pair rule, starting from the leaf's type,
+so no exact deletion set is ever built.  There are finitely many types per
+(s, k), so the algebra's tables, which live as long as one mining call, do
+not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -129,6 +132,25 @@ def cap_profile(prof, caps):
     return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
 
 
+def _least_polar(profiles):
+    """The least polar members of a set of capped profiles, as a frozenset.
+
+    A member d is dropped when another member e is no more polar than d:
+    every signature of e is dominated by one of d, so e's polar pairs are
+    among d's.  Two distinct reduced profiles never have the same polar
+    pairs, so this keeps exactly the members whose polar pairs are minimal
+    under inclusion.
+    """
+    return frozenset(
+        d
+        for d in profiles
+        if not any(
+            e != d and all(any(a <= x and b <= y for a, b in d) for x, y in e)
+            for e in profiles
+        )
+    )
+
+
 EMPTY_TYPE = (_EMPTY_SIGS, frozenset())  # the identity of the pair rule
 _LEAF_TYPE = (_LEAF_SIGS, frozenset({_EMPTY_SIGS}))  # caps are >= 2, so capping keeps it
 _MERGES = {UNION: _merge_union, JOIN: _merge_join}
@@ -137,29 +159,34 @@ _MERGES = {UNION: _merge_union, JOIN: _merge_join}
 class TypeAlgebra:
     """The (s,k)-types met by one computation, numbered as they are first met.
 
-    A class's type is its capped profile with the set of the capped profiles
-    of its one-leaf deletions.  The merges add coordinates and test them
-    against 0 and 1 only, so capping both at some c >= 2 commutes with union,
-    join and dominance; ``caps`` are max(s,1)+1 and max(k,1)+1, which keep
-    ``s0 <= s`` exact, and 2 for an unbounded side.  A class is a minimal
-    obstruction exactly when its capped profile is not polar and each capped
-    deleted profile is (``hit``), and the type of a node follows from its
-    children's types by the pair rule (``combine``), so both depend on the
-    type alone.  A type is ``live`` when its capped profile is polar; every
-    type met is a graph's, so by heredity its capped deleted profiles are
-    then polar too.  Non-live types absorb: if a child of a node, or the fold
-    of some but not all of its children, is not polar, then neither is the
-    node, nor the node minus a vertex outside that part, so the node is
-    neither live nor a hit.  Hence every child of a hit, and every fold of
-    some but not all of its children, is live.  The tables live as long as
-    the algebra and are bounded by the number of types, which is finite for
-    each (s, k), and by the nodes typed with ``of_class``.
+    A class's type is its capped profile with the least polar of the capped
+    profiles of its one-leaf deletions: a deleted profile is dropped when
+    another one is polar for no (s, k) that it is not.  The merges add
+    coordinates and test them against 0 and 1 only, so capping both at some
+    c >= 2 commutes with union, join and dominance; ``caps`` are max(s,1)+1
+    and max(k,1)+1, which keep ``s0 <= s`` exact, and 2 for an unbounded
+    side.  A class is a minimal obstruction exactly when its capped profile
+    is not polar and each capped deleted profile is (``hit``), which holds
+    exactly when each least polar one is.  The merges and capping are
+    monotone in the polar pairs, so the least polar members of a merged
+    deletion set are those of the merges of the least polar members, and the
+    type of a node follows from its children's types by the pair rule
+    (``combine``); so both depend on the type alone.  A type is ``live``
+    when its capped profile is polar; every type met is a graph's, so by
+    heredity its capped deleted profiles are then polar too.  Non-live types
+    absorb: if a child of a node, or the fold of some but not all of its
+    children, is not polar, then neither is the node, nor the node minus a
+    vertex outside that part, so the node is neither live nor a hit.  Hence
+    every child of a hit, and every fold of some but not all of its
+    children, is live.  The tables live as long as the algebra and are
+    bounded by the number of types, which is finite for each (s, k), and by
+    the nodes typed with ``of_class``.
     """
 
     def __init__(self, s, k):
         self.s, self.k = s, k
         self.caps = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
-        self.types = []  # number -> (capped profile, capped deleted profiles)
+        self.types = []  # number -> (capped profile, least polar deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self.live = []  # number -> whether the type's classes are polar
         self._numbers = {}
@@ -209,15 +236,15 @@ class TypeAlgebra:
 
         The pair rule: a deletion of op(G1, G2) deletes a vertex of G1 or of
         G2, so its profile is a deleted profile of one side merged with the
-        other side's whole profile.
+        other side's whole profile; only the least polar of these are kept.
         """
         memo = self._combined[op]
         out = memo.get((i, j))
         if out is None:
             (p1, d1), (p2, d2) = self.types[i], self.types[j]
             merge = self._merge
-            dels = frozenset([merge(op, d, p2) for d in d1] + [merge(op, p1, d) for d in d2])
-            out = memo[(i, j)] = self.number((merge(op, p1, p2), dels))
+            dels = {merge(op, d, p2) for d in d1} | {merge(op, p1, d) for d in d2}
+            out = memo[(i, j)] = self.number((merge(op, p1, p2), _least_polar(dels)))
         return out
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,22 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["--version"])
     assert e.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # the package runs as a module, in a fresh interpreter, as cli.main does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["verify", "all", "--k", "2", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarcographs", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+    assert {json.loads(line)["status"] for line in out.splitlines()} == {"PASS", "INFO"}

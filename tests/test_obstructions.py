@@ -306,6 +306,28 @@ def test_type_knapsack_counts_every_class_up_to_order_15(monkeypatch):
         assert totals[(n, cotrees.UNION)] == totals[(n, cotrees.JOIN)] == A000084[n - 1] // 2
 
 
+# types met and blocks added by both knapsacks, with only the least polar
+# deleted profiles kept (1,213 / 4,282 and 2,407 / 3,557 with all of them)
+ORDER_15_SIZES = {(INF, 4, 15): (129, 527), (1, 8, 15): (282, 742)}
+
+
+@pytest.mark.parametrize("key", list(ORDER_15_SIZES))
+def test_type_mining_sizes_at_order_15(monkeypatch, key):
+    init = obstructions._TypeKnapsack.__init__
+    knapsacks = []
+
+    def recording(knapsack, *args):
+        init(knapsack, *args)
+        knapsacks.append(knapsack)
+
+    monkeypatch.setattr(obstructions._TypeKnapsack, "__init__", recording)
+    mine_obstructions(*key)
+    algebra = knapsacks[0].algebra
+    assert len(knapsacks) == 2 and knapsacks[1].algebra is algebra
+    blocks = sum(len(knapsack.blocks) for knapsack in knapsacks)
+    assert (len(algebra.types), blocks) == ORDER_15_SIZES[key]
+
+
 def test_a_knapsack_that_misses_a_block_fails_the_completeness_check(monkeypatch):
     add = obstructions._TypeKnapsack.add
     dropped = []

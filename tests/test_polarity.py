@@ -8,7 +8,13 @@ from polarcographs.cotrees import JOIN, UNION, Cotree, MalformedCotreeError
 from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
-from util import deletion_profiles, random_cotree, reduce_quadratic
+from util import (
+    deletion_profiles,
+    least_polar,
+    random_cotree,
+    reduce_quadratic,
+    unreduced_type,
+)
 
 
 def _graph(text):
@@ -203,7 +209,7 @@ def test_caps_keep_every_verdict():
 
 def test_pair_rule_folds_children_to_the_class_type():
     # of_class folds the children's types; the oracle caps the exact profile
-    # and deletion set of each class
+    # and deletion set of each class and keeps the least polar deleted profiles
     from polarcographs.obstructions import enumerate_cographs
 
     algebras = [polarity.TypeAlgebra(s, k) for s, k in GRID]
@@ -211,6 +217,31 @@ def test_pair_rule_folds_children_to_the_class_type():
         prof, dels = polarity.profile_dp(t).signatures, deletion_profiles(t)
         for algebra in algebras:
             caps = algebra.caps
-            capped_dels = frozenset(polarity.cap_profile(d, caps) for d in dels)
-            exact = (polarity.cap_profile(prof, caps), capped_dels)
+            capped_dels = {polarity.cap_profile(d, caps) for d in dels}
+            exact = (polarity.cap_profile(prof, caps), least_polar(capped_dels, caps))
             assert algebra.types[algebra.of_class(t)] == exact, (cotrees.render(t), caps)
+
+
+def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
+    # the unreduced pair rule gives the same verdicts, and reducing its type
+    # gives the algebra's, for every class of order <= 10
+    from polarcographs.obstructions import enumerate_cographs
+
+    def polar(p, s, k):
+        return any(a <= s and b <= k for a, b in p)
+
+    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in GRID]
+    memos = {algebra.caps: {} for algebra, _, _ in algebras}
+    reduced = {}  # (caps, unreduced type) -> the reduced type
+    for t in enumerate_cographs(10):
+        for algebra, s, k in algebras:
+            caps = algebra.caps
+            typ = unreduced_type(t, caps, memos[caps])
+            if (caps, typ) not in reduced:
+                reduced[(caps, typ)] = (typ[0], least_polar(typ[1], caps))
+            prof, dels = typ
+            i = algebra.of_class(t)
+            assert algebra.live[i] == polar(prof, s, k), (cotrees.render(t), s, k)
+            hit = not polar(prof, s, k) and all(polar(d, s, k) for d in dels)
+            assert algebra.hit[i] == hit, (cotrees.render(t), s, k)
+            assert algebra.types[i] == reduced[(caps, typ)], (cotrees.render(t), s, k)

@@ -154,6 +154,56 @@ def deletions_admit_materialised(t, s, k, dels=None):
     return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in dels)
 
 
+def unreduced_type(t, caps, memo):
+    """A cotree's capped type with every capped deleted profile kept.
+
+    The pair rule of ``polarity.TypeAlgebra.combine`` before it kept only
+    the least polar deleted profiles, folded over the children from the
+    leaf's type.  ``memo`` maps the nodes typed so far under these caps.
+    """
+    typ = memo.get(t)
+    if typ is None:
+        if t.op == LEAF:
+            typ = polarity._LEAF_TYPE
+        else:
+            merge = polarity._MERGES[t.op]
+
+            def capped(p, q):
+                return polarity.cap_profile(merge(p, q), caps)
+
+            typ = polarity.EMPTY_TYPE
+            for child in t.children:
+                (p1, d1), (p2, d2) = typ, unreduced_type(child, caps, memo)
+                dels = [capped(d, p2) for d in d1] + [capped(p1, d) for d in d2]
+                typ = (capped(p1, p2), frozenset(dels))
+        memo[t] = typ
+    return typ
+
+
+def least_polar(dels, caps):
+    """The members of a set of capped profiles whose polar pairs are minimal.
+
+    Each profile's polar pairs are its up-set closure inside the cap box
+    [0, cs] x [0, ck]; a member is kept unless another member's closure is a
+    proper subset of its own.  The library's type algebra keeps these by a
+    pairwise dominance test instead.
+    """
+    cs, ck = caps
+
+    def closure(prof):
+        return frozenset(
+            (x, y)
+            for x in range(cs + 1)
+            for y in range(ck + 1)
+            if any(a <= x and b <= y for a, b in prof)
+        )
+
+    closures = {d: closure(d) for d in dels}
+    return frozenset(
+        d for d in dels if not any(closures[e] < closures[d] for e in dels)
+    )
+
+
 def memo_free_copy(t):
     """A copy of a cotree made of new nodes, none carrying a memoized value."""
     if t.op == LEAF:
