@@ -205,10 +205,6 @@ def co_components_in(g, vertex_mask):
     return out
 
 
-def is_connected(g):
-    return g.n <= 1 or len(components(g)) == 1
-
-
 def cluster_parts_in(g, vertex_mask):
     """Component count if G[mask] is a cluster (disjoint union of cliques), else None."""
     comps = components_in(g, vertex_mask)
@@ -235,58 +231,6 @@ def is_cluster(g):
     """(is-cluster, component count).  A cluster is a P3-free graph."""
     k = cluster_parts_in(g, g.full_mask())
     return (k is not None), (k if k is not None else len(components(g)))
-
-
-def is_complete_multipartite(g):
-    """(is-complete-multipartite, part count); dual of :func:`is_cluster`."""
-    s = multipartite_parts_in(g, g.full_mask())
-    return (s is not None), (s if s is not None else 0)
-
-
-def contains_induced(g, h):
-    """A vertex mask of g inducing a graph isomorphic to h, or None.
-
-    Backtracking over candidate images with degree pruning; intended for
-    h of order <= 12.
-    """
-    if h.n > g.n:
-        return None
-    if h.n == 0:
-        return 0
-    # Map h vertices in descending degree order; high-degree vertices fail fastest.
-    order = sorted(range(h.n), key=lambda v: -h.degree(v))
-    gdeg = [g.degree(v) for v in range(g.n)]
-    image = [0] * h.n  # h vertex -> g vertex
-    used = 0
-
-    def backtrack(depth):
-        nonlocal used
-        if depth == h.n:
-            return True
-        hv = order[depth]
-        hrow = h.rows[hv]
-        for gv in range(g.n):
-            b = _bit(gv)
-            if used & b or gdeg[gv] < h.degree(hv):
-                continue
-            ok = True
-            for prev in range(depth):
-                hu = order[prev]
-                if bool(hrow & _bit(hu)) != bool(g.rows[gv] & _bit(image[hu])):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[hv] = gv
-            used |= b
-            if backtrack(depth + 1):
-                return True
-            used ^= b
-        return False
-
-    if backtrack(0):
-        return mask_of(image)
-    return None
 
 
 def brute_force_isomorphic(g, h):

@@ -26,29 +26,30 @@ proper induced subgraph polar (induced subgraphs arise by iterated deletion).
 non-polar root, each deletion by rebuilding the deleted tree with
 ``remove_leaf`` and running the profile DP on it.
 
-Mining checks classes one by one only up to a split order; above it, it
-works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
-depends on a class's type alone.  A type keeps only the least polar of its
-capped deleted profiles, which keeps the types few: 129 for (inf,4) up to
-order 15, against 1,213 with every deleted profile.  Each enumerated class
-is typed by folding its children's types with the pair rule, checked with
-``is_minimal_obstruction`` (the two must agree, or mining raises) and
-bucketed by type.  Higher orders are counted, not built, by one knapsack per
-parent label over blocks (order, type, number of classes): unions of
-connected blocks and joins of disconnected ones, the leaf being both.  The
-knapsack adds the blocks one at a time and keeps, for each total order, the
-number of multisets of each type, a multiset's type following by the pair
-rule and its number of classes being a product of binomials.  Only live types
+Mining works on the (s,k)-types of ``polarity.TypeAlgebra``, since
+minimality depends on a class's type alone.  A type keeps only the least
+polar of its capped deleted profiles, which keeps the types few: 129 for
+(inf,4) up to order 15, against 1,213 with every deleted profile.  Classes
+are counted, not built, by one knapsack per parent label over blocks (order,
+type, number of classes): unions of connected blocks and joins of
+disconnected ones, starting from the leaf, which is both.  The knapsack adds
+the blocks one at a time and keeps, for each total order, the number of
+multisets of each type, a multiset's type following by the pair rule and its
+number of classes being a product of binomials.  Only live types
 (``TypeAlgebra.live``) and hits are kept by type; every other multiset is
 only counted, since no extension of it is live or a hit.  Once every block
-below an order is in, the knapsack's numbers of that order must add up to
-the cograph count of an independent Euler transform (OEIS A000084), or
-mining raises; its live types become the blocks of that order and its hit
-types are the minimal obstructions.  Types stop growing while classes
-roughly triple per order, so the knapsack and its algebra stay small.  Each
-hit type is expanded into cotrees by following the knapsack's back-pointers
-down to the buckets, through blocks of lower order only; the number of
-cotrees must equal the knapsack's count, and each is re-checked by
+below an order is in, the knapsack's numbers of that order must add up to the
+cograph count of an independent Euler transform (OEIS A000084), or mining
+raises; its live types become the blocks of that order and its hit types are
+the minimal obstructions.  Types stop growing while classes roughly triple
+per order, so the knapsack and its algebra stay small.  Each hit type is
+expanded into cotrees by following the knapsack's back-pointers down to the
+leaf, through blocks of lower order only; the number of cotrees must equal
+the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
+The leaf is the one record not expanded: it is a minimal obstruction only at
+(0,0).  The classes up to a split order are also enumerated, as a
+cross-check: their number must be A000084's, and each one's type, folded
+from its children's by the pair rule, must agree with
 ``is_minimal_obstruction``.
 """
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import gc
 import json
-from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -364,12 +364,11 @@ def _record_from_tree(t, s, k, bound, provenance="MINED"):
     )
 
 
-# Classes of order at most this are enumerated and checked one by one; above
-# it, mining works on (s,k)-types.  At or above n_max it is class-level mining.
+# Classes of order at most this are also enumerated, and each one's count and
+# minimality check are compared with the knapsacks'; it sets only how deep
+# that cross-check goes, since every record comes from the type knapsacks.
 _SPLIT_ORDER = 8
 
-# the parent labels a class with this root label can sit under
-_PARENTS = {LEAF: (UNION, JOIN), JOIN: (UNION,), UNION: (JOIN,)}
 _OTHER = {UNION: JOIN, JOIN: UNION}
 
 
@@ -394,30 +393,30 @@ def _euler_cograph_counts(n_max):
 class _TypeKnapsack:
     """The op-nodes over the multisets of the blocks added so far, by (order, type).
 
-    ``blocks`` lists (order, type, classes) in the order they were added, a
-    block of type None standing for classes that are not live.  For each
-    total order m, ``live[m]`` and ``hits[m]`` map each live or hit type met
-    to its entry, and ``dead[m]`` counts every other multiset, hits
-    included: an extension of a multiset that is not live is never live nor
-    a hit, so it is only counted.  A live multiset of order n_max is only
-    counted too, since nothing extends it and it is no block.  An entry is
-    an ``array('q')``: its number of multisets, then one packed back-pointer
-    per contribution (previous type, block index, copies), in block order,
-    standing for the multisets whose last block is that block, taken that
-    many times, over a multiset of earlier blocks of that previous type.
-    Once every block of order < n is in, the entries of order n count
-    exactly the op-nodes of order n; ``limits[n]`` records how many blocks
-    that was, and ``_expand`` follows only pointers below it.
+    ``blocks`` lists (order, type, classes) in the order they were added, the
+    leaf first, a block of type None standing for classes that are not live.
+    For each total order m, ``kept[m]`` maps each live or hit type met to its
+    entry; the two never meet, since a live type's capped profile is polar
+    and a hit's is not.  ``dead[m]`` counts every multiset that is not live,
+    hits included: an extension of it is never live nor a hit, so it is only
+    counted.  A live multiset of order n_max is only counted too, since
+    nothing extends it and it is no block.  An entry is a list: its number of
+    multisets, then one back-pointer (previous type, block index, copies)
+    per contribution, in block order, standing for the multisets whose last
+    block is that block, taken that many times, over a multiset of earlier
+    blocks of that previous type.  Once every block of order < n is in, the
+    entries of order n count exactly the op-nodes of order n; ``limits[n]``
+    records how many blocks that was, and ``_expand`` follows only pointers
+    below it.
     """
 
     def __init__(self, algebra, op, n_max):
         self.algebra, self.op, self.n_max = algebra, op, n_max
         self.blocks = []
-        self.live = [{} for _ in range(n_max + 1)]
-        self.hits = [{} for _ in range(n_max + 1)]
+        self.kept = [{} for _ in range(n_max + 1)]
         self.dead = [0] * (n_max + 1)
         self.limits = {}
-        self.live[0][algebra.number(polarity.EMPTY_TYPE)] = array("q", [1])
+        self.kept[0][algebra.number(polarity.EMPTY_TYPE)] = [1]
 
     def add(self, o, i, c):
         """Add a block of c classes of order o and type i (None: not live).
@@ -428,135 +427,113 @@ class _TypeKnapsack:
         """
         b = len(self.blocks)
         self.blocks.append((o, i, c))
-        n_max, op, live, hits, dead = self.n_max, self.op, self.live, self.hits, self.dead
+        n_max, op, kept, dead = self.n_max, self.op, self.kept, self.dead
         combine, is_live, is_hit = self.algebra.combine, self.algebra.live, self.algebra.hit
         weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
         for m0 in range(n_max - o, -1, -1):
             top = (n_max - m0) // o
             absorbed = dead[m0]
             if i is None:  # no multiset with this block is live
-                absorbed += sum(entry[0] for entry in live[m0].values())
+                absorbed += sum(entry[0] for t0, entry in kept[m0].items() if is_live[t0])
             if absorbed:
                 for r in range(1, top + 1):
                     dead[m0 + r * o] += absorbed * weights[r]
             if i is None:
                 continue
-            for t0, base in live[m0].items():
-                # previous type, block index (32 bits), copies (8 bits)
-                typ, m, count, packed = t0, m0, base[0], t0 << 40 | b << 8
+            for t0, base in kept[m0].items():
+                if not is_live[t0]:  # a hit, counted in dead[m0]
+                    continue
+                typ, m, count = t0, m0, base[0]
                 for r in range(1, top + 1):
                     typ = combine(op, typ, i)
                     m += o
-                    if is_live[typ] and m < n_max:
-                        table = live[m]
-                    else:
-                        table = hits[m] if is_hit[typ] else None
-                    if table is not None:
-                        entry = table.get(typ)
+                    live = is_live[typ] and m < n_max
+                    if live or is_hit[typ]:
+                        entry = kept[m].get(typ)
                         if entry is None:
-                            entry = table[typ] = array("q", [0])
+                            entry = kept[m][typ] = [0]
                         entry[0] += count * weights[r]
-                        entry.append(packed | r)
-                    if table is not live[m]:  # no more copies give a live type or a hit
+                        entry.append((t0, b, r))
+                    if not live:  # no more copies give a live type or a hit
                         for rest in range(r, top + 1):
                             dead[m0 + rest * o] += count * weights[rest]
                         break
 
     def nodes(self, n):
-        """(live types, hit types, not-live count) of the op-nodes of order n.
+        """(kept types, not-live count) of the op-nodes of order n.
 
-        The types map to their numbers of classes.  Valid once every block
-        of order < n is in, and before any of order n.
+        The kept types map to their numbers of classes.  Valid once every
+        block of order < n is in, and before any of order n.
         """
         self.limits[n] = len(self.blocks)
-        return (
-            {typ: entry[0] for typ, entry in self.live[n].items()},
-            {typ: entry[0] for typ, entry in self.hits[n].items()},
-            self.dead[n],
-        )
+        return {typ: entry[0] for typ, entry in self.kept[n].items()}, self.dead[n]
 
 
-def _mine_types(s, k, n_max, split, enum):
+def _mine_types(s, k, n_max, enum):
     """Minimal (s,k)-obstructions of order <= n_max, as cotrees, mined over types.
 
-    Orders up to ``split`` are enumerated, each class typed by the pair rule,
-    checked with ``is_minimal_obstruction`` and bucketed by type; higher
-    orders are counted by one knapsack per parent label (see the module
-    docstring).  A class whose check disagrees with its type's verdict, a
-    class count that differs from the Euler transform's, or a hit whose
-    expansion differs from its count raises AssertionError.
+    One knapsack per parent label counts every order from the leaf up, and
+    the hit types are expanded into cotrees (see the module docstring); the
+    leaf itself is a hit only at (0,0).  The classes of order <= the split
+    are enumerated as well, as a cross-check.  A class count that differs
+    from the Euler transform's, an enumerated class whose check disagrees
+    with its type's verdict, or a hit whose expansion differs from its count
+    raises AssertionError.
     """
     algebra = polarity.TypeAlgebra(s, k)
     expected = _euler_cograph_counts(n_max)
     # the knapsack of a parent label takes the blocks of the children it takes
     knapsacks = {op: _TypeKnapsack(algebra, op, n_max) for op in (UNION, JOIN)}
-    buckets = {}  # (order, parent label, type) -> enumerated classes
-    found = []
-    hits = []  # (label, order, type, classes) of each hit type above the split
+    leaf = algebra.of_class(_SHARED_LEAF)
+    # the leaf is a child under both labels: one block of order 1, None if not live
+    first = ({leaf: 1}, 0) if algebra.live[leaf] else ({}, 1)
+    blocks = {UNION: first, JOIN: first}
+    hits = []  # (label, order, type, classes) of each hit type
 
-    def add_blocks(n, groups, dead):
-        if n == n_max:  # no later order takes them
-            return
-        for op, knapsack in knapsacks.items():
-            for i in sorted(groups[op]):
-                knapsack.add(n, i, groups[op][i])
-            if dead[op]:
-                knapsack.add(n, None, dead[op])
+    for n in range(1, n_max + 1):
+        if n <= _SPLIT_ORDER:
+            classes = enum.classes_of_order(n)
+            if len(classes) != expected[n - 1]:
+                raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
+            for t in classes:
+                if is_minimal_obstruction(t, s, k) != algebra.hit[algebra.of_class(t)]:
+                    raise AssertionError("a class's type disagrees with its minimality check")
+        if n > 1:
+            total = 0
+            for op, knapsack in knapsacks.items():
+                kept, not_live = knapsack.nodes(n)
+                live = {i: c for i, c in kept.items() if algebra.live[i]}
+                hits.extend((op, n, i, c) for i, c in kept.items() if algebra.hit[i])
+                total += sum(live.values()) + not_live
+                blocks[_OTHER[op]] = live, not_live  # an op-node is a child of the other label
+            if total != expected[n - 1]:
+                raise AssertionError(
+                    f"the type knapsack counts {total} classes of order {n}, not {expected[n - 1]}"
+                )
+        if n < n_max:  # no later order takes them
+            for op, (live, not_live) in blocks.items():
+                for i in sorted(live):
+                    knapsacks[op].add(n, i, live[i])
+                if not_live:
+                    knapsacks[op].add(n, None, not_live)
 
-    for n in range(1, split + 1):
-        classes = enum.classes_of_order(n)
-        if len(classes) != expected[n - 1]:
-            raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
-        groups = {UNION: {}, JOIN: {}}
-        dead = {UNION: 0, JOIN: 0}
-        for t in classes:
-            i = algebra.of_class(t)
-            minimal = is_minimal_obstruction(t, s, k)
-            if minimal != algebra.hit[i]:
-                raise AssertionError("a class's type disagrees with its minimality check")
-            if minimal:
-                found.append(t)
-            for op in _PARENTS[t.op]:
-                if algebra.live[i]:
-                    buckets.setdefault((n, op, i), []).append(t)
-                    groups[op][i] = groups[op].get(i, 0) + 1
-                else:
-                    dead[op] += 1
-        add_blocks(n, groups, dead)
-
-    for n in range(split + 1, n_max + 1):
-        groups, dead, total = {}, {}, 0
-        for op, knapsack in knapsacks.items():
-            live, hit, not_live = knapsack.nodes(n)
-            other = _OTHER[op]  # an op-node is a child of the other label
-            groups[other], dead[other] = live, not_live
-            total += sum(live.values()) + not_live
-            hits.extend((op, n, i, c) for i, c in hit.items())
-        if total != expected[n - 1]:
-            raise AssertionError(
-                f"the type knapsack counts {total} classes of order {n}, not {expected[n - 1]}"
-            )
-        add_blocks(n, groups, dead)
-
-    return found + _expand(knapsacks, hits, buckets, split)
+    return ([_SHARED_LEAF] if algebra.hit[leaf] else []) + _expand(knapsacks, hits)
 
 
-def _expand(knapsacks, hits, buckets, split):
-    """The cotrees of the hit types, drawn down to the enumerated buckets.
+def _expand(knapsacks, hits):
+    """The cotrees of the hit types, drawn down to the leaf.
 
     Each hit follows its knapsack's back-pointers below the limit of its
-    order, so its children come from blocks of lower order only; a block
-    above the split is expanded the same way in the other label's knapsack.
-    A hit that expands to other than its number of classes raises
+    order, so its children come from blocks of lower order only; every block
+    but the leaf, the first, is expanded the same way in the other label's
+    knapsack.  A hit that expands to other than its number of classes raises
     AssertionError.
     """
-    built = {}  # (parent label, block index) -> the block's classes
+    built = {(op, 0): [_SHARED_LEAF] for op in knapsacks}  # (parent label, block) -> classes
 
     def children(op, b):
-        o, i, _ = knapsacks[op].blocks[b]
-        if o <= split:
-            return buckets[(o, op, i)]
         if (op, b) not in built:
+            o, i, _ = knapsacks[op].blocks[b]
             built[(op, b)] = nodes(_OTHER[op], o, i)
         return built[(op, b)]
 
@@ -565,14 +542,11 @@ def _expand(knapsacks, hits, buckets, split):
         if m == 0:
             return [()]
         knapsack, out = knapsacks[op], []
-        table = knapsack.live if knapsack.algebra.live[typ] else knapsack.hits
-        for packed in table[m][typ][1:]:  # the first item is the count
-            b = packed >> 8 & 0xFFFFFFFF
+        for t0, b, r in knapsack.kept[m][typ][1:]:  # the first item is the count
             if b >= limit:
                 break
-            r = packed & 0xFF
             picks = list(combinations_with_replacement(children(op, b), r))
-            for prefix in folds(op, m - r * knapsack.blocks[b][0], packed >> 40, b):
+            for prefix in folds(op, m - r * knapsack.blocks[b][0], t0, b):
                 out.extend(prefix + pick for pick in picks)
         return out
 
@@ -594,15 +568,15 @@ def mine_obstructions(s, k, n_max, enumerator=None):
 
     Deterministic output ordered by (order, canonical code).  The bound
     travels with every record: completeness beyond n_max is never implied.
-    Every class found above the split order is re-checked by
-    ``is_minimal_obstruction``; a class it rejects raises AssertionError.
+    Every class found is re-checked by ``is_minimal_obstruction``; a class
+    it rejects raises AssertionError.  ``enumerator`` serves the enumerated
+    cross-check of the low orders.
     """
     if n_max > ENUMERATION_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
-    split = min(_SPLIT_ORDER, n_max)
     records = []
-    for t in _mine_types(s, k, n_max, split, enumerator or _ENUMERATOR):
-        if t.order > split and not is_minimal_obstruction(t, s, k):
+    for t in _mine_types(s, k, n_max, enumerator or _ENUMERATOR):
+        if not is_minimal_obstruction(t, s, k):
             raise AssertionError("a class mined by its type is not a minimal obstruction")
         records.append(_record_from_tree(t, s, k, n_max))
     records.sort(key=ObstructionRecord.sort_key)

@@ -19,6 +19,7 @@ from polarcographs.obstructions import (
 from polarcographs.polarity import INF
 
 from util import (
+    class_level_records,
     deletion_profiles,
     deletions_admit_materialised,
     memo_free_copy,
@@ -255,13 +256,21 @@ def _jsonl(records):
 
 
 def test_type_mining_at_any_split_matches_class_level_mining(monkeypatch):
-    # at split = n_max every class is enumerated and checked one by one
+    # the split sets only how deep the enumerated cross-check goes
     for s, k in ORACLE_PAIRS:
-        monkeypatch.setattr(obstructions, "_SPLIT_ORDER", 10)
-        oracle = _jsonl(mine_obstructions(s, k, 10))
+        oracle = _jsonl(class_level_records(s, k, 10))
         for split in (1, 4, 8):
             monkeypatch.setattr(obstructions, "_SPLIT_ORDER", split)
             assert _jsonl(mine_obstructions(s, k, 10)) == oracle, (s, k, split)
+
+
+def test_mining_at_the_smallest_orders_matches_class_level_mining():
+    # K1 is a record at (0,0) only, and at order 1 no knapsack order is read
+    for s, k in ORACLE_PAIRS:
+        for n in (1, 2, 3):
+            oracle = _jsonl(class_level_records(s, k, n))
+            assert _jsonl(mine_obstructions(s, k, n)) == oracle, (s, k, n)
+    assert [r.order for r in mine_obstructions(0, 0, 3)] == [1]
 
 
 @pytest.mark.parametrize("key", list(MINED_DIGESTS))
@@ -292,18 +301,44 @@ def test_type_knapsack_counts_every_class_up_to_order_15(monkeypatch):
     totals = {}
 
     def counting(knapsack, n):
-        live, hits, dead = nodes(knapsack, n)
-        assert all(knapsack.algebra.live[i] for i in live)
-        assert all(knapsack.algebra.hit[i] for i in hits)
-        totals[(n, knapsack.op)] = sum(live.values()) + dead
-        return live, hits, dead
+        kept, dead = nodes(knapsack, n)
+        live = knapsack.algebra.live
+        assert all(live[i] or knapsack.algebra.hit[i] for i in kept)
+        totals[(n, knapsack.op)] = sum(c for i, c in kept.items() if live[i]) + dead
+        return kept, dead
 
     monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", counting)
     mine_obstructions(INF, 4, 15, enumerator=CographEnumerator())
-    split = obstructions._SPLIT_ORDER
-    assert sorted({n for n, _ in totals}) == list(range(split + 1, 16))
-    for n in range(split + 1, 16):
+    assert sorted({n for n, _ in totals}) == list(range(2, 16))
+    for n in range(2, 16):
         assert totals[(n, cotrees.UNION)] == totals[(n, cotrees.JOIN)] == A000084[n - 1] // 2
+
+
+def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
+    # below the top order, a knapsack keeps each live or hit type's classes
+    # and counts the rest, hits included, as not live
+    nodes = obstructions._TypeKnapsack.nodes
+    enum = CographEnumerator()
+    for s, k in ORACLE_PAIRS:
+        counted, algebras = {}, set()
+
+        def recording(knapsack, n):
+            algebras.add(knapsack.algebra)
+            counted[(knapsack.op, n)] = nodes(knapsack, n)
+            return counted[(knapsack.op, n)]
+
+        monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", recording)
+        mine_obstructions(s, k, 9, enumerator=enum)
+        (algebra,) = algebras
+        for n in range(2, 9):
+            by_type = {cotrees.UNION: {}, cotrees.JOIN: {}}
+            for t in enum.classes_of_order(n):
+                i = algebra.of_class(t)
+                by_type[t.op][i] = by_type[t.op].get(i, 0) + 1
+            for op, counts in by_type.items():
+                kept = {i: c for i, c in counts.items() if algebra.live[i] or algebra.hit[i]}
+                not_live = sum(c for i, c in counts.items() if not algebra.live[i])
+                assert counted[(op, n)] == (kept, not_live), (s, k, n, op)
 
 
 # types met and blocks added by both knapsacks, with only the least polar
@@ -349,10 +384,11 @@ def test_a_lost_back_pointer_fails_the_expansion_count_check(monkeypatch):
     lost = []
 
     def losing(knapsack, n):
-        live, hits, dead = nodes(knapsack, n)
+        kept, dead = nodes(knapsack, n)
+        hits = [i for i in kept if knapsack.algebra.hit[i]]
         if hits and not lost:
-            lost.append(knapsack.hits[n][min(hits)].pop())  # the count stays
-        return live, hits, dead
+            lost.append(knapsack.kept[n][min(hits)].pop())  # the count stays
+        return kept, dead
 
     monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", losing)
     with pytest.raises(AssertionError, match="a hit type expands to"):

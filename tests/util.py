@@ -112,6 +112,19 @@ def minimal_by_all_deletions(t, s, k):
     return True
 
 
+def class_level_records(s, k, n_max):
+    """Mining as it was before types: every class checked one by one.
+
+    The records of the classes of order <= n_max that
+    ``minimal_by_all_deletions`` accepts, in (order, code) order.
+    """
+    return [
+        obstructions._record_from_tree(t, s, k, n_max)
+        for t in obstructions.enumerate_cographs(n_max)
+        if minimal_by_all_deletions(t, s, k)
+    ]
+
+
 def deletion_profiles(t):
     """Set of the profiles (signature antichains) of t minus one leaf, over all leaves.
 
