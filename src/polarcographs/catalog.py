@@ -392,24 +392,7 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
 
 def _one_k_bound(m):
     # (1,m)-obstructions: K_{m+1,m+1} has order 2m+2; leave headroom of 2
-    return min(2 * m + 4, obstructions.ENUMERATION_MAX_ORDER)
-
-
-def _one_k_clamps(ms):
-    """(notes, short) for the (1,m) minings of each m in ms: a note for each
-    bound clamped by the enumeration bound, and whether one falls below the
-    order 2m+2 of K_{m+1,m+1}, so that mining may miss (1,m)-obstructions."""
-    notes = []
-    short = False
-    for m in sorted(ms):
-        n = _one_k_bound(m)
-        if n < 2 * m + 4:
-            note = f"(1,{m}) mining clamped from order {2 * m + 4} to the enumeration bound {n}"
-            if n < 2 * m + 2:
-                note += f", below the order {2 * m + 2} of K_{{{m + 1},{m + 1}}}"
-                short = True
-            notes.append(note)
-    return notes, short
+    return 2 * m + 4
 
 
 def _compare_up_to(claim_id, k, n_max, built, records):
@@ -542,16 +525,13 @@ def _verify_thm11(claim_id, k, cache, n_max):
                 expected[canonical_code(cotree_of(g))] = (g.n, f"({e1}) + ({e2})")
 
     report = _compare_up_to(claim_id, k, n_max, expected, scoped)
-    clamps, short = _one_k_clamps({ki - 1 for split in splits for ki in split})
     notes = [report.notes]
     if bad_forward:
         report.status = "FAIL"
         notes.append(f"no qualifying split for: {bad_forward}")
-    elif short:
-        report.status = "INCONCLUSIVE"
     elif report.status == "PASS":
         notes.append("both directions verified")
-    report.notes = "; ".join(filter(None, notes + clamps))
+    report.notes = "; ".join(filter(None, notes))
     return report
 
 
@@ -687,13 +667,9 @@ def check_conjectures(k, n_max, cache=None):
 
 
 def _check_conjecture(claim_id, k, cache, n_max):
-    """One conjecture's verdict, probed at n_max or 3(k+1)+1 within the enumeration bound."""
-    wanted = n_max or 3 * (k + 1) + 1
-    n = min(wanted, obstructions.ENUMERATION_MAX_ORDER)
-    report = next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
-    if n < wanted:
-        report.notes += f"; probe clamped from order {wanted} to the enumeration bound {n}"
-    return report
+    """One conjecture's verdict, probed at n_max or 3(k+1)+1."""
+    n = n_max or 3 * (k + 1) + 1
+    return next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
 
 
 def _sixteen_note(claim_id, k, cache, n_max):

@@ -15,7 +15,7 @@ import sys
 from . import __version__, catalog, cotrees, expressions, graphs, obstructions, polarity
 from .cotrees import NotCographError
 from .expressions import ExprError
-from .obstructions import BoundExceededError, ENUMERATION_MAX_ORDER
+from .obstructions import BoundExceededError
 from .polarity import INF
 
 EXIT_OK = 0
@@ -47,11 +47,6 @@ def _parse_param(text, name):
 
 
 def _check_bound(n):
-    if n > ENUMERATION_MAX_ORDER:
-        raise CliError(
-            f"--n-max {n} exceeds the enumeration bound {ENUMERATION_MAX_ORDER}",
-            EXIT_BOUND,
-        )
     if n < 1:
         raise CliError("--n-max must be at least 1", EXIT_PARSE)
 

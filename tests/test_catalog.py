@@ -16,6 +16,7 @@ from polarcographs.catalog import (
     verify_recursion,
     write_claim_files,
 )
+from polarcographs.obstructions import BoundExceededError
 from polarcographs.polarity import INF
 
 
@@ -109,9 +110,9 @@ def test_record_over_the_order_bound_fails_even_unprobed():
         assert reports["conj2"].extra == ["F????"]
 
 
-def test_clamped_conjecture_probe_is_inconclusive_and_says_so():
+def test_conjecture_probe_past_order_15_passes():
     # one record in every type (c,i) conj1 covers at k=4; the default probe,
-    # order 16, is past the enumeration bound
+    # order 16, is past the enumeration limit but within the mining limit
     k = 4
     records = [
         SimpleNamespace(c=c, i=i, order=9, graph6="")
@@ -120,26 +121,15 @@ def test_clamped_conjecture_probe_is_inconclusive_and_says_so():
     ]
     for claim in ("conj1", "conj2"):
         report = verify_claim(claim, k, cache=_FixedCache(records))
-        assert report.status == "INCONCLUSIVE" and report.bound == 15
-        assert "probe clamped from order 16 to the enumeration bound 15" in report.notes
+        assert report.status == "PASS" and report.bound == 16
+        assert "clamped" not in report.notes
 
 
-def test_thm11_notes_a_clamped_one_k_mining(monkeypatch):
-    # at k=3 thm11 mines (1,1)-obstructions to order 2m+4 = 6; K_{2,2} has order 4
-    monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 5)
-    report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
-    assert report.status == "INCONCLUSIVE"  # n_max=3 cannot hold the sums the recursion builds
-    assert report.notes == (
-        "left out 3 expected graph(s) above order 3; "
-        "(1,1) mining clamped from order 6 to the enumeration bound 5"
-    )
-    monkeypatch.setattr(obstructions, "ENUMERATION_MAX_ORDER", 3)
-    report = verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
-    assert report.status == "INCONCLUSIVE" and not report.passed
-    assert report.notes == (
-        "left out 1 expected graph(s) above order 3; "
-        "(1,1) mining clamped from order 6 to the enumeration bound 3, below the order 4 of K_{2,2}"
-    )
+def test_thm11_fails_loudly_above_the_mining_limit(monkeypatch):
+    # at k=3 thm11 mines (1,1)-obstructions to order 2m+4 = 6
+    monkeypatch.setattr(obstructions, "MINING_MAX_ORDER", 5)
+    with pytest.raises(BoundExceededError, match="mining bound 6 exceeds 5"):
+        verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
 
 
 @pytest.mark.parametrize(
@@ -162,13 +152,38 @@ def test_recursion_compares_only_graphs_within_the_bound(cache, claim, k, n_max,
     assert default.status == "PASS" and "left out" not in default.notes
 
 
-def test_thm11_one_k_minings_are_unclamped_up_to_k5():
-    # thm11 at k mines (1,m) for m <= k-2
-    assert catalog._one_k_clamps(range(1, 4)) == ([], False)
-    assert catalog._one_k_clamps([6]) == (
-        ["(1,6) mining clamped from order 16 to the enumeration bound 15"],
-        False,
-    )
+class _PlanCache:
+    """Records every (s, k, n_max) it is asked to mine, and mines nothing."""
+
+    def __init__(self):
+        self.keys = set()
+
+    def mine(self, s, k, n_max):
+        self.keys.add((s, k, n_max))
+        return []
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_verification_plan_stays_within_the_mining_limit(k):
+    cache = _PlanCache()
+    verify_all(k, cache=cache)
+    assert cache.keys
+    assert max(n for _, _, n in cache.keys) <= obstructions.MINING_MAX_ORDER
+
+
+def test_verification_past_the_mining_limit_fails_loudly(monkeypatch):
+    # remark4 asks for (inf,13,42), after fig1's and thm2's order-10 minings
+    mined = []
+    mine = catalog.mine_obstructions
+
+    def recording(*key):
+        mined.append(key)
+        return mine(*key)
+
+    monkeypatch.setattr(catalog, "mine_obstructions", recording)
+    with pytest.raises(BoundExceededError, match="mining bound 42 exceeds 40"):
+        verify_all(13, cache=catalog.MiningCache())
+    assert mined == [(1, INF, 10), (INF, INF, 10), (INF, 13, 42)]
 
 
 def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
@@ -245,18 +260,47 @@ VERIFY_ALL_K4 = [
     ("thm11", "PASS", 9, 9, [], []),
     ("thm17", "PASS", 19, 19, [], []),
     ("thm19", "PASS", 10, 10, [], []),
-    ("conj1", "INCONCLUSIVE", 10, 10, [], []),
-    ("conj2", "INCONCLUSIVE", 0, 0, [], []),
+    ("conj1", "PASS", 10, 10, [], []),
+    ("conj2", "PASS", 0, 0, [], []),
     ("sixteen-note", "INFO", 0, 0, [], []),
 ]
 
 
-def test_verify_all_at_k4_pins_every_row(cache):
-    rows = [
+# every verify_all(6) row; conj1 and conj2 are probed at order 22
+VERIFY_ALL_K6 = [
+    ("fig1", "PASS", 4, 4, [], []),
+    ("thm2", "PASS", 8, 8, [], []),
+    ("remark4", "PASS", 1, 1, [], []),
+    ("thm6", "PASS", 4, 4, [], []),
+    ("thm15", "PASS", 19, 19, [], []),
+    ("thm18", "PASS", 2, 2, [], []),
+    ("cor-type-k+1-k", "PASS", 7, 7, [], []),
+    ("cor-type-k-k-1", "PASS", 8, 8, [], []),
+    ("cor20-item1", "PASS", 7, 7, [], []),
+    ("cor20-item2", "PASS", 6, 6, [], []),
+    ("cor20-item3", "PASS", 5, 5, [], []),
+    ("thm11", "PASS", 40, 40, [], []),
+    ("thm17", "PASS", 55, 55, [], []),
+    ("thm19", "PASS", 21, 21, [], []),
+    ("conj1", "PASS", 21, 21, [], []),
+    ("conj2", "PASS", 0, 0, [], []),
+    ("sixteen-note", "INFO", 0, 0, [], []),
+]
+
+
+def _rows(k, cache):
+    return [
         (r.claim, r.status, r.expected, r.actual, r.missing, r.extra)
-        for r in verify_all(4, cache=cache)
+        for r in verify_all(k, cache=cache)
     ]
-    assert rows == VERIFY_ALL_K4
+
+
+def test_verify_all_at_k4_pins_every_row(cache):
+    assert _rows(4, cache) == VERIFY_ALL_K4
+
+
+def test_verify_all_at_k6_pins_every_row(cache):
+    assert _rows(6, cache) == VERIFY_ALL_K6
 
 
 def test_unknown_claim_raises(cache):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polarcographs import catalog, cli
+from polarcographs import catalog, cli, obstructions
 
 
 def run(capsys, *argv):
@@ -112,8 +112,16 @@ def test_mine_known_count(capsys):
 
 
 def test_mine_bound_exceeded(capsys):
-    code, _, err = run(capsys, "mine", "--s", "inf", "--k", "2", "--n-max", "16")
+    n = obstructions.MINING_MAX_ORDER + 1
+    code, _, err = run(capsys, "mine", "--s", "inf", "--k", "2", "--n-max", str(n))
     assert code == 4
+    assert f"mining bound {n} exceeds" in err
+
+
+def test_census_bound_exceeded(capsys):
+    code, _, err = run(capsys, "census", "--n-max", "16")
+    assert code == 4
+    assert "enumeration bound 16 exceeds 15" in err
 
 
 def test_census(capsys):

@@ -62,6 +62,13 @@ def test_enumeration_bound():
         list(enumerate_cographs(obstructions.ENUMERATION_MAX_ORDER + 1))
 
 
+def test_cograph_counts_fail_before_building_anything():
+    fresh = CographEnumerator()
+    with pytest.raises(BoundExceededError, match="enumeration bound 16 exceeds 15"):
+        cograph_counts(16, enumerator=fresh)
+    assert fresh._built == 1
+
+
 def test_remove_leaf_matches_vertex_deletion():
     rng = random.Random(13)
     for _ in range(60):
@@ -280,16 +287,24 @@ def test_mined_records_match_the_pinned_digests(key):
     assert (len(records), digest) == MINED_DIGESTS[key]
 
 
-# sha256 of the JSONL of each mining at the largest supported order
+# sha256 of the JSONL of each mining at the largest order the enumerator supports
 LARGEST_ORDER_DIGESTS = {
     (INF, 4, 15): (85, "183474a8ffcd5752d724b7ca53f9193300714c46d41e51ff1660bd3fca961f89"),
     (1, 8, 15): (26, "3cdc2015da264770ce26d8d1ac3a62a760f63746cd98d88d8e5899b0a2e39674"),
 }
 
+# past the enumeration limit: one mining at the mining limit, one per family past 15
+PAST_ENUMERATION_DIGESTS = {
+    (INF, 4, 40): (85, "3901173c3dbec4f96b7975094645a47ecb0e3ed7721104c48c93d1e9cecc471c"),
+    (INF, 5, 19): (143, "16cec7158cf37c320be29eef78ccbbd5a6736fe1ac33dec4b20566bc1a536200"),
+    (1, 8, 20): (130, "a89b25fe7b0c72ac8d77770e541d93149f99c8d69669d34e2dbbedf873d90a51"),
+}
+
 
 def test_mining_at_the_largest_supported_order():
     assert obstructions.ENUMERATION_MAX_ORDER == 15
-    for key, pinned in LARGEST_ORDER_DIGESTS.items():
+    assert obstructions.MINING_MAX_ORDER == 40
+    for key, pinned in {**LARGEST_ORDER_DIGESTS, **PAST_ENUMERATION_DIGESTS}.items():
         records = mine_obstructions(*key)
         digest = hashlib.sha256(obstructions.records_to_jsonl(records).encode()).hexdigest()
         assert (len(records), digest) == pinned, key
