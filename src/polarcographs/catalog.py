@@ -11,10 +11,14 @@ order.  A row applies at every k >= ``k_min`` (at every k, None included,
 when unset) or only at ``k_only``, the k of a complete list, which is also
 its k when none is given.  A list claim has ``texts`` (k -> expression
 texts), ``covers`` ((record, k) -> whether the list must hold that mined
-record; unset covers all), ``mining`` ((s, k, bound) to mine, None meaning
-the claim's k or the default bound) and ``compare`` (the verdict, set
-equality unless overridden).  Any other claim has ``check`` ((claim id, k,
-cache, n_max) -> verdict).
+record; unset covers all), ``mining`` ((s, k) to read, None meaning the
+claim's k) and ``compare`` (the verdict, set equality up to the bound unless
+overridden).  Any other claim has ``check`` ((claim id, k, cache, n_max) ->
+verdict).
+
+A verification mines each (s,k) once, to ``_mining_bound``, and each claim
+reads the records up to its own bound from that mining (``_read``); a
+caller's n_max is the claim's bound and is mined exactly.
 
 A verdict is PASS, FAIL, INFO (counted as passed) or INCONCLUSIVE: the
 bound does not reach past the claim, so it was not probed; not a pass.
@@ -238,11 +242,30 @@ class MiningCache:
         return self._mined[key]
 
 
+def _mining_bound(s, k):
+    """The one order (s,k) is mined to in a verification that gives no n_max."""
+    if k == INF:
+        return 10
+    if s == 1:
+        return 2 * k + 4  # K{k+1,k+1} has order 2k+2; leave headroom of 2
+    return 3 * (k + 1) + 1  # one past the conjectured largest order, for conj1 and conj2
+
+
+def _read(cache, s, k, n_max=None):
+    """The bound a claim on (s,k) reports, and the records of (s,k) up to it:
+    a caller's n_max, mined exactly; else 3(k+1) for (inf,k) and the whole
+    mining otherwise, read from the one mining of (s,k) to ``_mining_bound``."""
+    mined = n_max or _mining_bound(s, k)
+    bound = n_max or min(mined, obstructions.default_mining_bound(k))
+    return bound, [r for r in cache.mine(s, k, mined) if r.order <= bound]
+
+
 def _codes_of_exprs(exprs):
+    """Canonical code -> (order, text) of each expression's graph."""
     out = {}
     for e in exprs:
         g = expressions.evaluate(e)
-        out[canonical_code(cotree_of(g))] = expressions.unparse(e)
+        out[canonical_code(cotree_of(g))] = (g.n, expressions.unparse(e))
     return out
 
 
@@ -286,21 +309,26 @@ class VerdictReport:
         )
 
 
-def _set_compare(claim, k, bound, expected_codes, actual_records):
-    actual = {r.code: r for r in actual_records}
-    missing = sorted(expr for code, expr in expected_codes.items() if code not in actual)
-    extra = sorted(r.graph6 for code, r in actual.items() if code not in expected_codes)
+def _compare_up_to(claim_id, k, n_max, built, records):
+    """Set equality of the expected graphs of order <= n_max with the records.
+
+    ``built`` maps a canonical code to (order, expression).  A graph above
+    the bound cannot be among records mined to it, so it is dropped and the
+    notes count it; when every graph was dropped and no record is in scope,
+    nothing was probed and the verdict is INCONCLUSIVE.
+    """
+    expected = {code: expr for code, (order, expr) in built.items() if order <= n_max}
+    actual = {r.code: r for r in records}
+    missing = sorted(expr for code, expr in expected.items() if code not in actual)
+    extra = sorted(r.graph6 for code, r in actual.items() if code not in expected)
     status = "PASS" if not missing and not extra else "FAIL"
-    return VerdictReport(
-        claim=claim,
-        k=k,
-        bound=bound,
-        status=status,
-        expected=len(expected_codes),
-        actual=len(actual),
-        missing=missing,
-        extra=extra,
-    )
+    report = VerdictReport(claim_id, k, n_max, status, len(expected), len(actual), missing, extra)
+    dropped = len(built) - len(expected)
+    if dropped:
+        report.notes = f"left out {dropped} expected graph(s) above order {n_max}"
+        if not expected and not records:
+            report.status = "INCONCLUSIVE"
+    return report
 
 
 # -- list claims --------------------------------------------------------------------
@@ -319,30 +347,26 @@ def verify_list(claim_id, k=None, cache=None, n_max=None, expected_exprs=None):
     """Set-equality check between a claim's list and the mined obstructions."""
     row = _row(claim_id, "texts")
     k = _claim_k(row, k)
-    cache = cache or MiningCache()
-    s_mined, k_mined, bound = row.mining
-    if k_mined is None:
-        k_mined = k
-    if n_max is None:
-        n_max = bound or obstructions.default_mining_bound(k_mined)
-    records = cache.mine(s_mined, k_mined, n_max)
+    s_mined, k_mined = row.mining
+    bound, records = _read(cache or MiningCache(), s_mined, k_mined or k, n_max)
     exprs = expected_exprs if expected_exprs is not None else instantiate(claim_id, k)
     covered = [r for r in records if row.covers is None or row.covers(r, k)]
-    return row.compare(claim_id, k, n_max, exprs, covered)
+    return row.compare(claim_id, k, bound, exprs, covered)
 
 
 def _compare_sets(claim_id, k, bound, exprs, records):
-    return _set_compare(claim_id, k, bound, _codes_of_exprs(exprs), records)
+    return _compare_up_to(claim_id, k, bound, _codes_of_exprs(exprs), records)
 
 
 def _compare_closed_under_complement(claim_id, k, bound, exprs, records):
     report = _compare_sets(claim_id, k, bound, exprs, records)
     codes = {r.code for r in records}
-    report.notes = "closed under complement"
+    closure = "closed under complement"
     for r in records:
         if canonical_code(cotree_of(graphs.complement(_graph_of_record(r)))) not in codes:
-            report.notes = f"not closed under complement: {r.graph6}"
+            closure = f"not closed under complement: {r.graph6}"
             break
+    report.notes = "; ".join(filter(None, [report.notes, closure]))
     return report
 
 
@@ -390,29 +414,6 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
 # -- recursion claims -----------------------------------------------------------------
 
 
-def _one_k_bound(m):
-    # (1,m)-obstructions: K_{m+1,m+1} has order 2m+2; leave headroom of 2
-    return 2 * m + 4
-
-
-def _compare_up_to(claim_id, k, n_max, built, records):
-    """``_set_compare`` of the recursion's graphs of order <= n_max with the records.
-
-    ``built`` maps a canonical code to (order, expression).  A graph above
-    the bound cannot be among records mined to it, so it is dropped and the
-    notes count it; when every graph was dropped and no record is in scope,
-    nothing was probed and the verdict is INCONCLUSIVE.
-    """
-    expected = {code: expr for code, (order, expr) in built.items() if order <= n_max}
-    report = _set_compare(claim_id, k, n_max, expected, records)
-    dropped = len(built) - len(expected)
-    if dropped:
-        report.notes = f"left out {dropped} expected graph(s) above order {n_max}"
-        if not expected and not records:
-            report.status = "INCONCLUSIVE"
-    return report
-
-
 def verify_recursion(claim_id, k, cache=None, n_max=None):
     """Verdict of a claim that is not a list (a recursion, a conjecture, a note)."""
     row = _row(claim_id, "check")
@@ -422,9 +423,8 @@ def verify_recursion(claim_id, k, cache=None, n_max=None):
 def _verify_thm17(claim_id, k, cache, n_max):
     """Type (2,1) records are exactly K1 + (K1 join H') over disconnected
     (inf,k-1)-obstructions H' that are (1,k)-polar."""
-    n_max = n_max or obstructions.default_mining_bound(k)
-    current = cache.mine(INF, k, n_max)
-    previous = cache.mine(INF, k - 1, obstructions.default_mining_bound(k - 1))
+    bound, current = _read(cache, INF, k, n_max)
+    previous = _read(cache, INF, k - 1)[1]
     expected = {}
     for r in previous:
         if r.c < 2:
@@ -437,15 +437,14 @@ def _verify_thm17(claim_id, k, cache, n_max):
         )
         expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K1 + K1 * ({r.expression})")
     actual = [r for r in current if (r.c, r.i) == (2, 1)]
-    return _compare_up_to(claim_id, k, n_max, expected, actual)
+    return _compare_up_to(claim_id, k, bound, expected, actual)
 
 
 def _verify_thm19(claim_id, k, cache, n_max):
     """Every type (c,p) record with 1 <= p <= c-2 is K2 + (a type (c-1,p)
     record at level k-1 that is (1,k)-polar), and conversely."""
-    n_max = n_max or obstructions.default_mining_bound(k)
-    current = cache.mine(INF, k, n_max)
-    previous = cache.mine(INF, k - 1, obstructions.default_mining_bound(k - 1))
+    bound, current = _read(cache, INF, k, n_max)
+    previous = _read(cache, INF, k - 1)[1]
     expected = {}
     scoped = []
     for c in range(3, k + 3):
@@ -459,7 +458,7 @@ def _verify_thm19(claim_id, k, cache, n_max):
                     continue
                 lifted = graphs.disjoint_union(graphs.Graph.complete(2), h)
                 expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K2 + {r.expression}")
-    return _compare_up_to(claim_id, k, n_max, expected, scoped)
+    return _compare_up_to(claim_id, k, bound, expected, scoped)
 
 
 def _min_one_k(g):
@@ -495,8 +494,7 @@ def _aitch_conditions(h, kv):
 def _verify_thm11(claim_id, k, cache, n_max):
     """Records without isolated vertices or P3 components decompose as
     H1 + H2 with k = k1 + k2 - 1, and every such sum is a record."""
-    n_max = n_max or obstructions.default_mining_bound(k)
-    current = cache.mine(INF, k, n_max)
+    bound, current = _read(cache, INF, k, n_max)
     scoped = [
         r
         for r in current
@@ -524,7 +522,7 @@ def _verify_thm11(claim_id, k, cache, n_max):
                     continue
                 expected[canonical_code(cotree_of(g))] = (g.n, f"({e1}) + ({e2})")
 
-    report = _compare_up_to(claim_id, k, n_max, expected, scoped)
+    report = _compare_up_to(claim_id, k, bound, expected, scoped)
     notes = [report.notes]
     if bad_forward:
         report.status = "FAIL"
@@ -539,7 +537,7 @@ def _thm11_sides(ki, cache, fig1_codes):
     """Candidate sides H with split level ki: filtered (1,ki-1)-obstructions
     plus (ki-2)K2 + (K1 join 2K2)."""
     sides = []
-    for r in cache.mine(1, ki - 1, _one_k_bound(ki - 1)):
+    for r in _read(cache, 1, ki - 1)[1]:
         if r.code in fig1_codes:
             continue
         h = _graph_of_record(r)
@@ -560,7 +558,7 @@ def _is_m_k2(g, m):
 
 
 def _is_one_k_minimal_obstruction(h, m, cache):
-    codes = {r.code for r in cache.mine(1, m, _one_k_bound(m))}
+    codes = {r.code for r in _read(cache, 1, m)[1]}
     return canonical_code(cotree_of(h)) in codes
 
 
@@ -614,7 +612,8 @@ def check_conjectures(k, n_max, cache=None):
 
     Each is INCONCLUSIVE when ``n_max`` does not reach past 3(k+1) and
     nothing fails: a record of a larger order could still break it, and no
-    such order was probed.
+    such order was probed.  So below the probe, only a type with more than
+    one record fails conj1; a type with none may have its record above.
     """
     cache = cache or MiningCache()
     records = cache.mine(INF, k, n_max)
@@ -626,13 +625,13 @@ def check_conjectures(k, n_max, cache=None):
     cells = {}
     for r in records:
         cells.setdefault((r.c, r.i), []).append(r)
-    bad = []
-    checked = 0
+    bad, checked, single = [], 0, 0
     for c in range(3, k + 3):
         for i in range(1, c - 1):
             checked += 1
             found = len(cells.get((c, i), []))
-            if found != 1:
+            single += found == 1
+            if found > 1 or (found == 0 and probed):
                 bad.append(f"type ({c},{i}): {found} records")
     notes = "exactly one record per type (c,i), 1 <= i <= c-2 <= k"
     reports.append(
@@ -642,7 +641,7 @@ def check_conjectures(k, n_max, cache=None):
             bound=n_max,
             status="FAIL" if bad else ("PASS" if probed else "INCONCLUSIVE"),
             expected=checked,
-            actual=checked - len(bad),
+            actual=single,
             missing=bad,
             notes=notes if probed else notes + unprobed,
         )
@@ -668,7 +667,7 @@ def check_conjectures(k, n_max, cache=None):
 
 def _check_conjecture(claim_id, k, cache, n_max):
     """One conjecture's verdict, probed at n_max or 3(k+1)+1."""
-    n = n_max or 3 * (k + 1) + 1
+    n = n_max or _mining_bound(INF, k)
     return next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
 
 
@@ -752,7 +751,7 @@ class Claim:
     k_only: int | None = None
     texts: Callable | None = None
     covers: Callable | None = None
-    mining: tuple = (INF, None, None)
+    mining: tuple = (INF, None)
     compare: Callable = _compare_sets
     check: Callable | None = None
 
@@ -763,11 +762,11 @@ class Claim:
 
 
 CLAIMS = (
-    Claim("fig1", texts=lambda k: FIG1, mining=(1, INF, None)),
+    Claim("fig1", texts=lambda k: FIG1, mining=(1, INF)),
     Claim(
         "thm2",
         texts=lambda k: [f"P3 + ({h})" for h in FIG1] + [f"~(P3 + ({h}))" for h in FIG1],
-        mining=(INF, INF, 10),
+        mining=(INF, INF),
         compare=_compare_closed_under_complement,
     ),
     Claim(

@@ -238,6 +238,8 @@ def cmd_verify(args):
     k = _parse_param(args.k, "k")
     if k == INF:
         raise CliError("--k must be finite for verify", EXIT_PARSE)
+    if args.claim == "all" and args.n_max is not None:
+        raise CliError("--n-max applies to one claim, not to verify all", EXIT_PARSE)
     if args.n_max is not None:
         _check_bound(args.n_max)
     cache = catalog.MiningCache()

@@ -42,7 +42,9 @@ below an order is in, the knapsack's numbers of that order must add up to the
 cograph count of an independent Euler transform (OEIS A000084), or mining
 raises; its live types become the blocks of that order and its hit types are
 the minimal obstructions.  Types stop growing while classes roughly triple
-per order, so the knapsack and its algebra stay small.  Each hit type is
+per order, but their number grows with the caps: (inf,12,40) peaked at
+229 MB, while (12,12,40) was stopped after 173 s at 1.33 GB and still
+growing (DECISIONS.md, "Two order limits").  Each hit type is
 expanded into cotrees by following the knapsack's back-pointers down to the
 leaf, through blocks of lower order only; the number of cotrees must equal
 the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.

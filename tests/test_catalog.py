@@ -94,6 +94,17 @@ def test_unprobed_order_bound_is_inconclusive(cache):
         assert "bound 9 does not probe" in reports[claim].notes
 
 
+def test_uniqueness_below_the_probe_fails_only_on_two_records():
+    # at order 3 no type has its record yet; that is not a failure
+    reports = {r.claim: r for r in check_conjectures(2, 3)}
+    assert reports["conj1"].status == "INCONCLUSIVE"
+    assert (reports["conj1"].missing, reports["conj1"].actual) == ([], 0)
+    two = [SimpleNamespace(c=3, i=1, order=7, graph6=g6) for g6 in ("F????", "F???_")]
+    report = check_conjectures(2, 8, cache=_FixedCache(two))[0]
+    assert report.status == "FAIL"
+    assert report.missing == ["type (3,1): 2 records"]
+
+
 class _FixedCache:
     def __init__(self, records):
         self.records = records
@@ -169,10 +180,12 @@ def test_verification_plan_stays_within_the_mining_limit(k):
     verify_all(k, cache=cache)
     assert cache.keys
     assert max(n for _, _, n in cache.keys) <= obstructions.MINING_MAX_ORDER
+    # one mining per (s,k): every claim on it reads the same bound
+    assert len({(s, k) for s, k, _ in cache.keys}) == len(cache.keys)
 
 
 def test_verification_past_the_mining_limit_fails_loudly(monkeypatch):
-    # remark4 asks for (inf,13,42), after fig1's and thm2's order-10 minings
+    # remark4 asks for (inf,13,43), after fig1's and thm2's order-10 minings
     mined = []
     mine = catalog.mine_obstructions
 
@@ -181,9 +194,9 @@ def test_verification_past_the_mining_limit_fails_loudly(monkeypatch):
         return mine(*key)
 
     monkeypatch.setattr(catalog, "mine_obstructions", recording)
-    with pytest.raises(BoundExceededError, match="mining bound 42 exceeds 40"):
+    with pytest.raises(BoundExceededError, match="mining bound 43 exceeds 40"):
         verify_all(13, cache=catalog.MiningCache())
-    assert mined == [(1, INF, 10), (INF, INF, 10), (INF, 13, 42)]
+    assert mined == [(1, INF, 10), (INF, INF, 10), (INF, 13, 43)]
 
 
 def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
@@ -203,6 +216,23 @@ def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
     path.write_text("\n".join([header] + lines[::-1]))
     report = verify_claim("cor20-item1", 3, cache=cache, catalog_dir=str(tmp_path))
     assert (report.status, report.actual, report.missing) == ("PASS", 4, [])
+
+
+@pytest.mark.parametrize(
+    "claim, n_max, status, kept, dropped",
+    [
+        ("thm21", 8, "PASS", 19, 4),  # the four order-9 graphs
+        ("thm21", 5, "INCONCLUSIVE", 0, 23),
+        ("thm2", 6, "INCONCLUSIVE", 0, 8),
+    ],
+)
+def test_list_compares_only_graphs_within_the_bound(cache, claim, n_max, status, kept, dropped):
+    report = verify_list(claim, cache=cache, n_max=n_max)
+    assert (report.status, report.expected, report.actual) == (status, kept, kept)
+    assert (report.missing, report.extra) == ([], [])
+    assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
+    default = verify_list(claim, cache=cache)
+    assert default.status == "PASS" and "left out" not in default.notes
 
 
 def test_lemma_suites(cache):

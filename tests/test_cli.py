@@ -176,6 +176,12 @@ def test_verify_unprobed_uniqueness_conjecture_is_inconclusive(capsys):
     assert "bound 9 does not probe beyond the conjecture" in out
 
 
+def test_verify_all_refuses_n_max(capsys):
+    code, out, err = run(capsys, "verify", "all", "--k", "2", "--n-max", "9")
+    assert (code, out) == (2, "")
+    assert "--n-max applies to one claim" in err
+
+
 def test_verify_table_pads_the_status_column(capsys):
     code, out, _ = run(capsys, "verify", "conj2", "--k", "2", "--n-max", "9")
     assert code == 1
