@@ -376,16 +376,20 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
     Item m (1-3) covers type (k+3-m, p): the listed graph is a record for
     1 <= p <= k+2-m, and the only record of its type when p <= k+1-m.  Each
     listed graph's p is its own number of isolated vertices; a p in range
-    with no listed graph is reported missing.
+    with no listed graph is reported missing.  As in ``_compare_up_to``, a
+    listed graph above the bound is dropped, and its p is not probed.
     """
     c = k + 3 - item
     p_max = k + 2 - item
     uniq_max = k + 1 - item
     mined = {r.code: r for r in records}
-    missing, extra, found = [], [], set()
+    missing, extra, found, dropped = [], [], set(), []
     for e in exprs:
         g = expressions.evaluate(e)
         p = sum(1 for v in range(g.n) if g.degree(v) == 0)
+        if g.n > bound:
+            dropped.append(p)
+            continue
         code = canonical_code(cotree_of(g))
         r = mined.get(code)
         if r is None or (r.c, r.i) != (c, p) or not 1 <= p <= p_max:
@@ -396,18 +400,22 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
             extra.extend(
                 x.graph6 for x in records if (x.c, x.i) == (c, p) and x.code != code
             )
-    missing += [f"type ({c},{p}): not listed" for p in range(1, p_max + 1) if p not in found]
-    status = "PASS" if not missing and not extra else "FAIL"
+    in_range = [p for p in range(1, p_max + 1) if p not in dropped]
+    missing += [f"type ({c},{p}): not listed" for p in in_range if p not in found]
+    status = "FAIL" if missing or extra else ("PASS" if found else "INCONCLUSIVE")
+    notes = f"membership p<={p_max}, uniqueness within type ({c},p) for p<={uniq_max}"
+    if dropped:
+        notes = f"left out {len(dropped)} expected graph(s) above order {bound}; {notes}"
     return VerdictReport(
         claim=claim_id,
         k=k,
         bound=bound,
         status=status,
-        expected=p_max,
+        expected=len(in_range),
         actual=len(found),
         missing=missing,
         extra=sorted(set(extra)),
-        notes=f"membership p<={p_max}, uniqueness within type ({c},p) for p<={uniq_max}",
+        notes=notes,
     )
 
 

@@ -11,13 +11,14 @@ class or the shared leaf, and no node is duplicated.
 
 Enumerated nodes are well-formed by construction (at least two children,
 labels alternating), and each gets its order and canonical code when it is
-built; the code joins the children's codes, which are already computed, in
-sorted order.  No profile is computed while building: ``polarity.profile_dp``
-computes and memoizes one on the first node that asks.  Each order's classes
-are sorted by code once and stored.  The cyclic garbage collector is paused
-while building: the enumerator allocates only acyclic trees, and the
-collector's passes over the growing heap of stored nodes would find nothing
-to free.
+built.  The parts chosen so far are carried in code order, each inserted
+where its code falls, so a class is assembled, not sorted: its children and
+code are the parts before its last part's place, that part, and the rest.
+No profile is computed while building: ``polarity.profile_dp`` computes and
+memoizes one on the first node that asks.  Each order's classes are sorted
+by code once and stored.  The cyclic garbage collector is paused while
+building: the enumerator allocates only acyclic trees, and the collector's
+passes over the growing heap of stored nodes would find nothing to free.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_right as bisect
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -87,8 +89,19 @@ _SHARED_LEAF._order = 1
 _SHARED_LEAF._code = canonical_code(_SHARED_LEAF)
 
 _CODE = attrgetter("_code")
-_UNION_HEAD = UNION.encode("ascii")
-_JOIN_HEAD = JOIN.encode("ascii")
+
+
+def _insert(parts, part):
+    """(children, codes) in code order, with ``part`` inserted where its code falls."""
+    kids, codes = parts
+    p = bisect(codes, part._code)
+    return kids[:p] + (part,) + kids[p:], codes[:p] + (part._code,) + codes[p:]
+
+
+def _places(kids, codes, head):
+    """Per place p of one more child: (kids before, after, head + codes before, after)."""
+    cut = range(len(kids) + 1)
+    return [(kids[:p], kids[p:], head + b"".join(codes[:p]), b"".join(codes[p:])) for p in cut]
 
 
 class CographEnumerator:
@@ -97,8 +110,10 @@ class CographEnumerator:
     ``connected[n]`` and ``twins[n]`` hold the classes of order n in the
     order they were built: ``twins[n][i]`` is the stored disconnected class
     whose complement is ``connected[n][i]``, and the shared leaf is its own
-    twin.  Every node gets its order and canonical code when it is built;
-    profiles are left to ``polarity.profile_dp``.
+    twin.  Every node gets its order and canonical code when it is built,
+    its children already in code order: parts are carried in code order and
+    each class is assembled by inserting its last part, not sorted.  Profiles
+    are left to ``polarity.profile_dp``.
     """
 
     def __init__(self):
@@ -123,7 +138,7 @@ class CographEnumerator:
             while self._built < n:
                 m = self._built + 1
                 conn, twins = [], []
-                self._add_unions(m, [], [], 1, 0, m, conn, twins)
+                self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, twins)
                 classes = conn + twins
                 classes.sort(key=_CODE)
                 self.connected[m] = conn
@@ -142,7 +157,8 @@ class CographEnumerator:
         ``remaining`` is m minus the orders chosen so far.  Each multiset
         of at least two parts gives a disconnected class, appended to
         ``new_twins``, and its complement, the JOIN of the parts' stored
-        twins, appended to ``new_connected``.
+        twins, appended to ``new_connected``.  ``parts`` and ``twin_parts``
+        are (children, codes) in code order; each part is inserted in place.
         """
         connected, twins = self.connected, self.twins
         # a part that leaves room for another has order <= remaining // 2
@@ -150,34 +166,32 @@ class CographEnumerator:
             block = connected[o]
             twin_block = twins[o]
             for i in range(i0 if o == o0 else 0, len(block)):
-                part = block[i]
                 self._add_unions(
                     m,
-                    parts + [part],
-                    twin_parts + [twin_block[i]],
+                    _insert(parts, block[i]),
+                    _insert(twin_parts, twin_block[i]),
                     o,
                     i,
                     remaining - o,
                     new_connected,
                     new_twins,
                 )
-        if not parts:
+        if not parts[0]:
             return
         # the last part has the remaining order, at or after the previous part
-        block = connected[remaining]
-        twin_block = twins[remaining]
-        count = bytes((len(parts) + 1,))
-        for i in range(i0 if remaining == o0 else 0, len(block)):
-            kids = sorted(parts + [block[i]], key=_CODE)
-            d = Cotree(UNION, kids)
-            d._order = m
-            d._code = _UNION_HEAD + count + b"".join(map(_CODE, kids))
-            kids = sorted(twin_parts + [twin_block[i]], key=_CODE)
-            c = Cotree(JOIN, kids)
-            c._order = m
-            c._code = _JOIN_HEAD + count + b"".join(map(_CODE, kids))
-            new_twins.append(d)
-            new_connected.append(c)
+        count = bytes((len(parts[0]) + 1,))
+        start = i0 if remaining == o0 else 0
+        for op, blocks, (kids, codes), out in (
+            (UNION, connected, parts, new_twins),
+            (JOIN, twins, twin_parts, new_connected),
+        ):
+            places = _places(kids, codes, op.encode("ascii") + count)
+            for x in blocks[remaining][start:]:
+                head, tail, code_head, code_tail = places[bisect(codes, x._code)]
+                t = Cotree(op, head + (x,) + tail)
+                t._order = m
+                t._code = code_head + x._code + code_tail
+                out.append(t)
 
     def classes_of_order(self, n):
         """Every class of order n, sorted by canonical code (a stored tuple)."""

@@ -235,6 +235,23 @@ def test_list_compares_only_graphs_within_the_bound(cache, claim, n_max, status,
     assert default.status == "PASS" and "left out" not in default.notes
 
 
+@pytest.mark.parametrize(
+    "n_max, status, kept, dropped",
+    [
+        (10, "PASS", 2, 2),  # p = 1, 2 have order 9, 10; p = 3, 4 have order 11, 12
+        (6, "INCONCLUSIVE", 0, 4),
+    ],
+)
+def test_cor20_compares_only_graphs_within_the_bound(cache, n_max, status, kept, dropped):
+    report = verify_list("cor20-item1", 3, cache=cache, n_max=n_max)
+    assert (report.status, report.expected, report.actual) == (status, kept, kept)
+    assert (report.missing, report.extra) == ([], [])
+    assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
+    default = verify_list("cor20-item1", 3, cache=cache)
+    assert (default.status, default.expected) == ("PASS", 4)
+    assert "left out" not in default.notes
+
+
 def test_lemma_suites(cache):
     records = cache.mine(INF, 2, 9)
     assert check_lemma5(records, 2).status == "PASS"

@@ -209,6 +209,26 @@ def test_build_time_values_match_the_dp_and_the_oracle():
             assert prof == expected, cotrees.render(t)
 
 
+# sha256 of code.hex() + "\n" over enumerate_cographs(12), in its order
+ENUMERATED_12_DIGEST = "a8e1eecc1d4e1bf7c3be1522ba565843d933020bd2cb97746b917360d141ea8a"
+
+
+def test_enumerated_codes_and_child_order_byte_for_byte():
+    # realize and graph6 read children in stored order, so it must be code order
+    fresh = CographEnumerator()
+    digest = hashlib.sha256()
+    for t in enumerate_cographs(12, enumerator=fresh):
+        digest.update((t._code.hex() + "\n").encode())
+    assert digest.hexdigest() == ENUMERATED_12_DIGEST
+    for t in enumerate_cographs(10, enumerator=fresh):
+        if t.op == cotrees.LEAF:
+            continue
+        codes = [child._code for child in t.children]
+        assert codes == sorted(codes), cotrees.render(t)
+        head = t.op.encode("ascii") + bytes((len(codes),))
+        assert t._code == head + b"".join(codes), cotrees.render(t)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     seen = []
