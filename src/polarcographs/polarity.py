@@ -21,9 +21,15 @@ its type alone.  The merges, capping and the (s,k) test are monotone in how
 polar a profile is, so the least polar deleted profiles decide whether all
 of them are polar, before and after a merge.  The type of a node follows
 from its children's types by one pair rule, starting from the leaf's type,
-so no exact deletion set is ever built.  There are finitely many types per
-(s, k), so the algebra's tables, which live as long as one mining call, do
-not grow with the order.
+so no exact deletion set is ever built.  The algebra works on small ints:
+each capped profile is interned once as a profile id with the bitmask of its
+polar pairs in the cap box, a type is a profile id with a set of
+deleted-profile ids, the least polar test is a mask inclusion and the (s,k)
+test one bit.  Each
+(label, type) keeps a successor row of the types it has been combined with,
+which the mining knapsacks read before calling ``combine``.  There are
+finitely many types per (s, k), so the algebra's tables, which live as long
+as one mining call, do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -132,25 +138,6 @@ def cap_profile(prof, caps):
     return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
 
 
-def _least_polar(profiles):
-    """The least polar members of a set of capped profiles, as a frozenset.
-
-    A member d is dropped when another member e is no more polar than d:
-    every signature of e is dominated by one of d, so e's polar pairs are
-    among d's.  Two distinct reduced profiles never have the same polar
-    pairs, so this keeps exactly the members whose polar pairs are minimal
-    under inclusion.
-    """
-    return frozenset(
-        d
-        for d in profiles
-        if not any(
-            e != d and all(any(a <= x and b <= y for a, b in d) for x, y in e)
-            for e in profiles
-        )
-    )
-
-
 EMPTY_TYPE = (_EMPTY_SIGS, frozenset())  # the identity of the pair rule
 _LEAF_TYPE = (_LEAF_SIGS, frozenset({_EMPTY_SIGS}))  # caps are >= 2, so capping keeps it
 _MERGES = {UNION: _merge_union, JOIN: _merge_join}
@@ -178,34 +165,71 @@ class TypeAlgebra:
     children, is not polar, then neither is the node, nor the node minus a
     vertex outside that part, so the node is neither live nor a hit.  Hence
     every child of a hit, and every fold of some but not all of its
-    children, is live.  The tables live as long as the algebra and are
-    bounded by the number of types, which is finite for each (s, k), and by
-    the nodes typed with ``of_class``.
+    children, is live.
+
+    Internally each capped profile is interned once as a profile id, with
+    the bitmask of its polar pairs in the cap box [0, cs] x [0, ck] (bit
+    x (ck + 1) + y for the pair (x, y)).  A type is held as its profile id
+    and the frozenset of its deleted-profile ids, merges are memoized per
+    label on pairs of ids, "least polar" is a mask inclusion test, and
+    ``hit`` and ``live`` test the one bit of (min(s, cs), min(k, ck)).
+    ``types`` keeps each type in its profile form.  ``combine`` fills one
+    successor row per label and right-hand type j, mapping each type i met
+    with it to the number of op(i, j); a caller that applies the same j many
+    times reads ``row`` and calls ``combine`` only on a miss.  The tables
+    live as long as the algebra and are bounded by the number of types and
+    capped profiles, which are finite for each (s, k), and by the nodes
+    typed with ``of_class``.
     """
 
     def __init__(self, s, k):
-        self.s, self.k = s, k
-        self.caps = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
+        self.caps = cs, ck = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
         self.types = []  # number -> (capped profile, least polar deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self.live = []  # number -> whether the type's classes are polar
+        self._box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+        self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
+        self._profiles = []  # profile id -> capped profile
+        self._profile_ids = {}
+        self._polar = []  # profile id -> mask of its polar pairs in the cap box
+        self._keys = []  # number -> (profile id, frozenset of deleted-profile ids)
         self._numbers = {}
-        self._merged = {}
-        self._combined = {UNION: {}, JOIN: {}}
+        self._merged = {UNION: {}, JOIN: {}}
+        self._rows = {UNION: {}, JOIN: {}}
         self._of_node = {}
+
+    def _profile_id(self, prof):
+        """The id of a capped profile, interning it with its polar mask if it is new."""
+        p = self._profile_ids.get(prof)
+        if p is None:
+            p = self._profile_ids[prof] = len(self._profiles)
+            self._profiles.append(prof)
+            mask = 0
+            for bit, (x, y) in enumerate(self._box):
+                if any(a <= x and b <= y for a, b in prof):
+                    mask |= 1 << bit
+            self._polar.append(mask)
+        return p
+
+    def _number(self, key):
+        """The number of a type given by ids, giving it the next one if it is new."""
+        i = self._numbers.get(key)
+        if i is None:
+            i = self._numbers[key] = len(self.types)
+            p, dels = key
+            profiles, polar, bit = self._profiles, self._polar, self._bit
+            self._keys.append(key)
+            self.types.append((profiles[p], frozenset(profiles[d] for d in dels)))
+            self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
+            self.live.append(bool(polar[p] & bit))
+        return i
 
     def number(self, typ):
         """The number of a type, giving it the next one if it is new."""
-        i = self._numbers.get(typ)
-        if i is None:
-            i = self._numbers[typ] = len(self.types)
-            self.types.append(typ)
-            s, k = self.s, self.k
-            prof, dels = typ
-            polar = [any(a <= s and b <= k for a, b in p) for p in (prof, *dels)]
-            self.hit.append(not polar[0] and all(polar[1:]))
-            self.live.append(polar[0])
-        return i
+        prof, dels = typ
+        return self._number(
+            (self._profile_id(prof), frozenset(self._profile_id(d) for d in dels))
+        )
 
     def of_class(self, t):
         """The number of a cotree's type: its children's types folded by the pair rule.
@@ -224,27 +248,40 @@ class TypeAlgebra:
         return i
 
     def _merge(self, op, p, q):
-        """Capped profile of op(G1, G2) from the capped profiles of G1 and G2, memoized."""
-        key = (op, p, q)
-        out = self._merged.get(key)
+        """Profile id of the capped op(G1, G2) from the ids of G1's and G2's, memoized."""
+        memo = self._merged[op]
+        out = memo.get((p, q))
         if out is None:
-            out = self._merged[key] = cap_profile(_MERGES[op](p, q), self.caps)
+            profiles = self._profiles
+            prof = cap_profile(_MERGES[op](profiles[p], profiles[q]), self.caps)
+            out = memo[(p, q)] = self._profile_id(prof)
         return out
+
+    def row(self, op, j):
+        """The successor row of (op, j): type i -> ``combine(op, i, j)``, for the i met so far."""
+        row = self._rows[op].get(j)
+        if row is None:
+            row = self._rows[op][j] = {}
+        return row
 
     def combine(self, op, i, j):
         """The number of the type of op(G1, G2) from the numbers of G1's and G2's types.
 
         The pair rule: a deletion of op(G1, G2) deletes a vertex of G1 or of
         G2, so its profile is a deleted profile of one side merged with the
-        other side's whole profile; only the least polar of these are kept.
+        other side's whole profile.  Only the least polar of these are kept:
+        d is dropped when another one's polar pairs are among d's.
         """
-        memo = self._combined[op]
-        out = memo.get((i, j))
+        row = self.row(op, j)
+        out = row.get(i)
         if out is None:
-            (p1, d1), (p2, d2) = self.types[i], self.types[j]
-            merge = self._merge
+            (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
+            merge, polar = self._merge, self._polar
             dels = {merge(op, d, p2) for d in d1} | {merge(op, p1, d) for d in d2}
-            out = memo[(i, j)] = self.number((merge(op, p1, p2), _least_polar(dels)))
+            least = frozenset(
+                d for d in dels if not any(e != d and polar[e] & ~polar[d] == 0 for e in dels)
+            )
+            out = row[i] = self._number((merge(op, p1, p2), least))
         return out
 
 

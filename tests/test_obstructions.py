@@ -162,19 +162,36 @@ def test_fresh_enumerator_matches_shared():
 
 
 def test_minimality_matches_all_deletions_oracle():
-    # the type's verdict against explicit deletions and against the exact deletion set
+    # the type's verdict against explicit deletions and against the exact
+    # deletion set, and the check of one deletion per class against all of them
     algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         dels = None  # built once per class, on the first non-polar root
         for algebra, s, k in algebras:
             hit = algebra.hit[algebra.of_class(t)]
-            assert hit == minimal_by_all_deletions(t, s, k), (cotrees.render(t), s, k)
+            oracle = minimal_by_all_deletions(t, s, k)
+            assert hit == oracle, (cotrees.render(t), s, k)
+            assert is_minimal_obstruction(t, s, k) == oracle, (cotrees.render(t), s, k)
             if not polarity.profile_dp(t).admits(s, k):
                 if dels is None:
                     dels = deletion_profiles(t)
                 assert hit == deletions_admit_materialised(t, s, k, dels), (
                     cotrees.render(t), s, k
                 )
+
+
+def test_one_deletion_per_class_meets_every_deleted_class():
+    # deleting a leaf of a skipped sibling gives a class that a kept leaf gives
+    def codes(t, indices):
+        return {cotrees.canonical_code(remove_leaf(t, index)) for index in indices}
+
+    for t in enumerate_cographs(9):
+        if t.order == 1:
+            assert list(obstructions._deletion_leaves(t)) == [0]
+            continue
+        kept = list(obstructions._deletion_leaves(t))
+        assert kept == sorted(set(kept)) and kept[-1] < t.order, cotrees.render(t)
+        assert codes(t, kept) == codes(t, range(t.order)), cotrees.render(t)
 
 
 def test_connected_classes_are_joins_of_stored_twins():

@@ -11,6 +11,7 @@ from polarcographs.polarity import INF
 from util import (
     deletion_profiles,
     least_polar,
+    polar_pairs,
     random_cotree,
     reduce_quadratic,
     unreduced_type,
@@ -245,3 +246,36 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
             hit = not polar(prof, s, k) and all(polar(d, s, k) for d in dels)
             assert algebra.hit[i] == hit, (cotrees.render(t), s, k)
             assert algebra.types[i] == reduced[(caps, typ)], (cotrees.render(t), s, k)
+
+
+@pytest.mark.parametrize("key", [(INF, 4, 15), (1, 8, 15)])
+def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
+    # every profile a mining interns, and every type it numbers
+    from polarcographs import obstructions
+
+    algebras = []
+
+    class Recording(polarity.TypeAlgebra):
+        def __init__(self, s, k):
+            super().__init__(s, k)
+            algebras.append(self)
+
+    monkeypatch.setattr(polarity, "TypeAlgebra", Recording)
+    obstructions.mine_obstructions(*key)
+    (algebra,) = algebras
+    s, k = key[:2]
+    cs, ck = caps = algebra.caps
+    assert algebra._profiles, key
+    box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+    for prof, mask in zip(algebra._profiles, algebra._polar, strict=True):
+        bits = {(x, y) for x, y in box if mask >> (x * (ck + 1) + y) & 1}
+        assert bits == polar_pairs(prof, caps), (prof, caps)
+        assert mask >> ((cs + 1) * (ck + 1)) == 0, (prof, caps)
+
+    def polar(p):
+        return any(a <= s and b <= k for a, b in p)
+
+    for i, (prof, dels) in enumerate(algebra.types):
+        assert algebra.live[i] == polar(prof), (prof, key)
+        assert algebra.hit[i] == (not polar(prof) and all(polar(d) for d in dels)), (prof, key)
+        assert least_polar(dels, caps) == dels, (dels, key)

@@ -102,7 +102,11 @@ def reduce_quadratic(sigs):
 
 
 def minimal_by_all_deletions(t, s, k):
-    """Minimality by rebuilding every one-leaf deletion and running the profile DP on it."""
+    """Minimality by rebuilding every one-leaf deletion and running the profile DP on it.
+
+    ``obstructions.is_minimal_obstruction`` as it was before it checked one
+    deletion per class of identical siblings.
+    """
     if polarity.profile_dp(t).admits(s, k):
         return False
     for index in range(t.order):
@@ -193,25 +197,26 @@ def unreduced_type(t, caps, memo):
     return typ
 
 
+def polar_pairs(prof, caps):
+    """The up-set closure of a capped profile inside the cap box [0, cs] x [0, ck]."""
+    cs, ck = caps
+    return frozenset(
+        (x, y)
+        for x in range(cs + 1)
+        for y in range(ck + 1)
+        if any(a <= x and b <= y for a, b in prof)
+    )
+
+
 def least_polar(dels, caps):
     """The members of a set of capped profiles whose polar pairs are minimal.
 
     Each profile's polar pairs are its up-set closure inside the cap box
     [0, cs] x [0, ck]; a member is kept unless another member's closure is a
     proper subset of its own.  The library's type algebra keeps these by a
-    pairwise dominance test instead.
+    test on bitmasks of polar pairs instead.
     """
-    cs, ck = caps
-
-    def closure(prof):
-        return frozenset(
-            (x, y)
-            for x in range(cs + 1)
-            for y in range(ck + 1)
-            if any(a <= x and b <= y for a, b in prof)
-        )
-
-    closures = {d: closure(d) for d in dels}
+    closures = {d: polar_pairs(d, caps) for d in dels}
     return frozenset(
         d for d in dels if not any(closures[e] < closures[d] for e in dels)
     )
