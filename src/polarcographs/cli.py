@@ -119,7 +119,10 @@ def cmd_eval(args):
 
 def cmd_recognize(args):
     g = _read_input(args.input, force_graph6=args.graph6)
-    result = cotrees.recognize(g)
+    try:
+        result = cotrees.recognize(g)
+    except graphs.GraphError as exc:  # the order-0 graph has no cotree
+        raise CliError(str(exc), EXIT_PARSE)
     if isinstance(result, cotrees.P4Certificate):
         payload = {
             "cograph": False,
@@ -139,9 +142,10 @@ def cmd_recognize(args):
     return EXIT_OK
 
 
-def _require_cotree(g):
+def _require_profile(g):
+    """Profile of a cograph, {(0,0)} at order 0; a P4 goes to stderr and exits 3."""
     try:
-        return cotrees.cotree_of(g)
+        return polarity.profile_of_graph(g)
     except NotCographError as exc:
         payload = {
             "cograph": False,
@@ -158,9 +162,8 @@ def cmd_polarity(args):
     if s is None or k is None:
         raise CliError("polarity requires --s and --k", EXIT_PARSE)
     g = _read_input(args.input, force_graph6=args.graph6)
-    t = _require_cotree(g)
-    prof = polarity.profile_dp(t)
-    verdict, witness = polarity.is_polar(t, s, k)
+    prof = _require_profile(g)
+    verdict, witness = polarity.is_polar(g, s, k)
     payload = {
         "polar": verdict,
         "s": obstructions.encode_param(s),
@@ -193,8 +196,7 @@ def cmd_polarity(args):
 
 def cmd_profile(args):
     g = _read_input(args.input, force_graph6=args.graph6)
-    t = _require_cotree(g)
-    prof = polarity.profile_dp(t)
+    prof = _require_profile(g)
     payload = {
         "n": prof.n,
         "signatures": [list(sig) for sig in prof.sorted_signatures()],

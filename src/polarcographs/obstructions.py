@@ -2,23 +2,29 @@
 
 Enumeration builds canonical cotrees bottom-up, one recursion per order: a
 disconnected class of order n is a multiset (size >= 2) of connected classes
-with total order n, drawn in nondecreasing (order, index) order so every
-multiset appears once.  Each disconnected class is built together with its
-twin, the connected class of its complement: the complement of a union of
-connected parts is the join of their complements, so the twin is the JOIN of
-the parts' stored disconnected twins.  Every child is therefore a stored
-class or the shared leaf, and no node is duplicated.
+with total order n, and a connected one a multiset of disconnected classes,
+drawn by index in nondecreasing (order, index) order so every multiset
+appears once.  Complementation pairs the connected and the disconnected
+classes of each order, so their stored lists have the same length, and one
+walk over multisets of indices builds each UNION class from the connected
+classes at those indices and each JOIN class from the disconnected ones.
+Every child is therefore a stored class or the shared leaf, and no node is
+duplicated.
 
 Enumerated nodes are well-formed by construction (at least two children,
-labels alternating), and each gets its order and canonical code when it is
-built.  The parts chosen so far are carried in code order, each inserted
-where its code falls, so a class is assembled, not sorted: its children and
-code are the parts before its last part's place, that part, and the rest.
-No profile is computed while building: ``polarity.profile_dp`` computes and
-memoizes one on the first node that asks.  Each order's classes are sorted
-by code once and stored.  The cyclic garbage collector is paused while
-building: the enumerator allocates only acyclic trees, and the collector's
-passes over the growing heap of stored nodes would find nothing to free.
+labels alternating), and each is built in one step with its order and
+canonical code.  The parts chosen so far are carried in code order, each
+inserted where its code falls, so a class is assembled, not sorted: its
+children and code are the parts before its last part's place, that part, and
+the rest.  No profile is computed while building: ``polarity.profile_dp``
+computes and memoizes one on the first node that asks.  The connected and
+the disconnected classes of each order are each stored in code order; since
+the last part runs over a code-sorted list, each list is built as a few
+hundred ascending runs, which the sort merges in about linear time, and an
+order's classes are the connected list followed by the disconnected one
+(b"J" < b"U").  The cyclic garbage collector is paused while building: the
+enumerator allocates only acyclic trees, and the collector's passes over the
+growing heap of stored nodes would find nothing to free.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -68,7 +74,7 @@ import gc
 import json
 from bisect import bisect_right as bisect
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import attrgetter
 
@@ -78,7 +84,9 @@ from .graphs import Graph
 from .polarity import INF
 
 # Each limit is checked in this module only.  The enumerator builds and keeps
-# every class (1,399,068 of order 15 alone).  Mining enumerates only up to
+# every class (1,399,068 of order 15 alone): ``cograph_counts(15)`` takes
+# 1.7-2.3 s of CPU at 492 MB peak RSS (2-vCPU Xeon VM, Python 3.11), and
+# the process keeps that memory.  Mining enumerates only up to
 # _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
 # 229 MB at (inf,12,40) and 421 MB at (inf,19,40).  The mining limit bounds
 # order, not cost; see DECISIONS.md.
@@ -113,18 +121,21 @@ def _places(kids, codes, head):
 class CographEnumerator:
     """Incremental generator of one cotree per unlabeled cograph class.
 
-    ``connected[n]`` and ``twins[n]`` hold the classes of order n in the
-    order they were built: ``twins[n][i]`` is the stored disconnected class
-    whose complement is ``connected[n][i]``, and the shared leaf is its own
-    twin.  Every node gets its order and canonical code when it is built,
-    its children already in code order: parts are carried in code order and
-    each class is assembled by inserting its last part, not sorted.  Profiles
-    are left to ``polarity.profile_dp``.
+    ``connected[n]`` and ``disconnected[n]`` hold the classes of order n,
+    each list in ascending code order; the shared leaf is in both.  A
+    disconnected class is a UNION of parts drawn by index from
+    ``connected``, and a connected one a JOIN of parts drawn by the same
+    indices from ``disconnected``: both lists of an order have the same
+    length (complementation pairs them), so one walk over index multisets
+    builds every class of both kinds once.  Every node gets its order and
+    canonical code when it is built, its children already in code order:
+    parts are carried in code order and each class is assembled by inserting
+    its last part, not sorted.  Profiles are left to ``polarity.profile_dp``.
     """
 
     def __init__(self):
         self.connected = {1: [_SHARED_LEAF]}
-        self.twins = {1: [_SHARED_LEAF]}
+        self.disconnected = {1: [_SHARED_LEAF]}
         self._classes = {1: (_SHARED_LEAF,)}  # each order's classes, sorted by code
         self._built = 1
 
@@ -143,60 +154,73 @@ class CographEnumerator:
         try:
             while self._built < n:
                 m = self._built + 1
-                conn, twins = [], []
-                self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, twins)
-                classes = conn + twins
-                classes.sort(key=_CODE)
+                conn, disc = [], []
+                self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, disc)
+                # each comes out of the walk in a few hundred ascending runs,
+                # which timsort merges in about linear time
+                conn.sort(key=_CODE)
+                disc.sort(key=_CODE)
                 self.connected[m] = conn
-                self.twins[m] = twins
-                self._classes[m] = tuple(classes)
+                self.disconnected[m] = disc
+                # every JOIN code (b"J...") sorts before every UNION code
+                # (b"U..."); chain, not conn + disc, so that no list of the
+                # whole order is held next to its tuple at the census's peak
+                self._classes[m] = tuple(chain(conn, disc))
                 self._built = m
         finally:
             if enabled:
                 gc.enable()
 
-    def _add_unions(self, m, parts, twin_parts, o0, i0, remaining, new_connected, new_twins):
-        """Build each order-m class whose connected parts extend ``parts``, once.
+    def _add_unions(self, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc):
+        """Build each order-m class whose parts extend the parts chosen so far, once.
 
-        Parts are drawn in nondecreasing (order, index) from ``connected``,
-        starting at ``connected[o0][i0]``, until their orders add up to m;
-        ``remaining`` is m minus the orders chosen so far.  Each multiset
-        of at least two parts gives a disconnected class, appended to
-        ``new_twins``, and its complement, the JOIN of the parts' stored
-        twins, appended to ``new_connected``.  ``parts`` and ``twin_parts``
-        are (children, codes) in code order; each part is inserted in place.
+        Indices (o, i) are drawn in nondecreasing order, starting at (o0, i0),
+        until their orders add up to m; ``remaining`` is m minus the orders
+        chosen so far.  Index (o, i) adds ``connected[o][i]`` to
+        ``union_parts`` and ``disconnected[o][i]`` to ``join_parts``, both
+        (children, codes) in code order, each part inserted in place.  Each
+        multiset of at least two indices gives the UNION of its union parts,
+        appended to ``new_disc``, and the JOIN of its join parts, appended to
+        ``new_conn``.  Each node is built in one step, all six slots set on
+        ``Cotree.__new__``: no initializer runs per node.
         """
-        connected, twins = self.connected, self.twins
+        connected, disconnected = self.connected, self.disconnected
         # a part that leaves room for another has order <= remaining // 2
         for o in range(o0, remaining // 2 + 1):
-            block = connected[o]
-            twin_block = twins[o]
-            for i in range(i0 if o == o0 else 0, len(block)):
+            union_block = connected[o]
+            join_block = disconnected[o]
+            for i in range(i0 if o == o0 else 0, len(union_block)):
                 self._add_unions(
                     m,
-                    _insert(parts, block[i]),
-                    _insert(twin_parts, twin_block[i]),
+                    _insert(union_parts, union_block[i]),
+                    _insert(join_parts, join_block[i]),
                     o,
                     i,
                     remaining - o,
-                    new_connected,
-                    new_twins,
+                    new_conn,
+                    new_disc,
                 )
-        if not parts[0]:
+        if not union_parts[0]:
             return
         # the last part has the remaining order, at or after the previous part
-        count = bytes((len(parts[0]) + 1,))
+        count = bytes((len(union_parts[0]) + 1,))
         start = i0 if remaining == o0 else 0
+        cls = Cotree
+        new = cls.__new__
         for op, blocks, (kids, codes), out in (
-            (UNION, connected, parts, new_twins),
-            (JOIN, twins, twin_parts, new_connected),
+            (UNION, connected, union_parts, new_disc),
+            (JOIN, disconnected, join_parts, new_conn),
         ):
             places = _places(kids, codes, op.encode("ascii") + count)
             for x in blocks[remaining][start:]:
                 head, tail, code_head, code_tail = places[bisect(codes, x._code)]
-                t = Cotree(op, head + (x,) + tail)
-                t._order = m
+                t = new(cls)
+                t.op = op
+                t.children = head + (x,) + tail
+                t.vertex = None
                 t._code = code_head + x._code + code_tail
+                t._order = m
+                t._profile = None
                 out.append(t)
 
     def classes_of_order(self, n):

@@ -87,6 +87,30 @@ def test_polarity_bad_param(capsys):
     assert code == 2
 
 
+def test_recognize_order_zero_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "recognize", "?")
+    assert (code, out) == (2, "")
+    assert "the empty graph has no cotree" in err and "Traceback" not in err
+
+
+def test_polarity_order_zero_is_polar_with_the_empty_witness(capsys):
+    code, out, _ = run(capsys, "polarity", "?", "--s", "0", "--k", "0", "--oracle")
+    assert code == 0
+    head, body = out.split("\n", 1)
+    assert head == "POLAR"
+    payload = json.loads(body)
+    assert payload["n"] == 0 and payload["signatures"] == [[0, 0]]
+    assert payload["witness"] == {"A": [], "B": [], "signature": [0, 0]}
+    assert payload["oracle_agrees"] is True
+
+
+def test_profile_order_zero(capsys):
+    code, out, _ = run(capsys, "profile", "?", "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["signatures"], payload["oracle_agrees"]) == (0, [[0, 0]], True)
+
+
 def test_profile_json(capsys):
     code, out, _ = run(capsys, "profile", "P3")
     assert code == 0

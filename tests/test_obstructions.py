@@ -194,19 +194,29 @@ def test_one_deletion_per_class_meets_every_deleted_class():
         assert codes(t, kept) == codes(t, range(t.order)), cotrees.render(t)
 
 
-def test_connected_classes_are_joins_of_stored_twins():
+def test_stored_lists_are_code_sorted_and_complements_of_each_other():
+    # each list ascends by code and holds one label; complementation maps one
+    # onto the other, so their lengths agree and one index walk builds both
     enum = CographEnumerator()
     enum.build_up_to(10)
-    stored = {id(d) for classes in enum.twins.values() for d in classes}
-    for n in range(1, 11):
-        assert len(enum.twins[n]) == len(enum.connected[n])
-        for c, twin in zip(enum.connected[n], enum.twins[n]):
-            assert id(twin) in stored
-            assert cotrees.canonical_code(twin) == cotrees.canonical_code(
-                cotrees.flip_labels(c)
-            )
-            for child in c.children:
-                assert id(child) in stored
+    stored = {id(obstructions._SHARED_LEAF)} | {
+        id(t)
+        for lists in (enum.connected, enum.disconnected)
+        for n in range(2, 11)
+        for t in lists[n]
+    }
+    for n in range(2, 11):
+        conn, disc = enum.connected[n], enum.disconnected[n]
+        assert len(conn) == len(disc)
+        for classes, label in ((conn, cotrees.JOIN), (disc, cotrees.UNION)):
+            codes = [t._code for t in classes]
+            assert all(a < b for a, b in zip(codes, codes[1:])), (n, label)
+            assert {t.op for t in classes} == {label}
+            for t in classes:
+                assert all(id(child) in stored for child in t.children), cotrees.render(t)
+        flipped = {cotrees.canonical_code(cotrees.flip_labels(t)) for t in conn}
+        assert flipped == {t._code for t in disc}
+        assert enum.classes_of_order(n) == tuple(conn + disc)
 
 
 def test_build_time_values_match_the_dp_and_the_oracle():
@@ -250,11 +260,12 @@ def test_enumerated_codes_and_child_order_byte_for_byte():
 def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     seen = []
 
-    def recording(op, children):
-        seen.append(gc.isenabled())
-        return cotrees.Cotree(op, children)
+    class Recording(cotrees.Cotree):
+        def __new__(cls):
+            seen.append(gc.isenabled())
+            return super().__new__(cls)
 
-    monkeypatch.setattr(obstructions, "Cotree", recording)
+    monkeypatch.setattr(obstructions, "Cotree", Recording)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -265,13 +276,19 @@ def test_build_pauses_and_restores_gc(monkeypatch, enabled):
         gc.enable() if was_enabled else gc.disable()
     assert seen and not any(seen)
     assert [len(enum.classes_of_order(n)) for n in range(1, 7)] == COGRAPH_COUNTS_10[:6]
+    # one construction per class, and no slot left for a later read to miss
+    classes = [t for n in range(2, 7) for t in enum.classes_of_order(n)]
+    assert len(seen) == len(classes) and all(type(t) is Recording for t in classes)
+    for t in classes:
+        assert all(hasattr(t, name) for name in cotrees.Cotree.__slots__), cotrees.render(t)
 
 
 def test_build_restores_gc_when_it_raises(monkeypatch):
-    def failing(op, children):
-        raise RuntimeError("node construction failed")
+    class Failing(cotrees.Cotree):
+        def __new__(cls):
+            raise RuntimeError("node construction failed")
 
-    monkeypatch.setattr(obstructions, "Cotree", failing)
+    monkeypatch.setattr(obstructions, "Cotree", Failing)
     was_enabled = gc.isenabled()
     try:
         gc.enable()
