@@ -136,7 +136,6 @@ class CographEnumerator:
     def __init__(self):
         self.connected = {1: [_SHARED_LEAF]}
         self.disconnected = {1: [_SHARED_LEAF]}
-        self._classes = {1: (_SHARED_LEAF,)}  # each order's classes, sorted by code
         self._built = 1
 
     def build_up_to(self, n):
@@ -162,10 +161,6 @@ class CographEnumerator:
                 disc.sort(key=_CODE)
                 self.connected[m] = conn
                 self.disconnected[m] = disc
-                # every JOIN code (b"J...") sorts before every UNION code
-                # (b"U..."); chain, not conn + disc, so that no list of the
-                # whole order is held next to its tuple at the census's peak
-                self._classes[m] = tuple(chain(conn, disc))
                 self._built = m
         finally:
             if enabled:
@@ -224,9 +219,27 @@ class CographEnumerator:
                 out.append(t)
 
     def classes_of_order(self, n):
-        """Every class of order n, sorted by canonical code (a stored tuple)."""
-        self.build_up_to(n)
-        return self._classes[n]
+        """Every class of order n, sorted by canonical code, as a new tuple.
+
+        Every JOIN code (b"J...") sorts before every UNION code (b"U..."), so
+        these are the connected classes followed by the disconnected ones.
+        The tuple is built from ``chain``, not ``conn + disc``, so that no
+        list of the whole order is held next to it.  It is built with the
+        collector still paused: the chain and the tuple are the first
+        tracked objects allocated after a build, and with the collector
+        running the first of them would start a pass over every node just
+        built (a quarter more CPU in ``cograph_counts(14)``).
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.build_up_to(n)
+            if n == 1:
+                return (_SHARED_LEAF,)
+            return tuple(chain(self.connected[n], self.disconnected[n]))
+        finally:
+            if enabled:
+                gc.enable()
 
 
 _ENUMERATOR = CographEnumerator()
@@ -498,6 +511,11 @@ class _TypeKnapsack:
         of the block, in C(c + r - 1, r) ways, at total order m0 + r o.  Each
         copy's type is read from the algebra's successor row of the block's
         type, and ``combine`` runs only on a pair not met before.
+
+        Per base order, ``dying[r]`` counts the bases whose r-th copy is the
+        first that is not live: the dead bases and, for a None block, the
+        live ones die on the first.  Each of them with r' >= r copies is not
+        live, so one running sum over r adds every death to ``dead``.
         """
         b = len(self.blocks)
         self.blocks.append((o, i, c))
@@ -507,18 +525,16 @@ class _TypeKnapsack:
         weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
         for m0 in range(n_max - o, -1, -1):
             top = (n_max - m0) // o
-            absorbed = dead[m0]
-            if i is None:  # no multiset with this block is live
-                absorbed += sum(entry[0] for t0, entry in kept[m0].items() if is_live[t0])
-            if absorbed:
-                for r in range(1, top + 1):
-                    dead[m0 + r * o] += absorbed * weights[r]
-            if i is None:
-                continue
+            dying = [0] * (top + 1)
+            dying[1] = dead[m0]
             for t0, base in kept[m0].items():
                 if not is_live[t0]:  # a hit, counted in dead[m0]
                     continue
-                typ, m, count = t0, m0, base[0]
+                count = base[0]
+                if i is None:  # no multiset with this block is live
+                    dying[1] += count
+                    continue
+                typ, m = t0, m0
                 for r in range(1, top + 1):
                     nxt = row.get(typ)
                     typ = combine(op, typ, i) if nxt is None else nxt
@@ -531,9 +547,13 @@ class _TypeKnapsack:
                         entry[0] += count * weights[r]
                         entry.append((t0, b, r))
                     if not live:  # no more copies give a live type or a hit
-                        for rest in range(r, top + 1):
-                            dead[m0 + rest * o] += count * weights[rest]
+                        dying[r] += count
                         break
+            carry = 0
+            for r in range(1, top + 1):
+                carry += dying[r]
+                if carry:
+                    dead[m0 + r * o] += carry * weights[r]
 
     def nodes(self, n):
         """(kept types, not-live count) of the op-nodes of order n.
@@ -636,6 +656,10 @@ def _expand(knapsacks, hits):
         if len(trees) != count:
             raise AssertionError(f"a hit type expands to {len(trees)} classes, not {count}")
         out.extend(trees)
+    # the nested functions reach each other through their closure cells: a
+    # cycle that holds the knapsacks and the algebra until the cyclic
+    # collector runs; emptying the cells frees them when this returns
+    del children, folds, nodes
     return out
 
 

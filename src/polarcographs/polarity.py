@@ -192,6 +192,7 @@ class TypeAlgebra:
         self._profiles = []  # profile id -> capped profile
         self._profile_ids = {}
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
+        self._sizes = []  # profile id -> number of its polar pairs
         self._keys = []  # number -> (profile id, frozenset of deleted-profile ids)
         self._numbers = {}
         self._merged = {UNION: {}, JOIN: {}}
@@ -209,6 +210,7 @@ class TypeAlgebra:
                 if any(a <= x and b <= y for a, b in prof):
                     mask |= 1 << bit
             self._polar.append(mask)
+            self._sizes.append(mask.bit_count())
         return p
 
     def _number(self, key):
@@ -248,13 +250,14 @@ class TypeAlgebra:
         return i
 
     def _merge(self, op, p, q):
-        """Profile id of the capped op(G1, G2) from the ids of G1's and G2's, memoized."""
-        memo = self._merged[op]
-        out = memo.get((p, q))
-        if out is None:
-            profiles = self._profiles
-            prof = cap_profile(_MERGES[op](profiles[p], profiles[q]), self.caps)
-            out = memo[(p, q)] = self._profile_id(prof)
+        """Profile id of the capped op(G1, G2) from the ids of G1's and G2's.
+
+        ``combine`` reads the memo ``_merged[op]`` first and calls this only
+        on a miss; the id is stored there.
+        """
+        profiles = self._profiles
+        prof = cap_profile(_MERGES[op](profiles[p], profiles[q]), self.caps)
+        out = self._merged[op][(p, q)] = self._profile_id(prof)
         return out
 
     def row(self, op, j):
@@ -270,18 +273,40 @@ class TypeAlgebra:
         The pair rule: a deletion of op(G1, G2) deletes a vertex of G1 or of
         G2, so its profile is a deleted profile of one side merged with the
         other side's whole profile.  Only the least polar of these are kept:
-        d is dropped when another one's polar pairs are among d's.
+        d is dropped when another one's polar pairs are among d's.  Distinct
+        capped profiles have distinct polar masks (a reduced profile is the
+        set of minimal elements of its up-set in the cap box), so such an
+        other one has fewer polar pairs: one pass over the deletions by
+        ascending number of polar pairs keeps each one that no kept one's
+        pairs are among.
         """
         row = self.row(op, j)
         out = row.get(i)
         if out is None:
             (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
-            merge, polar = self._merge, self._polar
-            dels = {merge(op, d, p2) for d in d1} | {merge(op, p1, d) for d in d2}
-            least = frozenset(
-                d for d in dels if not any(e != d and polar[e] & ~polar[d] == 0 for e in dels)
-            )
-            out = row[i] = self._number((merge(op, p1, p2), least))
+            memo, merge = self._merged[op], self._merge
+            dels = set()
+            for d in d1:
+                e = memo.get((d, p2))
+                dels.add(merge(op, d, p2) if e is None else e)
+            for d in d2:
+                e = memo.get((p1, d))
+                dels.add(merge(op, p1, d) if e is None else e)
+            if len(dels) > 1:
+                polar, least, masks = self._polar, [], []
+                for d in sorted(dels, key=self._sizes.__getitem__):
+                    mask = polar[d]
+                    for kept in masks:
+                        if not kept & ~mask:
+                            break
+                    else:
+                        least.append(d)
+                        masks.append(mask)
+                dels = least
+            p = memo.get((p1, p2))
+            if p is None:
+                p = merge(op, p1, p2)
+            out = row[i] = self._number((p, frozenset(dels)))
         return out
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -24,6 +25,7 @@ from util import (
     deletions_admit_materialised,
     memo_free_copy,
     minimal_by_all_deletions,
+    per_base_add,
     random_cotree,
 )
 
@@ -430,6 +432,55 @@ def test_type_mining_sizes_at_order_15(monkeypatch, key):
     assert len(knapsacks) == 2 and knapsacks[1].algebra is algebra
     blocks = sum(len(knapsack.blocks) for knapsack in knapsacks)
     assert (len(algebra.types), blocks) == ORDER_15_SIZES[key]
+
+
+@pytest.mark.parametrize("key", [(INF, 4, 14), (2, 2, 13), (1, 8, 15)])
+def test_folded_deaths_match_the_per_base_add(monkeypatch, key):
+    # a twin knapsack on the same algebra takes each block by the per-base
+    # loop; each mining adds None blocks, and (1,8,15) one of order 5, which
+    # a base can take twice
+    add = obstructions._TypeKnapsack.add
+    twins = {}  # id(knapsack) -> (knapsack, twin)
+    blocks = {None: 0, "typed": 0}
+
+    def both(knapsack, o, i, c):
+        if id(knapsack) not in twins:
+            assert not knapsack.blocks
+            twin = obstructions._TypeKnapsack(knapsack.algebra, knapsack.op, knapsack.n_max)
+            twins[id(knapsack)] = knapsack, twin
+        twin = twins[id(knapsack)][1]
+        add(knapsack, o, i, c)
+        per_base_add(twin, o, i, c)
+        blocks[None if i is None else "typed"] += 1
+        assert knapsack.blocks == twin.blocks
+        assert knapsack.dead == twin.dead, (key, o, i)
+        for m, (ours, theirs) in enumerate(zip(knapsack.kept, twin.kept, strict=True)):
+            assert list(ours.items()) == list(theirs.items()), (key, o, i, m)
+
+    monkeypatch.setattr(obstructions._TypeKnapsack, "add", both)
+    mine_obstructions(*key)
+    assert len(twins) == 2 and blocks["typed"] and blocks[None]
+
+
+def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):
+    # reference counting alone frees the algebra, and with it the knapsacks'
+    # tables, when mining returns
+    refs = []
+
+    class Recording(polarity.TypeAlgebra):
+        def __init__(self, s, k):
+            super().__init__(s, k)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(polarity, "TypeAlgebra", Recording)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert len(mine_obstructions(INF, 4, 14)) == 84
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_a_knapsack_that_misses_a_block_fails_the_completeness_check(monkeypatch):

@@ -248,9 +248,10 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
             assert algebra.types[i] == reduced[(caps, typ)], (cotrees.render(t), s, k)
 
 
-@pytest.mark.parametrize("key", [(INF, 4, 15), (1, 8, 15)])
+@pytest.mark.parametrize("key", [(INF, 4, 15), (1, 8, 15), (4, 4, 20)])
 def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
-    # every profile a mining interns, and every type it numbers
+    # every profile a mining interns, every type it numbers, and every pair
+    # it combines; (4,4,20) has wide caps, (5,5), on both sides
     from polarcographs import obstructions
 
     algebras = []
@@ -279,3 +280,28 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
         assert algebra.live[i] == polar(prof), (prof, key)
         assert algebra.hit[i] == (not polar(prof) and all(polar(d) for d in dels)), (prof, key)
         assert least_polar(dels, caps) == dels, (dels, key)
+
+    # combine's one greedy pass is exact only if distinct profiles have
+    # distinct masks; each combined type's deletions are the least polar of
+    # all its merged deleted profiles
+    assert len(set(algebra._polar)) == len(algebra._polar), key
+    merged, least = {}, {}  # memos of the oracle's merges and filters
+
+    def capped(op, p, q):
+        if (op, p, q) not in merged:
+            merged[(op, p, q)] = polarity.cap_profile(polarity._MERGES[op](p, q), caps)
+        return merged[(op, p, q)]
+
+    combined = 0
+    for op, rows in algebra._rows.items():
+        for j, row in rows.items():
+            p2, d2 = algebra.types[j]
+            for i, out in row.items():
+                p1, d1 = algebra.types[i]
+                dels = {capped(op, d, p2) for d in d1} | {capped(op, p1, d) for d in d2}
+                dels = frozenset(dels)
+                if dels not in least:
+                    least[dels] = least_polar(dels, caps)
+                assert algebra.types[out] == (capped(op, p1, p2), least[dels]), key
+                combined += 1
+    assert combined, key

@@ -9,6 +9,7 @@ check their faster replacements against.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from polarcographs import cotrees, graphs, obstructions, polarity
@@ -227,3 +228,48 @@ def memo_free_copy(t):
     if t.op == LEAF:
         return Cotree(LEAF)
     return Cotree(t.op, tuple(memo_free_copy(c) for c in t.children))
+
+
+def per_base_add(knapsack, o, i, c):
+    """``obstructions._TypeKnapsack.add`` before it folded deaths per base order.
+
+    Each base that dies on some copy of the block adds its own dead count
+    for that copy and every later one; the dead bases, and the live ones
+    under a None block, add theirs in one loop first.
+    """
+    b = len(knapsack.blocks)
+    knapsack.blocks.append((o, i, c))
+    n_max, op, kept, dead = knapsack.n_max, knapsack.op, knapsack.kept, knapsack.dead
+    algebra = knapsack.algebra
+    combine, is_live, is_hit = algebra.combine, algebra.live, algebra.hit
+    row = algebra.row(op, i) if i is not None else None
+    weights = [math.comb(c + r - 1, r) for r in range(n_max // o + 1)]
+    for m0 in range(n_max - o, -1, -1):
+        top = (n_max - m0) // o
+        absorbed = dead[m0]
+        if i is None:  # no multiset with this block is live
+            absorbed += sum(entry[0] for t0, entry in kept[m0].items() if is_live[t0])
+        if absorbed:
+            for r in range(1, top + 1):
+                dead[m0 + r * o] += absorbed * weights[r]
+        if i is None:
+            continue
+        for t0, base in kept[m0].items():
+            if not is_live[t0]:  # a hit, counted in dead[m0]
+                continue
+            typ, m, count = t0, m0, base[0]
+            for r in range(1, top + 1):
+                nxt = row.get(typ)
+                typ = combine(op, typ, i) if nxt is None else nxt
+                m += o
+                live = is_live[typ] and m < n_max
+                if live or is_hit[typ]:
+                    entry = kept[m].get(typ)
+                    if entry is None:
+                        entry = kept[m][typ] = [0]
+                    entry[0] += count * weights[r]
+                    entry.append((t0, b, r))
+                if not live:  # no more copies give a live type or a hit
+                    for rest in range(r, top + 1):
+                        dead[m0 + rest * o] += count * weights[rest]
+                    break
