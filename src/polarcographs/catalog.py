@@ -14,11 +14,14 @@ texts), ``covers`` ((record, k) -> whether the list must hold that mined
 record; unset covers all), ``mining`` ((s, k) to read, None meaning the
 claim's k) and ``compare`` (the verdict, set equality up to the bound unless
 overridden).  Any other claim has ``check`` ((claim id, k, cache, n_max) ->
-verdict).
+verdict).  ``verify_claim`` is the one entry point: it resolves a claim's
+row and k once, then runs the row's check or compares its list (read from
+the claim's file when a catalog directory is given) with the records.
 
 A verification mines each (s,k) once, to ``_mining_bound``, and each claim
 reads the records up to its own bound from that mining (``_read``); a
-caller's n_max is the claim's bound and is mined exactly.
+caller's n_max is the claim's bound and is mined exactly.  The conjectured
+largest order 3(k+1) is written once, in ``conjectured_order``.
 
 A verdict is PASS, FAIL, INFO (counted as passed) or INCONCLUSIVE: the
 bound does not reach past the claim, so it was not probed; not a pass.
@@ -242,13 +245,21 @@ class MiningCache:
         return self._mined[key]
 
 
+def conjectured_order(k):
+    """3(k+1), the conjectured largest order of a minimal (inf,k)-polar
+    obstruction (conj2); 10 when k is inf.  It is also ``mine``'s default bound."""
+    if k == INF:
+        return 10
+    return 3 * (k + 1)
+
+
 def _mining_bound(s, k):
     """The one order (s,k) is mined to in a verification that gives no n_max."""
     if k == INF:
-        return 10
+        return conjectured_order(k)
     if s == 1:
         return 2 * k + 4  # K{k+1,k+1} has order 2k+2; leave headroom of 2
-    return 3 * (k + 1) + 1  # one past the conjectured largest order, for conj1 and conj2
+    return conjectured_order(k) + 1  # one past it, for conj1 and conj2
 
 
 def _read(cache, s, k, n_max=None):
@@ -256,7 +267,7 @@ def _read(cache, s, k, n_max=None):
     a caller's n_max, mined exactly; else 3(k+1) for (inf,k) and the whole
     mining otherwise, read from the one mining of (s,k) to ``_mining_bound``."""
     mined = n_max or _mining_bound(s, k)
-    bound = n_max or min(mined, obstructions.default_mining_bound(k))
+    bound = n_max or min(mined, conjectured_order(k))
     return bound, [r for r in cache.mine(s, k, mined) if r.order <= bound]
 
 
@@ -343,17 +354,6 @@ def _has_p3_component(g):
     return False
 
 
-def verify_list(claim_id, k=None, cache=None, n_max=None, expected_exprs=None):
-    """Set-equality check between a claim's list and the mined obstructions."""
-    row = _row(claim_id, "texts")
-    k = _claim_k(row, k)
-    s_mined, k_mined = row.mining
-    bound, records = _read(cache or MiningCache(), s_mined, k_mined or k, n_max)
-    exprs = expected_exprs if expected_exprs is not None else instantiate(claim_id, k)
-    covered = [r for r in records if row.covers is None or row.covers(r, k)]
-    return row.compare(claim_id, k, bound, exprs, covered)
-
-
 def _compare_sets(claim_id, k, bound, exprs, records):
     return _compare_up_to(claim_id, k, bound, _codes_of_exprs(exprs), records)
 
@@ -422,12 +422,6 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
 # -- recursion claims -----------------------------------------------------------------
 
 
-def verify_recursion(claim_id, k, cache=None, n_max=None):
-    """Verdict of a claim that is not a list (a recursion, a conjecture, a note)."""
-    row = _row(claim_id, "check")
-    return row.check(claim_id, _claim_k(row, k), cache or MiningCache(), n_max)
-
-
 def _verify_thm17(claim_id, k, cache, n_max):
     """Type (2,1) records are exactly K1 + (K1 join H') over disconnected
     (inf,k-1)-obstructions H' that are (1,k)-polar."""
@@ -438,7 +432,7 @@ def _verify_thm17(claim_id, k, cache, n_max):
         if r.c < 2:
             continue
         h = _graph_of_record(r)
-        if not polarity.is_polar(h, 1, k, want_witness=False)[0]:
+        if not polarity.profile_of_graph(h).admits(1, k):
             continue
         lifted = graphs.disjoint_union(
             graphs.Graph.empty(1), graphs.join(graphs.Graph.empty(1), h)
@@ -462,7 +456,7 @@ def _verify_thm19(claim_id, k, cache, n_max):
                 if (r.c, r.i) != (c - 1, p):
                     continue
                 h = _graph_of_record(r)
-                if not polarity.is_polar(h, 1, k, want_witness=False)[0]:
+                if not polarity.profile_of_graph(h).admits(1, k):
                     continue
                 lifted = graphs.disjoint_union(graphs.Graph.complete(2), h)
                 expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K2 + {r.expression}")
@@ -494,7 +488,7 @@ def _aitch_conditions(h, kv):
         sub = graphs.delete_vertex(h, v)
         if graphs.is_cluster(sub)[0]:
             continue
-        if not polarity.is_polar(sub, 1, kv - 1, want_witness=False)[0]:
+        if not polarity.profile_of_graph(sub).admits(1, kv - 1):
             return False
     return True
 
@@ -521,9 +515,14 @@ def _verify_thm11(claim_id, k, cache, n_max):
     fig1_codes = set(_codes_of_exprs(_exprs(FIG1)))
     splits = [(k1, k + 1 - k1) for k1 in range(2, k) if k + 1 - k1 >= k1]
     for k1, k2 in splits:
-        for h1, e1 in _thm11_sides(k1, cache, fig1_codes):
-            for h2, e2 in _thm11_sides(k2, cache, fig1_codes):
-                if not _thm11_condition4(h1, e1, h2, e2, k1, k2, cache, fig1_codes):
+        sides2 = _thm11_sides(k2, cache, fig1_codes)
+        for h1, e1, special1, record1 in _thm11_sides(k1, cache, fig1_codes):
+            for h2, e2, special2, record2 in sides2:
+                # condition 4: a special side beside a (1,ki-1)-obstruction
+                # needs that obstruction to have one component other than K2
+                if special1 and record2 and not _exactly_one_non_k2_component(h2):
+                    continue
+                if special2 and record1 and not _exactly_one_non_k2_component(h1):
                     continue
                 g = graphs.disjoint_union(h1, h2)
                 if _has_p3_component(g):
@@ -543,19 +542,21 @@ def _verify_thm11(claim_id, k, cache, n_max):
 
 def _thm11_sides(ki, cache, fig1_codes):
     """Candidate sides H with split level ki: filtered (1,ki-1)-obstructions
-    plus (ki-2)K2 + (K1 join 2K2)."""
+    plus the special side (ki-2)K2 + (K1 join 2K2).  Each is (H, expression,
+    whether H is the special side, whether H is a (1,ki-1)-obstruction)."""
+    records = _read(cache, 1, ki - 1)[1]
+    text = _u(_rep(ki - 2, "K2"), "K1 * 2K2")
+    special = expressions.evaluate(expressions.parse(text))
+    special_code = canonical_code(cotree_of(special))
     sides = []
-    for r in _read(cache, 1, ki - 1)[1]:
+    for r in records:
         if r.code in fig1_codes:
             continue
         h = _graph_of_record(r)
         if _is_m_k2(h, ki):
             continue
-        sides.append((h, r.expression))
-    special = expressions.evaluate(
-        expressions.parse(_u(_rep(ki - 2, "K2"), "K1 * 2K2"))
-    )
-    sides.append((special, _u(_rep(ki - 2, "K2"), "K1 * 2K2")))
+        sides.append((h, r.expression, r.code == special_code, True))
+    sides.append((special, text, True, any(r.code == special_code for r in records)))
     return sides
 
 
@@ -563,28 +564,6 @@ def _is_m_k2(g, m):
     return g.n == 2 * m and all(
         sub.n == 2 and sub.edge_count() == 1 for sub in _components_graphs(g)
     )
-
-
-def _is_one_k_minimal_obstruction(h, m, cache):
-    codes = {r.code for r in _read(cache, 1, m)[1]}
-    return canonical_code(cotree_of(h)) in codes
-
-
-def _thm11_condition4(h1, e1, h2, e2, k1, k2, cache, fig1_codes):
-    special1 = _is_special_side(h1, k1)
-    special2 = _is_special_side(h2, k2)
-    if special1 and _is_one_k_minimal_obstruction(h2, k2 - 1, cache):
-        if not _exactly_one_non_k2_component(h2):
-            return False
-    if special2 and _is_one_k_minimal_obstruction(h1, k1 - 1, cache):
-        if not _exactly_one_non_k2_component(h1):
-            return False
-    return True
-
-
-def _is_special_side(h, ki):
-    template = expressions.evaluate(expressions.parse(_u(_rep(ki - 2, "K2"), "K1 * 2K2")))
-    return cotrees.is_isomorphic(h, template)
 
 
 def _admits_thm11_split(g, k):
@@ -624,12 +603,21 @@ def check_conjectures(k, n_max, cache=None):
     one record fails conj1; a type with none may have its record above.
     """
     cache = cache or MiningCache()
-    records = cache.mine(INF, k, n_max)
-    limit = 3 * (k + 1)
-    probed = n_max > limit
-    unprobed = f"; bound {n_max} does not probe beyond the conjecture"
-    reports = []
+    return [_check_conj1("conj1", k, cache, n_max), _check_conj2("conj2", k, cache, n_max)]
 
+
+def _probe(k, cache, n_max):
+    """A conjecture's bound (n_max, or one past 3(k+1)), the (inf,k) records
+    up to it, whether it reaches past 3(k+1), and the notes' suffix."""
+    bound = n_max or _mining_bound(INF, k)
+    probed = bound > conjectured_order(k)
+    suffix = "" if probed else f"; bound {bound} does not probe beyond the conjecture"
+    return bound, cache.mine(INF, k, bound), probed, suffix
+
+
+def _check_conj1(claim_id, k, cache, n_max):
+    """Exactly one record per type (c,i) with 1 <= i <= c-2 <= k."""
+    bound, records, probed, suffix = _probe(k, cache, n_max)
     cells = {}
     for r in records:
         cells.setdefault((r.c, r.i), []).append(r)
@@ -641,42 +629,34 @@ def check_conjectures(k, n_max, cache=None):
             single += found == 1
             if found > 1 or (found == 0 and probed):
                 bad.append(f"type ({c},{i}): {found} records")
-    notes = "exactly one record per type (c,i), 1 <= i <= c-2 <= k"
-    reports.append(
-        VerdictReport(
-            claim="conj1",
-            k=k,
-            bound=n_max,
-            status="FAIL" if bad else ("PASS" if probed else "INCONCLUSIVE"),
-            expected=checked,
-            actual=single,
-            missing=bad,
-            notes=notes if probed else notes + unprobed,
-        )
+    return VerdictReport(
+        claim=claim_id,
+        k=k,
+        bound=bound,
+        status="FAIL" if bad else ("PASS" if probed else "INCONCLUSIVE"),
+        expected=checked,
+        actual=single,
+        missing=bad,
+        notes="exactly one record per type (c,i), 1 <= i <= c-2 <= k" + suffix,
     )
 
+
+def _check_conj2(claim_id, k, cache, n_max):
+    """No record has order above 3(k+1)."""
+    bound, records, probed, suffix = _probe(k, cache, n_max)
+    limit = conjectured_order(k)
     max_order = max((r.order for r in records), default=0)
     over = [r.graph6 for r in records if r.order > limit]
-    notes = f"max mined order {max_order} vs conjectured bound {limit}"
-    reports.append(
-        VerdictReport(
-            claim="conj2",
-            k=k,
-            bound=n_max,
-            status="FAIL" if over else ("PASS" if probed else "INCONCLUSIVE"),
-            expected=0,
-            actual=len(over),
-            extra=over,
-            notes=notes if probed else notes + unprobed,
-        )
+    return VerdictReport(
+        claim=claim_id,
+        k=k,
+        bound=bound,
+        status="FAIL" if over else ("PASS" if probed else "INCONCLUSIVE"),
+        expected=0,
+        actual=len(over),
+        extra=over,
+        notes=f"max mined order {max_order} vs conjectured bound {limit}" + suffix,
     )
-    return reports
-
-
-def _check_conjecture(claim_id, k, cache, n_max):
-    """One conjecture's verdict, probed at n_max or 3(k+1)+1."""
-    n = n_max or _mining_bound(INF, k)
-    return next(r for r in check_conjectures(k, n, cache=cache) if r.claim == claim_id)
 
 
 def _sixteen_note(claim_id, k, cache, n_max):
@@ -842,8 +822,8 @@ CLAIMS = (
     Claim("thm11", k_min=2, check=_verify_thm11),
     Claim("thm17", k_min=2, check=_verify_thm17),
     Claim("thm19", k_min=1, check=_verify_thm19),
-    Claim("conj1", k_min=2, check=_check_conjecture),
-    Claim("conj2", k_min=1, check=_check_conjecture),
+    Claim("conj1", k_min=2, check=_check_conj1),
+    Claim("conj2", k_min=1, check=_check_conj2),
     Claim("sixteen-note", check=_sixteen_note),
 )
 
@@ -869,11 +849,25 @@ def _claim_k(row, k):
 
 
 def verify_claim(claim_id, k=None, cache=None, n_max=None, catalog_dir=None):
+    """The verdict of one claim at k, the one path every claim takes.
+
+    A check row runs its check.  A list row compares its expressions with the
+    mined records it covers: the claim's file in ``catalog_dir`` when one is
+    given (``write_claim_files``), else its built-in texts.
+    """
     row = _row(claim_id)
+    k = _claim_k(row, k)
+    cache = cache or MiningCache()
     if row.check is not None:
-        return verify_recursion(claim_id, k, cache=cache, n_max=n_max)
-    expected = _load_catalog_exprs(catalog_dir, claim_id, _claim_k(row, k))
-    return verify_list(claim_id, k, cache=cache, n_max=n_max, expected_exprs=expected)
+        return row.check(claim_id, k, cache, n_max)
+    if catalog_dir is None:
+        exprs = _exprs(row.texts(k))
+    else:
+        exprs = _load_catalog_exprs(catalog_dir, claim_id, k)
+    s_mined, k_mined = row.mining
+    bound, records = _read(cache, s_mined, k_mined or k, n_max)
+    covered = [r for r in records if row.covers is None or row.covers(r, k)]
+    return row.compare(claim_id, k, bound, exprs, covered)
 
 
 def verify_all(k, cache=None, catalog_dir=None):
@@ -911,8 +905,6 @@ def write_claim_files(directory, k):
 
 
 def _load_catalog_exprs(catalog_dir, claim_id, k):
-    if catalog_dir is None:
-        return None
     path = os.path.join(catalog_dir, _claim_filename(claim_id, k))
     if not os.path.exists(path):
         raise ClaimParameterError(f"claim {claim_id}: no catalog file {path}")

@@ -156,6 +156,21 @@ def _require_profile(g):
         raise CliError(str(exc), EXIT_NOT_COGRAPH)
 
 
+def _oracle_disagrees(args, g, prof, payload):
+    """With --oracle, record in payload whether the brute-force profile agrees
+    with ``prof``; on a disagreement write the payload and return True.  A
+    graph above the oracle's order limit exits 4."""
+    if not args.oracle:
+        return False
+    if g.n > polarity.BRUTE_FORCE_MAX_ORDER:
+        raise CliError("graph too large for the brute-force oracle", EXIT_BOUND)
+    payload["oracle_agrees"] = polarity.profile_bruteforce(g).closure() == prof.closure()
+    if payload["oracle_agrees"]:
+        return False
+    _emit(json.dumps(payload, sort_keys=True), args.out)
+    return True
+
+
 def cmd_polarity(args):
     s = _parse_param(args.s, "s")
     k = _parse_param(args.k, "k")
@@ -180,15 +195,8 @@ def cmd_polarity(args):
             "B": sorted(graphs.bits(witness.b_mask)),
             "signature": list(witness.signature),
         }
-    if args.oracle:
-        if g.n > polarity.BRUTE_FORCE_MAX_ORDER:
-            raise CliError("graph too large for the brute-force oracle", EXIT_BOUND)
-        oracle = polarity.profile_bruteforce(g)
-        agree = oracle.closure() == prof.closure()
-        payload["oracle_agrees"] = agree
-        if not agree:
-            _emit(json.dumps(payload, sort_keys=True), args.out)
-            return EXIT_VERIFY_FAIL
+    if _oracle_disagrees(args, g, prof, payload):
+        return EXIT_VERIFY_FAIL
     verdict_line = "POLAR" if verdict else "NOT-POLAR"
     _emit(verdict_line + "\n" + json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
@@ -202,14 +210,8 @@ def cmd_profile(args):
         "signatures": [list(sig) for sig in prof.sorted_signatures()],
         "version": __version__,
     }
-    if args.oracle:
-        if g.n > polarity.BRUTE_FORCE_MAX_ORDER:
-            raise CliError("graph too large for the brute-force oracle", EXIT_BOUND)
-        oracle = polarity.profile_bruteforce(g)
-        payload["oracle_agrees"] = oracle.closure() == prof.closure()
-        if not payload["oracle_agrees"]:
-            _emit(json.dumps(payload, sort_keys=True), args.out)
-            return EXIT_VERIFY_FAIL
+    if _oracle_disagrees(args, g, prof, payload):
+        return EXIT_VERIFY_FAIL
     _emit(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -219,7 +221,7 @@ def cmd_mine(args):
     k = _parse_param(args.k, "k")
     if s is None or k is None:
         raise CliError("mine requires --s and --k", EXIT_PARSE)
-    n_max = args.n_max if args.n_max is not None else obstructions.default_mining_bound(k)
+    n_max = args.n_max if args.n_max is not None else catalog.conjectured_order(k)
     _check_bound(n_max)
     records = obstructions.mine_obstructions(s, k, n_max)
     _emit(obstructions.records_to_jsonl(records) if records else "", args.out)

@@ -138,33 +138,20 @@ class CographEnumerator:
         self.disconnected = {1: [_SHARED_LEAF]}
         self._built = 1
 
-    def build_up_to(self, n):
-        """Build every order up to n, with the cyclic garbage collector paused.
-
-        The enumerator allocates only acyclic trees, which reference counting
-        frees, so collector passes over the growing heap of stored nodes find
-        nothing.  The caller's collector state is restored even on error.
-        """
+    def _build_to(self, n):
+        """Build every order up to n; ``classes_of_order`` pauses the collector."""
         _check_enumeration_bound(n)
-        if self._built >= n:
-            return
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while self._built < n:
-                m = self._built + 1
-                conn, disc = [], []
-                self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, disc)
-                # each comes out of the walk in a few hundred ascending runs,
-                # which timsort merges in about linear time
-                conn.sort(key=_CODE)
-                disc.sort(key=_CODE)
-                self.connected[m] = conn
-                self.disconnected[m] = disc
-                self._built = m
-        finally:
-            if enabled:
-                gc.enable()
+        while self._built < n:
+            m = self._built + 1
+            conn, disc = [], []
+            self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, disc)
+            # each comes out of the walk in a few hundred ascending runs,
+            # which timsort merges in about linear time
+            conn.sort(key=_CODE)
+            disc.sort(key=_CODE)
+            self.connected[m] = conn
+            self.disconnected[m] = disc
+            self._built = m
 
     def _add_unions(self, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc):
         """Build each order-m class whose parts extend the parts chosen so far, once.
@@ -224,16 +211,21 @@ class CographEnumerator:
         Every JOIN code (b"J...") sorts before every UNION code (b"U..."), so
         these are the connected classes followed by the disconnected ones.
         The tuple is built from ``chain``, not ``conn + disc``, so that no
-        list of the whole order is held next to it.  It is built with the
-        collector still paused: the chain and the tuple are the first
-        tracked objects allocated after a build, and with the collector
-        running the first of them would start a pass over every node just
-        built (a quarter more CPU in ``cograph_counts(14)``).
+        list of the whole order is held next to it.
+
+        The orders up to n are built, and the tuple too, with the cyclic
+        garbage collector paused; the caller's state is restored even on
+        error.  The enumerator allocates only acyclic trees, which reference
+        counting frees, so collector passes over the growing heap of stored
+        nodes find nothing.  The chain and the tuple are the first tracked
+        objects allocated after a build, and with the collector running the
+        first of them would start a pass over every node just built (a
+        quarter more CPU in ``cograph_counts(14)``).
         """
         enabled = gc.isenabled()
         gc.disable()
         try:
-            self.build_up_to(n)
+            self._build_to(n)
             if n == 1:
                 return (_SHARED_LEAF,)
             return tuple(chain(self.connected[n], self.disconnected[n]))
@@ -681,13 +673,6 @@ def mine_obstructions(s, k, n_max, enumerator=None):
         records.append(_record_from_tree(t, s, k, n_max))
     records.sort(key=ObstructionRecord.sort_key)
     return records
-
-
-def default_mining_bound(k):
-    """3(k+1) for finite k (the conjectured maximum obstruction order); 10 otherwise."""
-    if k == INF:
-        return 10
-    return 3 * (int(k) + 1)
 
 
 def records_to_jsonl(records):

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from . import cotrees, graphs
-from .cotrees import JOIN, LEAF, UNION, Cotree, cotree_of
+from .cotrees import JOIN, LEAF, UNION, cotree_of
 from .graphs import Graph, bits
 
 INF = math.inf
@@ -446,21 +446,15 @@ def witness_for(t, sig):
     return PartitionWitness(graphs.mask_of(a_list), graphs.mask_of(b_list), sig)
 
 
-def is_polar(g_or_t, s, k, want_witness=True):
-    """(verdict, witness) for the (s,k)-polarity of a cograph.
+def is_polar(g, s, k):
+    """(verdict, witness) for the (s,k)-polarity of a cograph given as a Graph.
 
-    Accepts a Graph or a cotree; INF lifts the corresponding bound.  When the
-    verdict is positive and a witness is requested, the witness is rebuilt
-    from DP choice points and re-validated against the graph.
+    INF lifts the corresponding bound.  A positive verdict carries a witness,
+    rebuilt from DP choice points and re-validated against the graph.
     """
-    if isinstance(g_or_t, Cotree):
-        t = g_or_t
-        g = None
-    else:
-        g = g_or_t
-        if g.n == 0:
-            return True, PartitionWitness(0, 0, (0, 0))
-        t = cotree_of(g)
+    if g.n == 0:
+        return True, PartitionWitness(0, 0, (0, 0))
+    t = cotree_of(g)
     prof = profile_dp(t)
     s_bound = prof.n if s == INF else s
     k_bound = prof.n if k == INF else k
@@ -469,11 +463,7 @@ def is_polar(g_or_t, s, k, want_witness=True):
     )
     if not candidates:
         return False, None
-    if not want_witness:
-        return True, None
     witness = witness_for(t, candidates[0])
-    if g is None:
-        g = cotrees.realize(t)
     if not validate_witness(g, witness):  # pragma: no cover - defense against memo bugs
         raise AssertionError("reconstructed witness failed validation")
     return True, witness

@@ -14,7 +14,13 @@ import time
 import pytest
 
 from polarcographs import catalog, cotrees, expressions, graphs, obstructions, polarity
-from polarcographs.catalog import check_conjectures, check_lemma5, check_lemma7, verify_recursion
+from polarcographs.catalog import (
+    check_conjectures,
+    check_lemma5,
+    check_lemma7,
+    conjectured_order,
+    verify_claim,
+)
 from polarcographs.obstructions import enumerate_cographs, mine_obstructions
 from polarcographs.polarity import INF
 
@@ -198,12 +204,12 @@ def test_criterion_7_census():
 def test_criterion_8_structural_suites(cache):
     reports = []
     for k in (2, 3):
-        records = cache.mine(INF, k, obstructions.default_mining_bound(k))
+        records = cache.mine(INF, k, conjectured_order(k))
         reports.append(check_lemma5(records, k))
         reports.append(check_lemma7(records, k))
         for claim in ("thm17", "thm19", "thm11"):
-            reports.append(verify_recursion(claim, k, cache=cache))
-        reports.extend(check_conjectures(k, 3 * (k + 1) + 1, cache=cache))
+            reports.append(verify_claim(claim, k, cache=cache))
+        reports.extend(check_conjectures(k, conjectured_order(k) + 1, cache=cache))
     failing = [f"{r.claim}@k={r.k}" for r in reports if r.status != "PASS"]
     _report(
         "criterion-8",

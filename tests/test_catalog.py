@@ -4,6 +4,7 @@ import pytest
 
 from polarcographs import catalog, cotrees, expressions, graphs, obstructions
 from polarcographs.catalog import (
+    FIG1,
     ClaimParameterError,
     UnknownClaimError,
     check_conjectures,
@@ -11,9 +12,8 @@ from polarcographs.catalog import (
     check_lemma7,
     instantiate,
     verify_all,
+    conjectured_order,
     verify_claim,
-    verify_list,
-    verify_recursion,
     write_claim_files,
 )
 from polarcographs.obstructions import BoundExceededError
@@ -62,22 +62,36 @@ def test_parameter_validation():
         instantiate("nope", 2)
 
 
-def test_verify_list_fig1(cache):
-    report = verify_list("fig1", cache=cache)
+def test_verify_fig1_list(cache):
+    report = verify_claim("fig1", cache=cache)
     assert report.status == "PASS"
     assert report.expected == report.actual == 4
 
 
-def test_verify_detects_tampering(cache):
+def test_verify_detects_tampering(tmp_path, cache):
     # drop one expression: the verifier must flag the mined record as extra
-    exprs = instantiate("fig1")[:3]
-    report = verify_list("fig1", cache=cache, expected_exprs=exprs)
+    (tmp_path / "fig1.txt").write_text("\n".join(FIG1[:3]) + "\n")
+    report = verify_claim("fig1", cache=cache, catalog_dir=str(tmp_path))
     assert report.status == "FAIL"
     assert len(report.extra) == 1
 
 
-def test_verify_recursion_thm17(cache):
-    assert verify_recursion("thm17", 2, cache=cache).status == "PASS"
+def test_empty_claim_file_fails_with_every_record_extra(tmp_path, cache):
+    # an empty list is the file's list, never a fall-back to the built-in one
+    (tmp_path / "fig1.txt").write_text("# fig1, every line removed\n")
+    report = verify_claim("fig1", cache=cache, catalog_dir=str(tmp_path))
+    assert (report.status, report.expected, report.actual) == ("FAIL", 0, 4)
+    assert len(report.extra) == 4 and report.missing == []
+
+
+def test_verify_thm17_recursion(cache):
+    assert verify_claim("thm17", 2, cache=cache).status == "PASS"
+
+
+def test_conjectured_order():
+    assert conjectured_order(2) == 9
+    assert conjectured_order(3) == 12
+    assert conjectured_order(INF) == 10
 
 
 def test_conjecture_reports(cache):
@@ -140,7 +154,7 @@ def test_thm11_fails_loudly_above_the_mining_limit(monkeypatch):
     # at k=3 thm11 mines (1,1)-obstructions to order 2m+4 = 6
     monkeypatch.setattr(obstructions, "MINING_MAX_ORDER", 5)
     with pytest.raises(BoundExceededError, match="mining bound 6 exceeds 5"):
-        verify_recursion("thm11", 3, catalog.MiningCache(), n_max=3)
+        verify_claim("thm11", 3, catalog.MiningCache(), n_max=3)
 
 
 @pytest.mark.parametrize(
@@ -155,11 +169,11 @@ def test_thm11_fails_loudly_above_the_mining_limit(monkeypatch):
     ],
 )
 def test_recursion_compares_only_graphs_within_the_bound(cache, claim, k, n_max, dropped, kept):
-    report = verify_recursion(claim, k, cache=cache, n_max=n_max)
+    report = verify_claim(claim, k, cache=cache, n_max=n_max)
     assert (report.expected, report.missing, report.extra) == (kept, [], [])
     assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
     assert report.status == ("PASS" if kept else "INCONCLUSIVE")
-    default = verify_recursion(claim, k, cache=cache)
+    default = verify_claim(claim, k, cache=cache)
     assert default.status == "PASS" and "left out" not in default.notes
 
 
@@ -227,11 +241,11 @@ def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):
     ],
 )
 def test_list_compares_only_graphs_within_the_bound(cache, claim, n_max, status, kept, dropped):
-    report = verify_list(claim, cache=cache, n_max=n_max)
+    report = verify_claim(claim, cache=cache, n_max=n_max)
     assert (report.status, report.expected, report.actual) == (status, kept, kept)
     assert (report.missing, report.extra) == ([], [])
     assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
-    default = verify_list(claim, cache=cache)
+    default = verify_claim(claim, cache=cache)
     assert default.status == "PASS" and "left out" not in default.notes
 
 
@@ -243,11 +257,11 @@ def test_list_compares_only_graphs_within_the_bound(cache, claim, n_max, status,
     ],
 )
 def test_cor20_compares_only_graphs_within_the_bound(cache, n_max, status, kept, dropped):
-    report = verify_list("cor20-item1", 3, cache=cache, n_max=n_max)
+    report = verify_claim("cor20-item1", 3, cache=cache, n_max=n_max)
     assert (report.status, report.expected, report.actual) == (status, kept, kept)
     assert (report.missing, report.extra) == ([], [])
     assert report.notes.startswith(f"left out {dropped} expected graph(s) above order {n_max}")
-    default = verify_list("cor20-item1", 3, cache=cache)
+    default = verify_claim("cor20-item1", 3, cache=cache)
     assert (default.status, default.expected) == ("PASS", 4)
     assert "left out" not in default.notes
 
@@ -259,7 +273,7 @@ def test_lemma_suites(cache):
 
 
 def test_verdict_json_shape(cache):
-    report = verify_list("fig1", cache=cache)
+    report = verify_claim("fig1", cache=cache)
     import json
 
     payload = json.loads(report.to_json())

@@ -152,12 +152,6 @@ def test_cotree_to_expr_roundtrip():
         assert cotrees.canonical_code(cotrees.cotree_of(g)) == cotrees.canonical_code(t)
 
 
-def test_default_mining_bound():
-    assert obstructions.default_mining_bound(2) == 9
-    assert obstructions.default_mining_bound(3) == 12
-    assert obstructions.default_mining_bound(INF) == 10
-
-
 def test_fresh_enumerator_matches_shared():
     fresh = CographEnumerator()
     assert cograph_counts(6, enumerator=fresh) == COGRAPH_COUNTS_10[:6]
@@ -200,7 +194,7 @@ def test_stored_lists_are_code_sorted_and_complements_of_each_other():
     # each list ascends by code and holds one label; complementation maps one
     # onto the other, so their lengths agree and one index walk builds both
     enum = CographEnumerator()
-    enum.build_up_to(10)
+    enum.classes_of_order(10)
     stored = {id(obstructions._SHARED_LEAF)} | {
         id(t)
         for lists in (enum.connected, enum.disconnected)
@@ -272,7 +266,7 @@ def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     try:
         gc.enable() if enabled else gc.disable()
         enum = CographEnumerator()
-        enum.build_up_to(6)
+        enum.classes_of_order(6)
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -295,7 +289,7 @@ def test_build_restores_gc_when_it_raises(monkeypatch):
     try:
         gc.enable()
         with pytest.raises(RuntimeError):
-            CographEnumerator().build_up_to(5)
+            CographEnumerator().classes_of_order(5)
         assert gc.isenabled()
     finally:
         gc.enable() if was_enabled else gc.disable()
