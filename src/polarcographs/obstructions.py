@@ -16,15 +16,19 @@ labels alternating), and each is built in one step with its order and
 canonical code.  The parts chosen so far are carried in code order, each
 inserted where its code falls, so a class is assembled, not sorted: its
 children and code are the parts before its last part's place, that part, and
-the rest.  No profile is computed while building: ``polarity.profile_dp``
-computes and memoizes one on the first node that asks.  The connected and
-the disconnected classes of each order are each stored in code order; since
-the last part runs over a code-sorted list, each list is built as a few
-hundred ascending runs, which the sort merges in about linear time, and an
-order's classes are the connected list followed by the disconnected one
-(b"J" < b"U").  The cyclic garbage collector is paused while building: the
+the rest.  The last part runs over a code-sorted block, so its place never
+decreases along the block and each place takes one contiguous run of it: one
+bisect per place, not one per class.  No profile is computed while building:
+``polarity.profile_dp`` computes and memoizes one on the first node that
+asks.  The connected and the disconnected classes of each order are each
+stored in code order; since the last part runs over a code-sorted list, each
+list is built as a few hundred ascending runs, which the sort merges in about
+linear time, and an order's classes are the connected list followed by the
+disconnected one (b"J" < b"U").  The cyclic garbage collector is paused while building: the
 enumerator allocates only acyclic trees, and the collector's passes over the
-growing heap of stored nodes would find nothing to free.
+growing heap of stored nodes would find nothing to free.  The new nodes are
+then handed to the collector's oldest generation, so that the caller's next
+allocation does not start a pass over them.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -72,7 +76,7 @@ from __future__ import annotations
 
 import gc
 import json
-from bisect import bisect_right as bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from math import comb
@@ -85,7 +89,7 @@ from .polarity import INF
 
 # Each limit is checked in this module only.  The enumerator builds and keeps
 # every class (1,399,068 of order 15 alone): ``cograph_counts(15)`` takes
-# 1.7-2.3 s of CPU at 492 MB peak RSS (2-vCPU Xeon VM, Python 3.11), and
+# 1.6-2.0 s of CPU at 482 MB peak RSS (2-vCPU Xeon VM, Python 3.11), and
 # the process keeps that memory.  Mining enumerates only up to
 # _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
 # 229 MB at (inf,12,40) and 421 MB at (inf,19,40).  The mining limit bounds
@@ -108,7 +112,7 @@ _CODE = attrgetter("_code")
 def _insert(parts, part):
     """(children, codes) in code order, with ``part`` inserted where its code falls."""
     kids, codes = parts
-    p = bisect(codes, part._code)
+    p = bisect_right(codes, part._code)
     return kids[:p] + (part,) + kids[p:], codes[:p] + (part._code,) + codes[p:]
 
 
@@ -130,7 +134,8 @@ class CographEnumerator:
     builds every class of both kinds once.  Every node gets its order and
     canonical code when it is built, its children already in code order:
     parts are carried in code order and each class is assembled by inserting
-    its last part, not sorted.  Profiles are left to ``polarity.profile_dp``.
+    its last part, not sorted, with one bisect per insertion place, not one
+    per class.  Profiles are left to ``polarity.profile_dp``.
     """
 
     def __init__(self):
@@ -163,8 +168,12 @@ class CographEnumerator:
         (children, codes) in code order, each part inserted in place.  Each
         multiset of at least two indices gives the UNION of its union parts,
         appended to ``new_disc``, and the JOIN of its join parts, appended to
-        ``new_conn``.  Each node is built in one step, all six slots set on
-        ``Cotree.__new__``: no initializer runs per node.
+        ``new_conn``.  The last part runs over a block sorted by code, so its
+        insertion place never decreases along the block: each place p takes
+        the run of parts x with codes[p-1] <= x's code < codes[p], which one
+        bisect per place finds, not one per class.  Each node is built in one
+        step, all six slots set on ``Cotree.__new__``: no initializer runs
+        per node.
         """
         connected, disconnected = self.connected, self.disconnected
         # a part that leaves room for another has order <= remaining // 2
@@ -194,16 +203,20 @@ class CographEnumerator:
             (JOIN, disconnected, join_parts, new_conn),
         ):
             places = _places(kids, codes, op.encode("ascii") + count)
-            for x in blocks[remaining][start:]:
-                head, tail, code_head, code_tail = places[bisect(codes, x._code)]
-                t = new(cls)
-                t.op = op
-                t.children = head + (x,) + tail
-                t.vertex = None
-                t._code = code_head + x._code + code_tail
-                t._order = m
-                t._profile = None
-                out.append(t)
+            block = blocks[remaining]
+            lo, end = start, len(block)
+            for p, (head, tail, code_head, code_tail) in enumerate(places):
+                hi = bisect_left(block, codes[p], lo, end, key=_CODE) if p < len(codes) else end
+                for x in block[lo:hi]:
+                    t = new(cls)
+                    t.op = op
+                    t.children = head + (x,) + tail
+                    t.vertex = None
+                    t._code = code_head + x._code + code_tail
+                    t._order = m
+                    t._profile = None
+                    out.append(t)
+                lo = hi
 
     def classes_of_order(self, n):
         """Every class of order n, sorted by canonical code, as a new tuple.
@@ -220,12 +233,21 @@ class CographEnumerator:
         nodes find nothing.  The chain and the tuple are the first tracked
         objects allocated after a build, and with the collector running the
         first of them would start a pass over every node just built (a
-        quarter more CPU in ``cograph_counts(14)``).
+        quarter more CPU in ``cograph_counts(14)``).  After a build that made
+        a new order, ``gc.freeze`` and ``gc.unfreeze`` move the new nodes to
+        the oldest generation without a pass, and leave the generation-0
+        count at zero; that is skipped when the caller has frozen objects of
+        its own, which ``gc.unfreeze`` would release.
         """
+        _check_int("n", n, 1)
         enabled = gc.isenabled()
         gc.disable()
         try:
+            built = self._built
             self._build_to(n)
+            if self._built > built and not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             if n == 1:
                 return (_SHARED_LEAF,)
             return tuple(chain(self.connected[n], self.disconnected[n]))
@@ -237,6 +259,16 @@ class CographEnumerator:
 _ENUMERATOR = CographEnumerator()
 
 
+def _check_int(name, n, least):
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
+
+
+def _check_param(name, x):
+    if x != INF and (isinstance(x, bool) or not isinstance(x, int) or x < 0):
+        raise ValueError(f"{name} must be a non-negative int or INF, got {x!r}")
+
+
 def _check_enumeration_bound(n_max):
     if n_max > ENUMERATION_MAX_ORDER:
         raise BoundExceededError(f"enumeration bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
@@ -244,6 +276,7 @@ def _check_enumeration_bound(n_max):
 
 def enumerate_cographs(n_max, enumerator=None):
     """Yield one normalized cotree per unlabeled cograph class, order 1..n_max."""
+    _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
     enum = enumerator or _ENUMERATOR
     for n in range(1, n_max + 1):
@@ -252,6 +285,7 @@ def enumerate_cographs(n_max, enumerator=None):
 
 def cograph_counts(n_max, enumerator=None):
     """Number of unlabeled cograph classes for each order 1..n_max."""
+    _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
     enum = enumerator or _ENUMERATOR
     return [len(enum.classes_of_order(n)) for n in range(1, n_max + 1)]
@@ -605,7 +639,7 @@ def _mine_types(s, k, n_max, enum):
                 if not_live:
                     knapsacks[op].add(n, None, not_live)
 
-    return ([_SHARED_LEAF] if algebra.hit[leaf] else []) + _expand(knapsacks, hits)
+    return ([_SHARED_LEAF] if algebra.hit[leaf] and n_max else []) + _expand(knapsacks, hits)
 
 
 def _expand(knapsacks, hits):
@@ -662,8 +696,12 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     travels with every record: completeness beyond n_max is never implied.
     Every class found is re-checked by ``is_minimal_obstruction``; a class
     it rejects raises AssertionError.  ``enumerator`` serves the enumerated
-    cross-check of the low orders.
+    cross-check of the low orders.  s and k must be non-negative ints or INF,
+    and n_max a non-negative int, or ValueError is raised before any work.
     """
+    _check_param("s", s)
+    _check_param("k", k)
+    _check_int("n_max", n_max, 0)
     if n_max > MINING_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {MINING_MAX_ORDER}")
     records = []

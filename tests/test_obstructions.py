@@ -26,6 +26,7 @@ from util import (
     memo_free_copy,
     minimal_by_all_deletions,
     per_base_add,
+    per_class_bisect_order,
     random_cotree,
 )
 
@@ -69,6 +70,35 @@ def test_cograph_counts_fail_before_building_anything():
     with pytest.raises(BoundExceededError, match="enumeration bound 16 exceeds 15"):
         cograph_counts(16, enumerator=fresh)
     assert fresh._built == 1
+
+
+BAD_PARAMETERS = [
+    (lambda enum: mine_obstructions(INF, -1, 5, enumerator=enum), "k"),
+    (lambda enum: mine_obstructions(-1, 2, 5, enumerator=enum), "s"),
+    (lambda enum: mine_obstructions(INF, 2, -1, enumerator=enum), "n_max"),
+    (lambda enum: mine_obstructions(2.5, 2, 5, enumerator=enum), "s"),
+    (lambda enum: mine_obstructions(INF, True, 5, enumerator=enum), "k"),
+    (lambda enum: mine_obstructions(INF, 2, 5.0, enumerator=enum), "n_max"),
+    (lambda enum: enum.classes_of_order(0), "n"),
+    (lambda enum: cograph_counts(-1, enumerator=enum), "n_max"),
+    (lambda enum: list(enumerate_cographs(3.0, enumerator=enum)), "n_max"),
+]
+
+
+@pytest.mark.parametrize("call, name", BAD_PARAMETERS)
+def test_bad_parameters_raise_before_any_work(call, name):
+    fresh = CographEnumerator()
+    with pytest.raises(ValueError, match=f"^{name} must be") as raised:
+        call(fresh)
+    assert type(raised.value) is ValueError
+    assert fresh._built == 1
+
+
+def test_order_zero_has_no_classes_and_no_obstructions():
+    assert cograph_counts(0) == [] and list(enumerate_cographs(0)) == []
+    # at (0,0) the leaf is a minimal obstruction, but of order 1
+    for s, k in ORACLE_PAIRS:
+        assert mine_obstructions(s, k, 0) == [], (s, k)
 
 
 def test_remove_leaf_matches_vertex_deletion():
@@ -250,6 +280,43 @@ def test_enumerated_codes_and_child_order_byte_for_byte():
         assert codes == sorted(codes), cotrees.render(t)
         head = t.op.encode("ascii") + bytes((len(codes),))
         assert t._code == head + b"".join(codes), cotrees.render(t)
+
+
+def test_per_place_runs_match_the_per_class_bisect_oracle():
+    # the same classes from the same stored children, in the same list order
+    enum = CographEnumerator()
+    assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF,)
+    for m in range(2, 12):
+        expected = per_class_bisect_order(enum, m)
+        enum.classes_of_order(m)
+        for got, want in zip((enum.connected[m], enum.disconnected[m]), expected):
+            assert len(got) == len(want) == A000084[m - 1] // 2, m
+            for a, b in zip(got, want):
+                assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+                assert [id(c) for c in a.children] == [id(c) for c in b.children]
+
+
+def test_a_build_leaves_no_generation_0_debt():
+    # the new nodes go to the oldest generation, not to the caller's next
+    # pass; with the collector off, no pass can clear the count before it is read
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        CographEnumerator().classes_of_order(10)
+        count = gc.get_count()[0]
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert count < gc.get_threshold()[0]
+
+
+def test_a_build_keeps_the_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        CographEnumerator().classes_of_order(8)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 
 from polarcographs import cotrees, graphs, obstructions, polarity
 from polarcographs.cotrees import JOIN, LEAF, UNION, Cotree
@@ -273,3 +274,59 @@ def per_base_add(knapsack, o, i, c):
                     for rest in range(r, top + 1):
                         dead[m0 + rest * o] += count * weights[rest]
                     break
+
+
+def per_class_bisect_order(enum, m):
+    """(connected, disconnected) classes of order m, each list sorted by code.
+
+    ``obstructions.CographEnumerator`` as it was before it built each
+    insertion place's run of last parts at once: one bisect of the parts'
+    codes per class.  ``enum`` must hold every order below m, and the new
+    classes' children are its stored classes.
+    """
+    conn, disc = [], []
+    _per_class_bisect_unions(enum, m, ((), ()), ((), ()), 1, 0, m, conn, disc)
+    conn.sort(key=obstructions._CODE)
+    disc.sort(key=obstructions._CODE)
+    return conn, disc
+
+
+def _per_class_bisect_unions(
+    enum, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc
+):
+    connected, disconnected = enum.connected, enum.disconnected
+    for o in range(o0, remaining // 2 + 1):
+        union_block = connected[o]
+        join_block = disconnected[o]
+        for i in range(i0 if o == o0 else 0, len(union_block)):
+            _per_class_bisect_unions(
+                enum,
+                m,
+                obstructions._insert(union_parts, union_block[i]),
+                obstructions._insert(join_parts, join_block[i]),
+                o,
+                i,
+                remaining - o,
+                new_conn,
+                new_disc,
+            )
+    if not union_parts[0]:
+        return
+    count = bytes((len(union_parts[0]) + 1,))
+    start = i0 if remaining == o0 else 0
+    new = Cotree.__new__
+    for op, blocks, (kids, codes), out in (
+        (UNION, connected, union_parts, new_disc),
+        (JOIN, disconnected, join_parts, new_conn),
+    ):
+        places = obstructions._places(kids, codes, op.encode("ascii") + count)
+        for x in blocks[remaining][start:]:
+            head, tail, code_head, code_tail = places[bisect_right(codes, x._code)]
+            t = new(Cotree)
+            t.op = op
+            t.children = head + (x,) + tail
+            t.vertex = None
+            t._code = code_head + x._code + code_tail
+            t._order = m
+            t._profile = None
+            out.append(t)
