@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from . import cotrees, expressions, graphs, obstructions, polarity
+from . import expressions, graphs, obstructions, polarity
 from .cotrees import canonical_code, cotree_of
 from .obstructions import mine_obstructions
 from .polarity import INF
@@ -266,8 +266,11 @@ def _read(cache, s, k, n_max=None):
     """The bound a claim on (s,k) reports, and the records of (s,k) up to it:
     a caller's n_max, mined exactly; else 3(k+1) for (inf,k) and the whole
     mining otherwise, read from the one mining of (s,k) to ``_mining_bound``."""
-    mined = n_max or _mining_bound(s, k)
-    bound = n_max or min(mined, conjectured_order(k))
+    if n_max is None:
+        mined = _mining_bound(s, k)
+        bound = min(mined, conjectured_order(k))
+    else:
+        mined = bound = n_max
     return bound, [r for r in cache.mine(s, k, mined) if r.order <= bound]
 
 
@@ -346,12 +349,8 @@ def _compare_up_to(claim_id, k, n_max, built, records):
 
 
 def _has_p3_component(g):
-    p3 = graphs.Graph.path(3)
-    for comp in graphs.components(g):
-        sub = graphs.induced_subgraph(g, comp)
-        if sub.n == 3 and cotrees.is_isomorphic(sub, p3):
-            return True
-    return False
+    """A component is connected, so one on 3 vertices with 2 edges is P3."""
+    return any(sub.n == 3 and sub.edge_count() == 2 for sub in _components_graphs(g))
 
 
 def _compare_sets(claim_id, k, bound, exprs, records):
@@ -475,9 +474,8 @@ def _components_graphs(g):
 
 
 def _exactly_one_non_k2_component(g):
-    k2 = graphs.Graph.complete(2)
-    non = sum(1 for sub in _components_graphs(g) if not cotrees.is_isomorphic(sub, k2))
-    return non == 1
+    """A component is connected, so one on 2 vertices is K2."""
+    return sum(1 for sub in _components_graphs(g) if sub.n != 2) == 1
 
 
 def _aitch_conditions(h, kv):
@@ -561,9 +559,7 @@ def _thm11_sides(ki, cache, fig1_codes):
 
 
 def _is_m_k2(g, m):
-    return g.n == 2 * m and all(
-        sub.n == 2 and sub.edge_count() == 1 for sub in _components_graphs(g)
-    )
+    return g.n == 2 * m and all(sub.n == 2 for sub in _components_graphs(g))
 
 
 def _admits_thm11_split(g, k):
@@ -595,7 +591,8 @@ def _admits_thm11_split(g, k):
 
 
 def check_conjectures(k, n_max, cache=None):
-    """Verdicts for the uniqueness-per-type and order-bound conjectures.
+    """Verdicts for the uniqueness-per-type and order-bound conjectures, each
+    that applies at k, through ``verify_claim``.
 
     Each is INCONCLUSIVE when ``n_max`` does not reach past 3(k+1) and
     nothing fails: a record of a larger order could still break it, and no
@@ -603,13 +600,17 @@ def check_conjectures(k, n_max, cache=None):
     one record fails conj1; a type with none may have its record above.
     """
     cache = cache or MiningCache()
-    return [_check_conj1("conj1", k, cache, n_max), _check_conj2("conj2", k, cache, n_max)]
+    return [
+        verify_claim(claim_id, k, cache, n_max)
+        for claim_id in ("conj1", "conj2")
+        if _ROWS[claim_id].applies_at(k)
+    ]
 
 
 def _probe(k, cache, n_max):
     """A conjecture's bound (n_max, or one past 3(k+1)), the (inf,k) records
     up to it, whether it reaches past 3(k+1), and the notes' suffix."""
-    bound = n_max or _mining_bound(INF, k)
+    bound = _mining_bound(INF, k) if n_max is None else n_max
     probed = bound > conjectured_order(k)
     suffix = "" if probed else f"; bound {bound} does not probe beyond the conjecture"
     return bound, cache.mine(INF, k, bound), probed, suffix

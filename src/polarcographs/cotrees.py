@@ -153,33 +153,22 @@ def recognize(g):
     """
     if g.n == 0:
         raise graphs.GraphError("the empty graph has no cotree")
-
-    result = _recognize_mask(g, g.full_mask())
-    return result
+    return _recognize_mask(g, g.full_mask())
 
 
 def _recognize_mask(g, mask):
-    count = mask.bit_count()
-    if count == 1:
+    if mask.bit_count() == 1:
         return leaf(mask.bit_length() - 1)
-    comps = graphs.components_in(g, mask)
-    if len(comps) > 1:
-        kids = []
-        for comp in comps:
-            sub = _recognize_mask(g, comp)
-            if isinstance(sub, P4Certificate):
-                return sub
-            kids.append(sub)
-        return node(UNION, kids)
-    cocomps = graphs.co_components_in(g, mask)
-    if len(cocomps) > 1:
-        kids = []
-        for comp in cocomps:
-            sub = _recognize_mask(g, comp)
-            if isinstance(sub, P4Certificate):
-                return sub
-            kids.append(sub)
-        return node(JOIN, kids)
+    for op, parts_in in ((UNION, graphs.components_in), (JOIN, graphs.co_components_in)):
+        parts = parts_in(g, mask)
+        if len(parts) > 1:
+            kids = []
+            for part in parts:
+                sub = _recognize_mask(g, part)
+                if isinstance(sub, P4Certificate):
+                    return sub
+                kids.append(sub)
+            return node(op, kids)
     cert = _find_p4(g, mask)
     if cert is None:  # pragma: no cover - both G and co-G connected implies a P4
         raise AssertionError("connected, co-connected graph without P4")

@@ -15,6 +15,7 @@ cographs, so P_n is only allowed for n <= 3 and C_n for n in {3, 4}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import graphs
 from .graphs import Graph
@@ -97,32 +98,27 @@ def Kbip(a, b):
     return Biclique(a, b)
 
 
-def union(*parts):
+def _flattened(cls, name, parts):
+    """cls(parts) with operands of the same class spliced in; one operand is itself."""
     flat = []
     for p in parts:
-        if isinstance(p, Union):
+        if isinstance(p, cls):
             flat.extend(p.parts)
         else:
             flat.append(p)
     if len(flat) == 1:
         return flat[0]
     if len(flat) < 2:
-        raise ValueError("union needs at least two operands")
-    return Union(tuple(flat))
+        raise ValueError(f"{name} needs at least two operands")
+    return cls(tuple(flat))
+
+
+def union(*parts):
+    return _flattened(Union, "union", parts)
 
 
 def joined(*parts):
-    flat = []
-    for p in parts:
-        if isinstance(p, Join):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    if len(flat) < 2:
-        raise ValueError("join needs at least two operands")
-    return Join(tuple(flat))
+    return _flattened(Join, "join", parts)
 
 
 def repeat(count, expr):
@@ -170,19 +166,19 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
-    def expr(self):
-        parts = [self.term()]
-        while self.peek() == "+":
+    def chain(self, sep, operand, cls):
+        """operand (sep operand)*, as cls of the operands when there are several."""
+        parts = [operand()]
+        while self.peek() == sep:
             self.pos += 1
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
+
+    def expr(self):
+        return self.chain("+", self.term, Union)
 
     def term(self):
-        parts = [self.factor()]
-        while self.peek() == "*":
-            self.pos += 1
-            parts.append(self.factor())
-        return parts[0] if len(parts) == 1 else Join(tuple(parts))
+        return self.chain("*", self.factor, Join)
 
     def factor(self):
         ch = self.peek()
@@ -249,22 +245,11 @@ def evaluate(e):
         return Graph.cycle(e.n)
     if isinstance(e, Biclique):
         return graphs.join(Graph.empty(e.a), Graph.empty(e.b))
-    if isinstance(e, Union):
-        out = evaluate(e.parts[0])
-        for p in e.parts[1:]:
-            out = graphs.disjoint_union(out, evaluate(p))
-        return out
-    if isinstance(e, Join):
-        out = evaluate(e.parts[0])
-        for p in e.parts[1:]:
-            out = graphs.join(out, evaluate(p))
-        return out
+    if isinstance(e, (Union, Join)):
+        fold = graphs.disjoint_union if isinstance(e, Union) else graphs.join
+        return reduce(fold, map(evaluate, e.parts))
     if isinstance(e, Repeat):
-        one = evaluate(e.expr)
-        out = one
-        for _ in range(e.count - 1):
-            out = graphs.disjoint_union(out, one)
-        return out
+        return reduce(graphs.disjoint_union, [evaluate(e.expr)] * e.count)
     if isinstance(e, Complement):
         return graphs.complement(evaluate(e.expr))
     raise TypeError(f"not an expression node: {e!r}")

@@ -162,24 +162,33 @@ def join(g, h):
     return Graph(g.n + h.n, rows)
 
 
-def components_in(g, vertex_mask):
-    """Connected components restricted to ``vertex_mask``, as masks ordered by least vertex."""
+def _parts_in(g, vertex_mask, flip):
+    """Components of G[mask] (flip 0) or of its complement (flip -1), as masks
+    ordered by least vertex.
+
+    Each component grows from the rows ``g.rows[v] ^ flip``.  In the
+    complement ``~row`` also holds v's own bit, but v is already in the
+    component being grown, so no extra mask is needed.
+    """
+    rows = g.rows
     out = []
     remaining = vertex_mask
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
             grow = 0
             for v in bits(frontier):
-                grow |= g.rows[v]
-            grow &= vertex_mask & ~comp
-            comp |= grow
-            frontier = grow
+                grow |= rows[v] ^ flip
+            frontier = grow & vertex_mask & ~comp
+            comp |= frontier
         out.append(comp)
         remaining &= ~comp
     return out
+
+
+def components_in(g, vertex_mask):
+    """Connected components restricted to ``vertex_mask``, as masks ordered by least vertex."""
+    return _parts_in(g, vertex_mask, 0)
 
 
 def components(g):
@@ -188,44 +197,32 @@ def components(g):
 
 def co_components_in(g, vertex_mask):
     """Components of the complement, restricted to ``vertex_mask``."""
-    out = []
-    remaining = vertex_mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= ~g.rows[v] & ~_bit(v)
-            grow &= vertex_mask & ~comp
-            comp |= grow
-            frontier = grow
-        out.append(comp)
-        remaining &= ~comp
-    return out
+    return _parts_in(g, vertex_mask, -1)
+
+
+def _clique_parts_in(g, vertex_mask, flip):
+    """Number of (co-)components of G[mask] if each is a clique of G (flip 0)
+    or of its complement (flip -1), else None.
+
+    Vertices in different co-components are adjacent, so a graph whose
+    co-components are independent sets is complete multipartite.
+    """
+    comps = _parts_in(g, vertex_mask, flip)
+    for comp in comps:
+        for v in bits(comp):
+            if ((g.rows[v] ^ flip) & comp) | _bit(v) != comp:
+                return None
+    return len(comps)
 
 
 def cluster_parts_in(g, vertex_mask):
     """Component count if G[mask] is a cluster (disjoint union of cliques), else None."""
-    comps = components_in(g, vertex_mask)
-    for comp in comps:
-        for v in bits(comp):
-            if (g.rows[v] & comp) != comp ^ _bit(v):
-                return None
-    return len(comps)
+    return _clique_parts_in(g, vertex_mask, 0)
 
 
 def multipartite_parts_in(g, vertex_mask):
     """Part count if G[mask] is complete multipartite, else None."""
-    comps = co_components_in(g, vertex_mask)
-    for comp in comps:
-        rest = vertex_mask & ~comp
-        for v in bits(comp):
-            row = g.rows[v] & vertex_mask
-            if row & comp or (row & rest) != rest:
-                return None
-    return len(comps)
+    return _clique_parts_in(g, vertex_mask, -1)
 
 
 def is_cluster(g):

@@ -264,11 +264,6 @@ def _check_int(name, n, least):
         raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
 
 
-def _check_param(name, x):
-    if x != INF and (isinstance(x, bool) or not isinstance(x, int) or x < 0):
-        raise ValueError(f"{name} must be a non-negative int or INF, got {x!r}")
-
-
 def _check_enumeration_bound(n_max):
     if n_max > ENUMERATION_MAX_ORDER:
         raise BoundExceededError(f"enumeration bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
@@ -341,13 +336,6 @@ def classify_type(g):
     return len(comps), trivial
 
 
-def _type_of_tree(t):
-    if t.op != UNION:
-        return 1, 0
-    trivial = sum(1 for c in t.children if c.op == LEAF)
-    return len(t.children), trivial
-
-
 # -- cotree -> expression ---------------------------------------------------------
 
 
@@ -401,8 +389,11 @@ def remove_leaf(t, index):
     """Cotree of the class with the index-th leaf (preorder) deleted.
 
     Untouched sibling subtrees are reused by reference, so their memoized
-    profiles survive the surgery.
+    profiles survive the surgery.  An index outside 0..order-1 raises
+    IndexError.
     """
+    if not 0 <= index < t.order:
+        raise IndexError(f"leaf index {index} outside 0..{t.order - 1}")
     if t.op == LEAF:
         return None
     new_children = []
@@ -460,7 +451,7 @@ def is_minimal_obstruction(t, s, k):
 
 def _record_from_tree(t, s, k, bound, provenance="MINED"):
     g = cotrees.realize(t)
-    c, i = _type_of_tree(t)
+    c, i = classify_type(g)
     return ObstructionRecord(
         code=canonical_code(t),
         order=t.order,
@@ -699,8 +690,8 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     cross-check of the low orders.  s and k must be non-negative ints or INF,
     and n_max a non-negative int, or ValueError is raised before any work.
     """
-    _check_param("s", s)
-    _check_param("k", k)
+    polarity.check_param("s", s)
+    polarity.check_param("k", k)
     _check_int("n_max", n_max, 0)
     if n_max > MINING_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {MINING_MAX_ORDER}")

@@ -52,6 +52,12 @@ _EMPTY_SIGS = frozenset({(0, 0)})  # the empty graph
 BRUTE_FORCE_MAX_ORDER = 20
 
 
+def check_param(name, x):
+    """Raise ValueError unless x is a non-negative int or INF, as s and k must be."""
+    if x != INF and (isinstance(x, bool) or not isinstance(x, int) or x < 0):
+        raise ValueError(f"{name} must be a non-negative int or INF, got {x!r}")
+
+
 def _reduce(sigs):
     """Dominance-minimal antichain of a signature set.
 
@@ -450,8 +456,11 @@ def is_polar(g, s, k):
     """(verdict, witness) for the (s,k)-polarity of a cograph given as a Graph.
 
     INF lifts the corresponding bound.  A positive verdict carries a witness,
-    rebuilt from DP choice points and re-validated against the graph.
+    rebuilt from DP choice points and re-validated against the graph.  s and
+    k must be non-negative ints or INF, or ValueError is raised.
     """
+    check_param("s", s)
+    check_param("k", k)
     if g.n == 0:
         return True, PartitionWitness(0, 0, (0, 0))
     t = cotree_of(g)

@@ -108,6 +108,20 @@ def test_unprobed_order_bound_is_inconclusive(cache):
         assert "bound 9 does not probe" in reports[claim].notes
 
 
+def test_a_zero_bound_is_mined_exactly_and_probes_nothing(cache):
+    # mine_obstructions(s, k, 0) is []; nothing was probed, so not a pass
+    for claim_id, k in (("thm21", None), ("conj2", 2)):
+        report = verify_claim(claim_id, k, cache=cache, n_max=0)
+        assert (report.bound, report.actual, report.status) == (0, 0, "INCONCLUSIVE")
+
+
+def test_conjecture_reports_follow_the_registry():
+    # conj1 needs k >= 2, so at k = 1 only conj2 is reported
+    assert [r.claim for r in check_conjectures(1, 7)] == ["conj2"]
+    with pytest.raises(ClaimParameterError):
+        verify_claim("conj1", 1)
+
+
 def test_uniqueness_below_the_probe_fails_only_on_two_records():
     # at order 3 no type has its record yet; that is not a failure
     reports = {r.claim: r for r in check_conjectures(2, 3)}

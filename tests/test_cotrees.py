@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polarcographs import cotrees, graphs
+from polarcographs import cotrees, graphs, obstructions
 from polarcographs.cotrees import JOIN, UNION, Cotree
 from polarcographs.graphs import Graph
 
@@ -29,6 +29,12 @@ def test_realize_roundtrip_random():
         t = random_cotree(rng, rng.randint(1, 10))
         g = cotrees.realize(t)
         back = cotrees.cotree_of(g)
+        assert cotrees.canonical_code(back) == cotrees.canonical_code(t)
+
+
+def test_recognition_gives_every_class_its_code():
+    for t in obstructions.enumerate_cographs(8):
+        back = cotrees.cotree_of(cotrees.realize(t))
         assert cotrees.canonical_code(back) == cotrees.canonical_code(t)
 
 

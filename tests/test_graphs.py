@@ -1,12 +1,21 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarcographs import graphs
+from polarcographs import cotrees, graphs
 from polarcographs.graphs import Graph
 
-from util import permute_graph, random_graph
+from util import (
+    cluster_parts_checked,
+    co_components_walk,
+    components_walk,
+    multipartite_parts_joined,
+    permute_graph,
+    random_cotree,
+    random_graph,
+)
 
 
 def test_constructors():
@@ -57,6 +66,43 @@ def test_multipartite_parts():
     co_p3 = graphs.complement(Graph.path(3))
     assert graphs.multipartite_parts_in(co_p3, 0b111) is None
     assert graphs.multipartite_parts_in(Graph.complete(3), 0b111) == 3
+
+
+# each function against the two-walk version it replaced
+WALK_ORACLES = (
+    (graphs.components_in, components_walk),
+    (graphs.co_components_in, co_components_walk),
+    (graphs.cluster_parts_in, cluster_parts_checked),
+    (graphs.multipartite_parts_in, multipartite_parts_joined),
+)
+
+
+def _agree_with_the_walk_oracles(g, masks):
+    for mask in masks:
+        for fn, oracle in WALK_ORACLES:
+            assert fn(g, mask) == oracle(g, mask), (g, mask, fn.__name__)
+
+
+def test_walks_match_the_oracles_on_every_small_labeled_graph():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1]
+            _agree_with_the_walk_oracles(Graph.from_edges(n, edges), range(1 << n))
+
+
+def test_walks_match_the_oracles_on_random_graphs():
+    rng = random.Random(19)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = permute_graph(cotrees.realize(random_cotree(rng, n)), perm)
+        masks = [g.full_mask()] + [rng.getrandbits(n) for _ in range(30)]
+        _agree_with_the_walk_oracles(g, masks)
 
 
 def test_induced_and_delete():

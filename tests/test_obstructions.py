@@ -115,6 +115,14 @@ def test_remove_leaf_matches_vertex_deletion():
             assert cotrees.is_isomorphic(cotrees.realize(pruned), expected)
 
 
+def test_remove_leaf_rejects_an_index_outside_the_tree():
+    t = cotrees.cotree_of(graphs.Graph.path(3))
+    for tree, index in ((t, -1), (t, 3), (t, 99), (cotrees.leaf(), 1)):
+        with pytest.raises(IndexError):
+            remove_leaf(tree, index)
+    assert remove_leaf(cotrees.leaf(), 0) is None
+
+
 def test_known_minimal_obstruction():
     t = cotrees.cotree_of(expressions.evaluate(expressions.parse("K1 + 3K2")))
     assert is_minimal_obstruction(t, INF, 2)
@@ -142,16 +150,18 @@ def test_mine_split_obstructions():
 
 
 def test_records_are_sorted_and_typed():
-    records = mine_obstructions(INF, 2, 9)
-    assert records == sorted(records, key=lambda r: r.sort_key())
-    for r in records:
-        g = graphs.graph6_decode(r.graph6)
-        assert (r.c, r.i) == obstructions.classify_type(g)
-        assert r.order == g.n
-        assert r.bound == 9
-        # the expression field reproduces the graph
-        e = expressions.evaluate(expressions.parse(r.expression))
-        assert cotrees.is_isomorphic(e, g)
+    # at (0,0) the one record is K1: one component, and a trivial one
+    for s, k, n_max in ((INF, 2, 9), (0, 0, 3)):
+        records = mine_obstructions(s, k, n_max)
+        assert records == sorted(records, key=lambda r: r.sort_key())
+        for r in records:
+            g = graphs.graph6_decode(r.graph6)
+            assert (r.c, r.i) == obstructions.classify_type(g)
+            assert r.order == g.n
+            assert r.bound == n_max
+            # the expression field reproduces the graph
+            e = expressions.evaluate(expressions.parse(r.expression))
+            assert cotrees.is_isomorphic(e, g)
 
 
 def test_record_json_fields():
@@ -370,7 +380,7 @@ MINED_DIGESTS = {
     (INF, 4, 14): (84, "3232e4b6a14b8c18f51407f63d5d96f1ed09c84e3642d65f5a50bdd7638a7b19"),
     (2, 2, 13): (50, "f4ee6c3e048cdec80102860003349f4f90c239327583923225eac26b9933ad60"),
     (1, 3, 10): (13, "b07a3a306d6b8ee4b89a11601785f9fff6ee79abb96bcf93bc2c69bb8e6baeb4"),
-    (0, 0, 4): (1, "462ab09c6c36dbff105734558f4531121eeb83b186847c4fc0b184793b562bec"),
+    (0, 0, 4): (1, "5d7ed7c5b824eb5b90fa14454940174d0ab9b4fde149ecea838f2c18f97bcb1a"),
     (INF, INF, 10): (8, "3f9e7a4795bda7ffb302d9ec530f2c652ff6cfa34174085e35e6206fb257f8e2"),
 }
 

@@ -123,6 +123,12 @@ def test_is_polar_verdicts():
     assert verdict
 
 
+@pytest.mark.parametrize("s, k", [(-1, 5), (True, 3), (2, False), (1.5, 2), (1, "2")])
+def test_is_polar_rejects_invalid_parameters(s, k):
+    with pytest.raises(ValueError):
+        polarity.is_polar(Graph.path(3), s, k)
+
+
 def test_is_polar_rejects_non_cograph():
     with pytest.raises(cotrees.NotCographError):
         polarity.is_polar(Graph.path(4), 1, 1)

@@ -330,3 +330,55 @@ def _per_class_bisect_unions(
             t._order = m
             t._profile = None
             out.append(t)
+
+
+def _walk(g, vertex_mask, row_of):
+    out = []
+    remaining = vertex_mask
+    while remaining:
+        seed = remaining & -remaining
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            for v in graphs.bits(frontier):
+                grow |= row_of(v)
+            grow &= vertex_mask & ~comp
+            comp |= grow
+            frontier = grow
+        out.append(comp)
+        remaining &= ~comp
+    return out
+
+
+def components_walk(g, vertex_mask):
+    """``graphs.components_in`` as it was before both walks became one: the graph's rows."""
+    return _walk(g, vertex_mask, lambda v: g.rows[v])
+
+
+def co_components_walk(g, vertex_mask):
+    """``graphs.co_components_in`` as it was: complement rows without v's own bit."""
+    return _walk(g, vertex_mask, lambda v: ~g.rows[v] & ~(1 << v))
+
+
+def cluster_parts_checked(g, vertex_mask):
+    """``graphs.cluster_parts_in`` as it was: each component must be a clique."""
+    comps = components_walk(g, vertex_mask)
+    for comp in comps:
+        for v in graphs.bits(comp):
+            if (g.rows[v] & comp) != comp ^ (1 << v):
+                return None
+    return len(comps)
+
+
+def multipartite_parts_joined(g, vertex_mask):
+    """``graphs.multipartite_parts_in`` as it was: each co-component must be an
+    independent set joined to the rest of the mask."""
+    comps = co_components_walk(g, vertex_mask)
+    for comp in comps:
+        rest = vertex_mask & ~comp
+        for v in graphs.bits(comp):
+            row = g.rows[v] & vertex_mask
+            if row & comp or (row & rest) != rest:
+                return None
+    return len(comps)
