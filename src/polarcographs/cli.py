@@ -73,10 +73,11 @@ def _read_input(text, force_graph6=False):
 
 
 def _emit(text, out_path):
+    """Write text and a final newline to out_path, or to stdout; empty text writes nothing."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
+            fh.write(text if not text or text.endswith("\n") else text + "\n")
+    elif text:
         print(text)
 
 
@@ -224,7 +225,7 @@ def cmd_mine(args):
     n_max = args.n_max if args.n_max is not None else catalog.conjectured_order(k)
     _check_bound(n_max)
     records = obstructions.mine_obstructions(s, k, n_max)
-    _emit(obstructions.records_to_jsonl(records) if records else "", args.out)
+    _emit(obstructions.records_to_jsonl(records), args.out)
     return EXIT_OK
 
 

@@ -60,8 +60,11 @@ cograph count of an independent Euler transform (OEIS A000084), or mining
 raises; its live types become the blocks of that order and its hit types are
 the minimal obstructions.  Types stop growing while classes roughly triple
 per order, but their number grows with the caps: (inf,12,40) peaked at
-229 MB, while (12,12,40) was stopped after 173 s at 1.33 GB and still
-growing (DECISIONS.md, "Two order limits").  Each hit type is
+182 MB, while (12,12,40) grew past 1.33 GB.  So mining also bounds its cost:
+after each block it reads how many pairs of types the algebra has combined,
+and past ``MINING_MAX_PAIRS`` it raises ``BoundExceededError``, which
+(12,12,40) now meets after 42 s at 464 MB (DECISIONS.md, "Two order
+limits").  Each hit type is
 expanded into cotrees by following the knapsack's back-pointers down to the
 leaf, through blocks of lower order only; the number of cotrees must equal
 the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
@@ -92,10 +95,15 @@ from .polarity import INF
 # 1.6-2.0 s of CPU at 482 MB peak RSS (2-vCPU Xeon VM, Python 3.11), and
 # the process keeps that memory.  Mining enumerates only up to
 # _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
-# 229 MB at (inf,12,40) and 421 MB at (inf,19,40).  The mining limit bounds
-# order, not cost; see DECISIONS.md.
+# 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order limit does not
+# bound cost, which follows the types and so the caps; the pair limit does:
+# it bounds the successor-row entries the type algebra fills (``pairs``),
+# checked after each knapsack block.  (inf,19,40) fills 692,241 of them and
+# (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after 42 s of
+# CPU at 464 MB peak RSS (same machine; see DECISIONS.md).
 ENUMERATION_MAX_ORDER = 15
 MINING_MAX_ORDER = 40
+MINING_MAX_PAIRS = 3_000_000
 
 
 class BoundExceededError(ValueError):
@@ -591,7 +599,8 @@ def _mine_types(s, k, n_max, enum):
     are enumerated as well, as a cross-check.  A class count that differs
     from the Euler transform's, an enumerated class whose check disagrees
     with its type's verdict, or a hit whose expansion differs from its count
-    raises AssertionError.
+    raises AssertionError; more than ``MINING_MAX_PAIRS`` pairs combined
+    after a block raises BoundExceededError.
     """
     algebra = polarity.TypeAlgebra(s, k)
     expected = _euler_cograph_counts(n_max)
@@ -627,6 +636,11 @@ def _mine_types(s, k, n_max, enum):
             for op, (live, not_live) in blocks.items():
                 for i in sorted(live):
                     knapsacks[op].add(n, i, live[i])
+                    if algebra.pairs > MINING_MAX_PAIRS:  # a None block fills no row
+                        raise BoundExceededError(
+                            f"mining ({encode_param(s)},{encode_param(k)},{n_max}) combined "
+                            f"{algebra.pairs} type pairs, above the limit {MINING_MAX_PAIRS}"
+                        )
                 if not_live:
                     knapsacks[op].add(n, None, not_live)
 
@@ -689,6 +703,9 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     it rejects raises AssertionError.  ``enumerator`` serves the enumerated
     cross-check of the low orders.  s and k must be non-negative ints or INF,
     and n_max a non-negative int, or ValueError is raised before any work.
+    An n_max above ``MINING_MAX_ORDER`` raises ``BoundExceededError`` before
+    any work; so does, during the mining, a type algebra that has combined
+    more than ``MINING_MAX_PAIRS`` pairs.
     """
     polarity.check_param("s", s)
     polarity.check_param("k", k)

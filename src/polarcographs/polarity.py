@@ -21,15 +21,16 @@ its type alone.  The merges, capping and the (s,k) test are monotone in how
 polar a profile is, so the least polar deleted profiles decide whether all
 of them are polar, before and after a merge.  The type of a node follows
 from its children's types by one pair rule, starting from the leaf's type,
-so no exact deletion set is ever built.  The algebra works on small ints:
-each capped profile is interned once as a profile id with the bitmask of its
-polar pairs in the cap box, a type is a profile id with a set of
-deleted-profile ids, the least polar test is a mask inclusion and the (s,k)
-test one bit.  Each
-(label, type) keeps a successor row of the types it has been combined with,
-which the mining knapsacks read before calling ``combine``.  There are
-finitely many types per (s, k), so the algebra's tables, which live as long
-as one mining call, do not grow with the order.
+so no exact deletion set is ever built.  The algebra works on small ints
+and table lookups: each capped profile is interned once, by the bitmask of
+its polar pairs in the cap box, as a profile id; a merge is the OR of one
+per-caps point table over the two profiles' minimal points; a type is a
+profile id with a bitset of deleted-profile ids; the least polar test is a
+mask inclusion and the (s,k) test one bit.  Each (label, type) keeps a
+successor row of the types it has been combined with, which the mining
+knapsacks read before calling ``combine``.  There are finitely many types
+per (s, k), so the algebra's tables, which live as long as one mining call,
+do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -173,15 +174,24 @@ class TypeAlgebra:
     every child of a hit, and every fold of some but not all of its
     children, is live.
 
-    Internally each capped profile is interned once as a profile id, with
-    the bitmask of its polar pairs in the cap box [0, cs] x [0, ck] (bit
-    x (ck + 1) + y for the pair (x, y)).  A type is held as its profile id
-    and the frozenset of its deleted-profile ids, merges are memoized per
-    label on pairs of ids, "least polar" is a mask inclusion test, and
-    ``hit`` and ``live`` test the one bit of (min(s, cs), min(k, ck)).
-    ``types`` keeps each type in its profile form.  ``combine`` fills one
-    successor row per label and right-hand type j, mapping each type i met
-    with it to the number of op(i, j); a caller that applies the same j many
+    Internally a capped profile is its polar mask: the bitmask of its polar
+    pairs in the cap box [0, cs] x [0, ck] (bit x (ck + 1) + y for the pair
+    (x, y)), which is the up-set of its signatures.  A reduced profile is the
+    set of minimal points of that up-set, so distinct capped profiles have
+    distinct masks, and each is interned once by its mask as a profile id,
+    with its minimal points as box indices.  Capping commutes with the
+    merges and the up-set of a union of points is the union of their
+    up-sets, so the mask of a merge is the OR, over pairs of minimal points
+    a and b, of a point table's entry: the up-set mask of the capped
+    op({a}, {b}), 0 when the pair gives no signature.  A profile is built
+    from a mask only when the mask is first met.  Merges are memoized per
+    label, per left profile id, on the right id.  A type is keyed by its
+    profile id and the bitset of its deleted-profile ids, "least polar" is
+    a mask inclusion test, and ``hit`` and ``live`` test the one bit of
+    (min(s, cs), min(k, ck)).  ``types`` keeps each type in its profile
+    form.  ``combine`` fills one successor row per label and right-hand type
+    j, mapping each type i met with it to the number of op(i, j), and counts
+    the entries it fills in ``pairs``; a caller that applies the same j many
     times reads ``row`` and calls ``combine`` only on a miss.  The tables
     live as long as the algebra and are bounded by the number of types and
     capped profiles, which are finite for each (s, k), and by the nodes
@@ -193,40 +203,72 @@ class TypeAlgebra:
         self.types = []  # number -> (capped profile, least polar deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self.live = []  # number -> whether the type's classes are polar
-        self._box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+        self.pairs = 0  # entries filled in the successor rows
+        self._box = box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
         self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
+        # box index -> mask of the points at or above it, and of the points
+        # just left of and just below it
+        self._up = [
+            sum(1 << (u * (ck + 1) + v) for u in range(x, cs + 1) for v in range(y, ck + 1))
+            for x, y in box
+        ]
+        self._below = [
+            (1 << (b - ck - 1) if x else 0) | (1 << (b - 1) if y else 0)
+            for b, (x, y) in enumerate(box)
+        ]
+        # label -> box index a -> box index b -> up-set mask of the capped op({a}, {b})
+        self._tables = {
+            op: [[self._mask(merge({a}, {b})) for b in box] for a in box]
+            for op, merge in _MERGES.items()
+        }
         self._profiles = []  # profile id -> capped profile
-        self._profile_ids = {}
+        self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._sizes = []  # profile id -> number of its polar pairs
-        self._keys = []  # number -> (profile id, frozenset of deleted-profile ids)
-        self._numbers = {}
-        self._merged = {UNION: {}, JOIN: {}}
+        self._ids = {}  # polar mask -> profile id
+        self._keys = []  # number -> (profile id, tuple of deleted-profile ids)
+        self._numbers = {}  # (profile id, bitset of deleted-profile ids) -> number
+        self._merged = {UNION: [], JOIN: []}  # label -> left id -> right id -> merged id
         self._rows = {UNION: {}, JOIN: {}}
         self._of_node = {}
 
-    def _profile_id(self, prof):
-        """The id of a capped profile, interning it with its polar mask if it is new."""
-        p = self._profile_ids.get(prof)
+    def _mask(self, prof):
+        """The polar mask of a profile, its signatures capped: the OR of their up-sets."""
+        cs, ck = self.caps
+        up, mask = self._up, 0
+        for a, b in prof:
+            mask |= up[min(a, cs) * (ck + 1) + min(b, ck)]
+        return mask
+
+    def _intern(self, mask):
+        """The id of the capped profile with this polar mask, building it if it is new."""
+        p = self._ids.get(mask)
         if p is None:
-            p = self._profile_ids[prof] = len(self._profiles)
-            self._profiles.append(prof)
-            mask = 0
-            for bit, (x, y) in enumerate(self._box):
-                if any(a <= x and b <= y for a, b in prof):
-                    mask |= 1 << bit
+            p = self._ids[mask] = len(self._profiles)
+            below = self._below
+            points = tuple(b for b in range(len(below)) if mask >> b & 1 and not mask & below[b])
+            self._points.append(points)
+            self._profiles.append(frozenset(self._box[b] for b in points))
             self._polar.append(mask)
             self._sizes.append(mask.bit_count())
+            for memo in self._merged.values():
+                memo.append({})
         return p
 
-    def _number(self, key):
-        """The number of a type given by ids, giving it the next one if it is new."""
-        i = self._numbers.get(key)
+    def _number(self, p, dels):
+        """The number of the type of profile id p and distinct deleted-profile ids ``dels``.
+
+        A new type gets the next number.
+        """
+        bits = 0
+        for d in dels:
+            bits |= 1 << d
+        i = self._numbers.get((p, bits))
         if i is None:
-            i = self._numbers[key] = len(self.types)
-            p, dels = key
+            i = self._numbers[(p, bits)] = len(self.types)
+            dels = tuple(sorted(dels))
             profiles, polar, bit = self._profiles, self._polar, self._bit
-            self._keys.append(key)
+            self._keys.append((p, dels))
             self.types.append((profiles[p], frozenset(profiles[d] for d in dels)))
             self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
             self.live.append(bool(polar[p] & bit))
@@ -235,9 +277,8 @@ class TypeAlgebra:
     def number(self, typ):
         """The number of a type, giving it the next one if it is new."""
         prof, dels = typ
-        return self._number(
-            (self._profile_id(prof), frozenset(self._profile_id(d) for d in dels))
-        )
+        intern, mask = self._intern, self._mask
+        return self._number(intern(mask(prof)), {intern(mask(d)) for d in dels})
 
     def of_class(self, t):
         """The number of a cotree's type: its children's types folded by the pair rule.
@@ -258,12 +299,16 @@ class TypeAlgebra:
     def _merge(self, op, p, q):
         """Profile id of the capped op(G1, G2) from the ids of G1's and G2's.
 
-        ``combine`` reads the memo ``_merged[op]`` first and calls this only
-        on a miss; the id is stored there.
+        The OR of the point table over the pairs of their minimal points.
+        ``combine`` reads the memo ``_merged[op][p]`` first and calls this
+        only on a miss; the id is stored there.
         """
-        profiles = self._profiles
-        prof = cap_profile(_MERGES[op](profiles[p], profiles[q]), self.caps)
-        out = self._merged[op][(p, q)] = self._profile_id(prof)
+        table, right, mask = self._tables[op], self._points[q], 0
+        for a in self._points[p]:
+            row = table[a]
+            for b in right:
+                mask |= row[b]
+        out = self._merged[op][p][q] = self._intern(mask)
         return out
 
     def row(self, op, j):
@@ -280,24 +325,24 @@ class TypeAlgebra:
         G2, so its profile is a deleted profile of one side merged with the
         other side's whole profile.  Only the least polar of these are kept:
         d is dropped when another one's polar pairs are among d's.  Distinct
-        capped profiles have distinct polar masks (a reduced profile is the
-        set of minimal elements of its up-set in the cap box), so such an
-        other one has fewer polar pairs: one pass over the deletions by
-        ascending number of polar pairs keeps each one that no kept one's
-        pairs are among.
+        capped profiles have distinct polar masks, so such an other one has
+        fewer polar pairs: one pass over the deletions by ascending number
+        of polar pairs keeps each one that no kept one's pairs are among,
+        which also drops a repeated id.
         """
         row = self.row(op, j)
         out = row.get(i)
         if out is None:
             (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
             memo, merge = self._merged[op], self._merge
-            dels = set()
+            dels = []
             for d in d1:
-                e = memo.get((d, p2))
-                dels.add(merge(op, d, p2) if e is None else e)
+                e = memo[d].get(p2)
+                dels.append(merge(op, d, p2) if e is None else e)
+            left = memo[p1]
             for d in d2:
-                e = memo.get((p1, d))
-                dels.add(merge(op, p1, d) if e is None else e)
+                e = left.get(d)
+                dels.append(merge(op, p1, d) if e is None else e)
             if len(dels) > 1:
                 polar, least, masks = self._polar, [], []
                 for d in sorted(dels, key=self._sizes.__getitem__):
@@ -309,10 +354,11 @@ class TypeAlgebra:
                         least.append(d)
                         masks.append(mask)
                 dels = least
-            p = memo.get((p1, p2))
+            p = left.get(p2)
             if p is None:
                 p = merge(op, p1, p2)
-            out = row[i] = self._number((p, frozenset(dels)))
+            self.pairs += 1
+            out = row[i] = self._number(p, dels)
         return out
 
 

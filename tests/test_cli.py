@@ -142,6 +142,23 @@ def test_mine_bound_exceeded(capsys):
     assert f"mining bound {n} exceeds" in err
 
 
+def test_mine_cost_limit_exceeded(capsys, monkeypatch):
+    monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 100)
+    code, out, err = run(capsys, "mine", "--s", "inf", "--k", "4", "--n-max", "14")
+    assert code == 4 and out == ""
+    assert "above the limit 100" in err
+
+
+def test_mine_without_records_writes_nothing(capsys, tmp_path):
+    # (inf,4) has no minimal obstruction of order <= 5
+    code, out, _ = run(capsys, "mine", "--s", "inf", "--k", "4", "--n-max", "5")
+    assert code == 0 and out == ""
+    target = tmp_path / "none.jsonl"
+    code, out, _ = run(capsys, "mine", "--s", "inf", "--k", "4", "--n-max", "5", "--out", str(target))
+    assert code == 0 and out == ""
+    assert target.read_text() == ""
+
+
 def test_census_bound_exceeded(capsys):
     code, _, err = run(capsys, "census", "--n-max", "16")
     assert code == 4

@@ -554,6 +554,15 @@ def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):
             gc.enable()
 
 
+def test_a_mining_past_the_pair_limit_raises(monkeypatch):
+    # (inf,4,14) fills 5,540 successor-row entries; the check runs after each block
+    monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_000)
+    with pytest.raises(BoundExceededError, match="above the limit 5000"):
+        mine_obstructions(INF, 4, 14)
+    monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_540)
+    assert len(mine_obstructions(INF, 4, 14)) == 84
+
+
 def test_a_knapsack_that_misses_a_block_fails_the_completeness_check(monkeypatch):
     add = obstructions._TypeKnapsack.add
     dropped = []

@@ -9,6 +9,7 @@ from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
 from util import (
+    SetTypeAlgebra,
     deletion_profiles,
     least_polar,
     polar_pairs,
@@ -254,22 +255,28 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
             assert algebra.types[i] == reduced[(caps, typ)], (cotrees.render(t), s, k)
 
 
-@pytest.mark.parametrize("key", [(INF, 4, 15), (1, 8, 15), (4, 4, 20)])
-def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
-    # every profile a mining interns, every type it numbers, and every pair
-    # it combines; (4,4,20) has wide caps, (5,5), on both sides
+def _mined_algebra(monkeypatch, cls, key):
+    """The algebra of class ``cls`` that ``mine_obstructions(*key)`` used, and its records."""
     from polarcographs import obstructions
 
     algebras = []
 
-    class Recording(polarity.TypeAlgebra):
+    class Recording(cls):
         def __init__(self, s, k):
             super().__init__(s, k)
             algebras.append(self)
 
     monkeypatch.setattr(polarity, "TypeAlgebra", Recording)
-    obstructions.mine_obstructions(*key)
+    records = obstructions.mine_obstructions(*key)
     (algebra,) = algebras
+    return algebra, [r.to_json() for r in records]
+
+
+@pytest.mark.parametrize("key", [(INF, 4, 15), (1, 8, 15), (4, 4, 20)])
+def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
+    # every profile a mining interns, every type it numbers, and every pair
+    # it combines; (4,4,20) has wide caps, (5,5), on both sides
+    algebra, _ = _mined_algebra(monkeypatch, polarity.TypeAlgebra, key)
     s, k = key[:2]
     cs, ck = caps = algebra.caps
     assert algebra._profiles, key
@@ -311,3 +318,39 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
                 assert algebra.types[out] == (capped(op, p1, p2), least[dels]), key
                 combined += 1
     assert combined, key
+
+
+@pytest.mark.parametrize(
+    "key", [(INF, 4, 15), (1, 8, 15), (2, 2, 13), (4, 4, 20), (12, 12, 14)]
+)
+def test_point_table_algebra_matches_the_set_based_one(monkeypatch, key):
+    # the same numbering, profiles, masks, verdicts and successor rows;
+    # (12,12,14) has the widest caps, (13,13)
+    ours, records = _mined_algebra(monkeypatch, polarity.TypeAlgebra, key)
+    oracle, oracle_records = _mined_algebra(monkeypatch, SetTypeAlgebra, key)
+    assert records == oracle_records, key
+    assert ours.types == oracle.types, key
+    assert ours._profiles == oracle._profiles, key
+    assert ours._polar == oracle._polar, key
+    assert (ours.hit, ours.live) == (oracle.hit, oracle.live), key
+    assert ours._rows == oracle._rows, key
+    assert ours.pairs == oracle.pairs == sum(
+        len(row) for rows in ours._rows.values() for row in rows.values()
+    ), key
+
+
+@pytest.mark.parametrize("s, k", [(1, 1), (INF, 4), (4, 4), (INF, 10), (12, 12)])
+def test_point_tables_hold_the_capped_merges_of_points(s, k):
+    # caps (2,2), (2,5), (5,5), (2,11) and (13,13)
+    algebra = polarity.TypeAlgebra(s, k)
+    cs, ck = caps = algebra.caps
+    box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+    ups = {}  # capped profile -> its up-set mask
+    for op, table in algebra._tables.items():
+        assert len(table) == len(box)
+        for a, entries in zip(box, table, strict=True):
+            for b, mask in zip(box, entries, strict=True):
+                prof = polarity.cap_profile(polarity._MERGES[op]({a}, {b}), caps)
+                if prof not in ups:
+                    ups[prof] = sum(1 << (x * (ck + 1) + y) for x, y in polar_pairs(prof, caps))
+                assert mask == ups[prof], (op, a, b, caps)

@@ -382,3 +382,118 @@ def multipartite_parts_joined(g, vertex_mask):
             if row & comp or (row & rest) != rest:
                 return None
     return len(comps)
+
+
+class SetTypeAlgebra:
+    """``polarity.TypeAlgebra`` as it was before it merged profiles by point tables.
+
+    Each capped profile is interned by its frozenset of signatures, a merge
+    builds the signature set, caps and reduces it and hashes it back to an
+    id, and a type is keyed by its profile id and the frozenset of its
+    deleted-profile ids.  It counts the row entries it fills in ``pairs``,
+    as the library's does.
+    """
+
+    def __init__(self, s, k):
+        self.caps = cs, ck = tuple(2 if x == polarity.INF else max(x, 1) + 1 for x in (s, k))
+        self.types = []
+        self.hit = []
+        self.live = []
+        self.pairs = 0
+        self._box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+        self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
+        self._profiles = []
+        self._profile_ids = {}
+        self._polar = []
+        self._sizes = []
+        self._keys = []
+        self._numbers = {}
+        self._merged = {UNION: {}, JOIN: {}}
+        self._rows = {UNION: {}, JOIN: {}}
+        self._of_node = {}
+
+    def _profile_id(self, prof):
+        p = self._profile_ids.get(prof)
+        if p is None:
+            p = self._profile_ids[prof] = len(self._profiles)
+            self._profiles.append(prof)
+            mask = 0
+            for bit, (x, y) in enumerate(self._box):
+                if any(a <= x and b <= y for a, b in prof):
+                    mask |= 1 << bit
+            self._polar.append(mask)
+            self._sizes.append(mask.bit_count())
+        return p
+
+    def _number(self, key):
+        i = self._numbers.get(key)
+        if i is None:
+            i = self._numbers[key] = len(self.types)
+            p, dels = key
+            profiles, polar, bit = self._profiles, self._polar, self._bit
+            self._keys.append(key)
+            self.types.append((profiles[p], frozenset(profiles[d] for d in dels)))
+            self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
+            self.live.append(bool(polar[p] & bit))
+        return i
+
+    def number(self, typ):
+        prof, dels = typ
+        return self._number(
+            (self._profile_id(prof), frozenset(self._profile_id(d) for d in dels))
+        )
+
+    def of_class(self, t):
+        i = self._of_node.get(t)
+        if i is None:
+            if t.op == LEAF:
+                i = self.number(polarity._LEAF_TYPE)
+            else:
+                i = self.number(polarity.EMPTY_TYPE)
+                for child in t.children:
+                    i = self.combine(t.op, i, self.of_class(child))
+            self._of_node[t] = i
+        return i
+
+    def _merge(self, op, p, q):
+        profiles = self._profiles
+        prof = polarity.cap_profile(polarity._MERGES[op](profiles[p], profiles[q]), self.caps)
+        out = self._merged[op][(p, q)] = self._profile_id(prof)
+        return out
+
+    def row(self, op, j):
+        row = self._rows[op].get(j)
+        if row is None:
+            row = self._rows[op][j] = {}
+        return row
+
+    def combine(self, op, i, j):
+        row = self.row(op, j)
+        out = row.get(i)
+        if out is None:
+            (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
+            memo, merge = self._merged[op], self._merge
+            dels = set()
+            for d in d1:
+                e = memo.get((d, p2))
+                dels.add(merge(op, d, p2) if e is None else e)
+            for d in d2:
+                e = memo.get((p1, d))
+                dels.add(merge(op, p1, d) if e is None else e)
+            if len(dels) > 1:
+                polar, least, masks = self._polar, [], []
+                for d in sorted(dels, key=self._sizes.__getitem__):
+                    mask = polar[d]
+                    for kept in masks:
+                        if not kept & ~mask:
+                            break
+                    else:
+                        least.append(d)
+                        masks.append(mask)
+                dels = least
+            p = memo.get((p1, p2))
+            if p is None:
+                p = merge(op, p1, p2)
+            self.pairs += 1
+            out = row[i] = self._number((p, frozenset(dels)))
+        return out
