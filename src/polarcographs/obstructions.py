@@ -70,9 +70,10 @@ leaf, through blocks of lower order only; the number of cotrees must equal
 the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
 The leaf is the one record not expanded: it is a minimal obstruction only at
 (0,0).  The classes up to a split order are also enumerated, as a
-cross-check: their number must be A000084's, and each one's type, folded
-from its children's by the pair rule, must agree with
-``is_minimal_obstruction``.
+cross-check: their number must be A000084's, and the ones that
+``is_minimal_obstruction`` accepts must be exactly the mined cotrees of
+those orders, so a record the knapsacks or the expansion lose or add there
+is caught.
 """
 
 from __future__ import annotations
@@ -278,12 +279,14 @@ def _check_enumeration_bound(n_max):
 
 
 def enumerate_cographs(n_max, enumerator=None):
-    """Yield one normalized cotree per unlabeled cograph class, order 1..n_max."""
+    """An iterator over one normalized cotree per unlabeled cograph class, order 1..n_max.
+
+    ``n_max`` is checked on the call, before the iterator is returned.
+    """
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
     enum = enumerator or _ENUMERATOR
-    for n in range(1, n_max + 1):
-        yield from enum.classes_of_order(n)
+    return (t for n in range(1, n_max + 1) for t in enum.classes_of_order(n))
 
 
 def cograph_counts(n_max, enumerator=None):
@@ -457,7 +460,7 @@ def is_minimal_obstruction(t, s, k):
     return True
 
 
-def _record_from_tree(t, s, k, bound, provenance="MINED"):
+def _record_from_tree(t, s, k, bound):
     g = cotrees.realize(t)
     c, i = classify_type(g)
     return ObstructionRecord(
@@ -469,14 +472,15 @@ def _record_from_tree(t, s, k, bound, provenance="MINED"):
         k=k,
         c=c,
         i=i,
-        provenance=provenance,
+        provenance="MINED",
         bound=bound,
     )
 
 
-# Classes of order at most this are also enumerated, and each one's count and
-# minimality check are compared with the knapsacks'; it sets only how deep
-# that cross-check goes, since every record comes from the type knapsacks.
+# Classes of order at most this are also enumerated: their count is compared
+# with the Euler transform's and their minimal obstructions with the mined
+# cotrees; it sets only how deep that cross-check goes, since every record
+# comes from the type knapsacks.
 _SPLIT_ORDER = 8
 
 _OTHER = {UNION: JOIN, JOIN: UNION}
@@ -526,7 +530,7 @@ class _TypeKnapsack:
         self.kept = [{} for _ in range(n_max + 1)]
         self.dead = [0] * (n_max + 1)
         self.limits = {}
-        self.kept[0][algebra.number(polarity.EMPTY_TYPE)] = [1]
+        self.kept[0][algebra.empty] = [1]
 
     def add(self, o, i, c):
         """Add a block of c classes of order o and type i (None: not live).
@@ -597,29 +601,29 @@ def _mine_types(s, k, n_max, enum):
     the hit types are expanded into cotrees (see the module docstring); the
     leaf itself is a hit only at (0,0).  The classes of order <= the split
     are enumerated as well, as a cross-check.  A class count that differs
-    from the Euler transform's, an enumerated class whose check disagrees
-    with its type's verdict, or a hit whose expansion differs from its count
-    raises AssertionError; more than ``MINING_MAX_PAIRS`` pairs combined
-    after a block raises BoundExceededError.
+    from the Euler transform's, a hit whose expansion differs from its
+    count, or mined cotrees of order <= the split other than the enumerated
+    minimal obstructions raise AssertionError; more than
+    ``MINING_MAX_PAIRS`` pairs combined after a block raises
+    BoundExceededError.
     """
     algebra = polarity.TypeAlgebra(s, k)
     expected = _euler_cograph_counts(n_max)
     # the knapsack of a parent label takes the blocks of the children it takes
     knapsacks = {op: _TypeKnapsack(algebra, op, n_max) for op in (UNION, JOIN)}
-    leaf = algebra.of_class(_SHARED_LEAF)
+    leaf = algebra.leaf
     # the leaf is a child under both labels: one block of order 1, None if not live
     first = ({leaf: 1}, 0) if algebra.live[leaf] else ({}, 1)
     blocks = {UNION: first, JOIN: first}
     hits = []  # (label, order, type, classes) of each hit type
+    minimal = []  # codes of the enumerated minimal obstructions
 
     for n in range(1, n_max + 1):
         if n <= _SPLIT_ORDER:
             classes = enum.classes_of_order(n)
             if len(classes) != expected[n - 1]:
                 raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
-            for t in classes:
-                if is_minimal_obstruction(t, s, k) != algebra.hit[algebra.of_class(t)]:
-                    raise AssertionError("a class's type disagrees with its minimality check")
+            minimal.extend(t._code for t in classes if is_minimal_obstruction(t, s, k))
         if n > 1:
             total = 0
             for op, knapsack in knapsacks.items():
@@ -644,7 +648,14 @@ def _mine_types(s, k, n_max, enum):
                 if not_live:
                     knapsacks[op].add(n, None, not_live)
 
-    return ([_SHARED_LEAF] if algebra.hit[leaf] and n_max else []) + _expand(knapsacks, hits)
+    trees = ([_SHARED_LEAF] if algebra.hit[leaf] and n_max else []) + _expand(knapsacks, hits)
+    found = [canonical_code(t) for t in trees if t.order <= _SPLIT_ORDER]
+    if sorted(found) != sorted(minimal):
+        raise AssertionError(
+            f"the mined classes of order <= {_SPLIT_ORDER} ({len(found)}) are not "
+            f"the enumerated minimal obstructions ({len(minimal)})"
+        )
+    return trees
 
 
 def _expand(knapsacks, hits):

@@ -20,17 +20,17 @@ commutes with them, and whether a class is a minimal obstruction depends on
 its type alone.  The merges, capping and the (s,k) test are monotone in how
 polar a profile is, so the least polar deleted profiles decide whether all
 of them are polar, before and after a merge.  The type of a node follows
-from its children's types by one pair rule, starting from the leaf's type,
-so no exact deletion set is ever built.  The algebra works on small ints
-and table lookups: each capped profile is interned once, by the bitmask of
-its polar pairs in the cap box, as a profile id; a merge is the OR of one
-per-caps point table over the two profiles' minimal points; a type is a
-profile id with a bitset of deleted-profile ids; the least polar test is a
-mask inclusion and the (s,k) test one bit.  Each (label, type) keeps a
-successor row of the types it has been combined with, which the mining
-knapsacks read before calling ``combine``.  There are finitely many types
-per (s, k), so the algebra's tables, which live as long as one mining call,
-do not grow with the order.
+from its children's types by one pair rule, starting from the empty graph's
+and the leaf's types, so no exact deletion set is ever built.  The algebra
+works on small ints and table lookups: each capped profile is interned
+once, by the bitmask of its polar pairs in the cap box, as a profile id; a
+merge is the OR of one per-caps point table over the two profiles' minimal
+points; a type is only a number, keyed by a profile id with a bitset of
+deleted-profile ids; the least polar test is a mask inclusion and the (s,k)
+test one bit.  Each (label, type) keeps a successor row of the types it
+has been combined with, which the mining knapsacks read before calling
+``combine``.  There are finitely many types per (s, k), so the algebra's
+tables, which live as long as one mining call, do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -145,8 +145,6 @@ def cap_profile(prof, caps):
     return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
 
 
-EMPTY_TYPE = (_EMPTY_SIGS, frozenset())  # the identity of the pair rule
-_LEAF_TYPE = (_LEAF_SIGS, frozenset({_EMPTY_SIGS}))  # caps are >= 2, so capping keeps it
 _MERGES = {UNION: _merge_union, JOIN: _merge_join}
 
 
@@ -183,24 +181,24 @@ class TypeAlgebra:
     merges and the up-set of a union of points is the union of their
     up-sets, so the mask of a merge is the OR, over pairs of minimal points
     a and b, of a point table's entry: the up-set mask of the capped
-    op({a}, {b}), 0 when the pair gives no signature.  A profile is built
-    from a mask only when the mask is first met.  Merges are memoized per
-    label, per left profile id, on the right id.  A type is keyed by its
-    profile id and the bitset of its deleted-profile ids, "least polar" is
-    a mask inclusion test, and ``hit`` and ``live`` test the one bit of
-    (min(s, cs), min(k, ck)).  ``types`` keeps each type in its profile
-    form.  ``combine`` fills one successor row per label and right-hand type
-    j, mapping each type i met with it to the number of op(i, j), and counts
-    the entries it fills in ``pairs``; a caller that applies the same j many
-    times reads ``row`` and calls ``combine`` only on a miss.  The tables
-    live as long as the algebra and are bounded by the number of types and
-    capped profiles, which are finite for each (s, k), and by the nodes
-    typed with ``of_class``.
+    op({a}, {b}), 0 when the pair gives no signature.  A profile's minimal
+    points are found only when its mask is first met.  Merges are memoized
+    per label, per left profile id, on the right id.  A type is known only
+    by its number, keyed by its profile id and the bitset of its
+    deleted-profile ids; "least polar" is a mask inclusion test, and ``hit``
+    and ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type
+    is built from ``empty`` (the empty graph's, the identity of the pair
+    rule) and ``leaf`` by ``combine``, which fills one successor row per
+    label and right-hand type j, mapping each type i met with it to the
+    number of op(i, j), and counts the entries it fills in ``pairs``; a
+    caller that applies the same j many times reads ``row`` and calls
+    ``combine`` only on a miss.  The tables live as long as the algebra and
+    are bounded by the number of types and capped profiles, which are
+    finite for each (s, k).
     """
 
     def __init__(self, s, k):
         self.caps = cs, ck = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
-        self.types = []  # number -> (capped profile, least polar deleted profiles)
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self.live = []  # number -> whether the type's classes are polar
         self.pairs = 0  # entries filled in the successor rows
@@ -221,7 +219,6 @@ class TypeAlgebra:
             op: [[self._mask(merge({a}, {b})) for b in box] for a in box]
             for op, merge in _MERGES.items()
         }
-        self._profiles = []  # profile id -> capped profile
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._sizes = []  # profile id -> number of its polar pairs
@@ -230,7 +227,11 @@ class TypeAlgebra:
         self._numbers = {}  # (profile id, bitset of deleted-profile ids) -> number
         self._merged = {UNION: [], JOIN: []}  # label -> left id -> right id -> merged id
         self._rows = {UNION: {}, JOIN: {}}
-        self._of_node = {}
+        # the empty graph's type, the identity of the pair rule, and the leaf's,
+        # whose one deletion is the empty graph
+        nothing = self._intern(self._mask(_EMPTY_SIGS))
+        self.empty = self._number(nothing, ())
+        self.leaf = self._number(self._intern(self._mask(_LEAF_SIGS)), (nothing,))
 
     def _mask(self, prof):
         """The polar mask of a profile, its signatures capped: the OR of their up-sets."""
@@ -244,11 +245,10 @@ class TypeAlgebra:
         """The id of the capped profile with this polar mask, building it if it is new."""
         p = self._ids.get(mask)
         if p is None:
-            p = self._ids[mask] = len(self._profiles)
+            p = self._ids[mask] = len(self._points)
             below = self._below
             points = tuple(b for b in range(len(below)) if mask >> b & 1 and not mask & below[b])
             self._points.append(points)
-            self._profiles.append(frozenset(self._box[b] for b in points))
             self._polar.append(mask)
             self._sizes.append(mask.bit_count())
             for memo in self._merged.values():
@@ -265,35 +265,11 @@ class TypeAlgebra:
             bits |= 1 << d
         i = self._numbers.get((p, bits))
         if i is None:
-            i = self._numbers[(p, bits)] = len(self.types)
-            dels = tuple(sorted(dels))
-            profiles, polar, bit = self._profiles, self._polar, self._bit
-            self._keys.append((p, dels))
-            self.types.append((profiles[p], frozenset(profiles[d] for d in dels)))
+            i = self._numbers[(p, bits)] = len(self._keys)
+            polar, bit = self._polar, self._bit
+            self._keys.append((p, tuple(sorted(dels))))
             self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
             self.live.append(bool(polar[p] & bit))
-        return i
-
-    def number(self, typ):
-        """The number of a type, giving it the next one if it is new."""
-        prof, dels = typ
-        intern, mask = self._intern, self._mask
-        return self._number(intern(mask(prof)), {intern(mask(d)) for d in dels})
-
-    def of_class(self, t):
-        """The number of a cotree's type: its children's types folded by the pair rule.
-
-        Memoized per node; a leaf has the leaf's type.
-        """
-        i = self._of_node.get(t)
-        if i is None:
-            if t.op == LEAF:
-                i = self.number(_LEAF_TYPE)
-            else:
-                i = self.number(EMPTY_TYPE)
-                for child in t.children:
-                    i = self.combine(t.op, i, self.of_class(child))
-            self._of_node[t] = i
         return i
 
     def _merge(self, op, p, q):

@@ -28,6 +28,7 @@ from util import (
     per_base_add,
     per_class_bisect_order,
     random_cotree,
+    type_of,
 )
 
 # unlabeled cograph counts, frozen from two independent enumerators
@@ -62,7 +63,7 @@ def test_enumeration_realizes_cographs():
 
 def test_enumeration_bound():
     with pytest.raises(BoundExceededError):
-        list(enumerate_cographs(obstructions.ENUMERATION_MAX_ORDER + 1))
+        enumerate_cographs(obstructions.ENUMERATION_MAX_ORDER + 1)
 
 
 def test_cograph_counts_fail_before_building_anything():
@@ -81,7 +82,7 @@ BAD_PARAMETERS = [
     (lambda enum: mine_obstructions(INF, 2, 5.0, enumerator=enum), "n_max"),
     (lambda enum: enum.classes_of_order(0), "n"),
     (lambda enum: cograph_counts(-1, enumerator=enum), "n_max"),
-    (lambda enum: list(enumerate_cographs(3.0, enumerator=enum)), "n_max"),
+    (lambda enum: enumerate_cographs(3.0, enumerator=enum), "n_max"),
 ]
 
 
@@ -200,11 +201,11 @@ def test_fresh_enumerator_matches_shared():
 def test_minimality_matches_all_deletions_oracle():
     # the type's verdict against explicit deletions and against the exact
     # deletion set, and the check of one deletion per class against all of them
-    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in ORACLE_PAIRS]
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         dels = None  # built once per class, on the first non-polar root
-        for algebra, s, k in algebras:
-            hit = algebra.hit[algebra.of_class(t)]
+        for algebra, memo, s, k in algebras:
+            hit = algebra.hit[type_of(algebra, t, memo)]
             oracle = minimal_by_all_deletions(t, s, k)
             assert hit == oracle, (cotrees.render(t), s, k)
             assert is_minimal_obstruction(t, s, k) == oracle, (cotrees.render(t), s, k)
@@ -472,10 +473,11 @@ def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
         monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", recording)
         mine_obstructions(s, k, 9, enumerator=enum)
         (algebra,) = algebras
+        memo = {}
         for n in range(2, 9):
             by_type = {cotrees.UNION: {}, cotrees.JOIN: {}}
             for t in enum.classes_of_order(n):
-                i = algebra.of_class(t)
+                i = type_of(algebra, t, memo)
                 by_type[t.op][i] = by_type[t.op].get(i, 0) + 1
             for op, counts in by_type.items():
                 kept = {i: c for i, c in counts.items() if algebra.live[i] or algebra.hit[i]}
@@ -484,8 +486,9 @@ def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
 
 
 # types met and blocks added by both knapsacks, with only the least polar
-# deleted profiles kept (1,213 / 4,282 and 2,407 / 3,557 with all of them)
-ORDER_15_SIZES = {(INF, 4, 15): (129, 527), (1, 8, 15): (282, 742)}
+# deleted profiles kept (1,213 / 4,282 and 2,407 / 3,557 with all of them,
+# when the enumerated classes were typed as well)
+ORDER_15_SIZES = {(INF, 4, 15): (129, 527), (1, 8, 15): (280, 742)}
 
 
 @pytest.mark.parametrize("key", list(ORDER_15_SIZES))
@@ -502,7 +505,7 @@ def test_type_mining_sizes_at_order_15(monkeypatch, key):
     algebra = knapsacks[0].algebra
     assert len(knapsacks) == 2 and knapsacks[1].algebra is algebra
     blocks = sum(len(knapsack.blocks) for knapsack in knapsacks)
-    assert (len(algebra.types), blocks) == ORDER_15_SIZES[key]
+    assert (len(algebra.hit), blocks) == ORDER_15_SIZES[key]
 
 
 @pytest.mark.parametrize("key", [(INF, 4, 14), (2, 2, 13), (1, 8, 15)])
@@ -555,11 +558,11 @@ def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):
 
 
 def test_a_mining_past_the_pair_limit_raises(monkeypatch):
-    # (inf,4,14) fills 5,540 successor-row entries; the check runs after each block
+    # (inf,4,14) fills 5,455 successor-row entries; the check runs after each block
     monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_000)
     with pytest.raises(BoundExceededError, match="above the limit 5000"):
         mine_obstructions(INF, 4, 14)
-    monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_540)
+    monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_455)
     assert len(mine_obstructions(INF, 4, 14)) == 84
 
 
@@ -596,28 +599,81 @@ def test_a_lost_back_pointer_fails_the_expansion_count_check(monkeypatch):
     assert lost
 
 
+def test_a_lost_record_fails_the_split_cross_check(monkeypatch):
+    # every count check still holds: only the enumerated minimal obstructions
+    # of order <= the split show that a mined cotree is missing
+    expand = obstructions._expand
+    dropped = []
+
+    def dropping(knapsacks, hits):
+        trees = expand(knapsacks, hits)
+        low = [t for t in trees if t.order <= obstructions._SPLIT_ORDER]
+        dropped.append(low[-1])
+        trees.remove(low[-1])
+        return trees
+
+    monkeypatch.setattr(obstructions, "_expand", dropping)
+    with pytest.raises(
+        AssertionError, match=r"\(1\) are not the enumerated minimal obstructions \(2\)"
+    ):
+        mine_obstructions(INF, 4, 14)
+    assert len(dropped) == 1
+
+
+class MostPolarAlgebra(polarity.TypeAlgebra):
+    """A mutant type algebra: ``combine`` keeps the most polar deleted profiles.
+
+    A deleted profile is dropped when another one's polar pairs strictly
+    contain its own, the reverse of the library's least polar filter.
+    """
+
+    def combine(self, op, i, j):
+        row = self.row(op, j)
+        out = row.get(i)
+        if out is None:
+            (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
+            dels = {self._merge(op, d, p2) for d in d1} | {self._merge(op, p1, d) for d in d2}
+            polar = self._polar
+
+            def above(e, d):  # e's polar pairs strictly contain d's
+                return polar[e] != polar[d] and not polar[d] & ~polar[e]
+
+            most = [d for d in dels if not any(above(e, d) for e in dels)]
+            self.pairs += 1
+            out = row[i] = self._number(self._merge(op, p1, p2), most)
+        return out
+
+
+@pytest.mark.parametrize("key", [(2, 2, 13), (1, 3, 10)])
+def test_keeping_the_most_polar_deletions_fails_mining(monkeypatch, key):
+    # the mutant's hits disagree with the enumerated minimal obstructions
+    monkeypatch.setattr(polarity, "TypeAlgebra", MostPolarAlgebra)
+    with pytest.raises(AssertionError, match="enumerated minimal obstructions"):
+        mine_obstructions(*key)
+
+
 def test_live_types_absorb_and_hits_have_live_children():
     # live: the class and each one-leaf deletion are polar; exhaustive at order <= 10
-    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in ORACLE_PAIRS]
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         deleted = [remove_leaf(t, index) for index in range(t.order)]
         profiles = [polarity.profile_dp(t)] + [
             polarity.profile_dp(sub) for sub in deleted if sub is not None
         ]
-        for algebra, s, k in algebras:
-            i = algebra.of_class(t)
+        for algebra, memo, s, k in algebras:
+            i = type_of(algebra, t, memo)
             live = all(p.admits(s, k) for p in profiles)
             assert algebra.live[i] == live, (cotrees.render(t), s, k)
             if t.op == cotrees.LEAF:
                 continue
-            kids = [algebra.of_class(child) for child in t.children]
+            kids = [type_of(algebra, child, memo) for child in t.children]
             if not all(algebra.live[j] for j in kids):
                 assert not algebra.live[i] and not algebra.hit[i], (cotrees.render(t), s, k)
             if algebra.hit[i]:
                 # each child, and the fold of all children but one, is live
                 assert all(algebra.live[j] for j in kids), (cotrees.render(t), s, k)
                 for skip in range(len(kids)):
-                    rest = algebra.number(polarity.EMPTY_TYPE)
+                    rest = algebra.empty
                     for j in kids[:skip] + kids[skip + 1 :]:
                         rest = algebra.combine(t.op, rest, j)
                     assert algebra.live[rest], (cotrees.render(t), s, k)

@@ -13,8 +13,11 @@ from util import (
     deletion_profiles,
     least_polar,
     polar_pairs,
+    profile_form,
+    profile_of_id,
     random_cotree,
     reduce_quadratic,
+    type_of,
     unreduced_type,
 )
 
@@ -216,18 +219,19 @@ def test_caps_keep_every_verdict():
 
 
 def test_pair_rule_folds_children_to_the_class_type():
-    # of_class folds the children's types; the oracle caps the exact profile
+    # type_of folds the children's types; the oracle caps the exact profile
     # and deletion set of each class and keeps the least polar deleted profiles
     from polarcographs.obstructions import enumerate_cographs
 
-    algebras = [polarity.TypeAlgebra(s, k) for s, k in GRID]
+    algebras = [(polarity.TypeAlgebra(s, k), {}) for s, k in GRID]
     for t in enumerate_cographs(10):
         prof, dels = polarity.profile_dp(t).signatures, deletion_profiles(t)
-        for algebra in algebras:
+        for algebra, memo in algebras:
             caps = algebra.caps
             capped_dels = {polarity.cap_profile(d, caps) for d in dels}
             exact = (polarity.cap_profile(prof, caps), least_polar(capped_dels, caps))
-            assert algebra.types[algebra.of_class(t)] == exact, (cotrees.render(t), caps)
+            typ = profile_form(algebra, type_of(algebra, t, memo))
+            assert typ == exact, (cotrees.render(t), caps)
 
 
 def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
@@ -238,21 +242,21 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
     def polar(p, s, k):
         return any(a <= s and b <= k for a, b in p)
 
-    algebras = [(polarity.TypeAlgebra(s, k), s, k) for s, k in GRID]
-    memos = {algebra.caps: {} for algebra, _, _ in algebras}
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in GRID]
+    memos = {algebra.caps: {} for algebra, _, _, _ in algebras}
     reduced = {}  # (caps, unreduced type) -> the reduced type
     for t in enumerate_cographs(10):
-        for algebra, s, k in algebras:
+        for algebra, numbers, s, k in algebras:
             caps = algebra.caps
             typ = unreduced_type(t, caps, memos[caps])
             if (caps, typ) not in reduced:
                 reduced[(caps, typ)] = (typ[0], least_polar(typ[1], caps))
             prof, dels = typ
-            i = algebra.of_class(t)
+            i = type_of(algebra, t, numbers)
             assert algebra.live[i] == polar(prof, s, k), (cotrees.render(t), s, k)
             hit = not polar(prof, s, k) and all(polar(d, s, k) for d in dels)
             assert algebra.hit[i] == hit, (cotrees.render(t), s, k)
-            assert algebra.types[i] == reduced[(caps, typ)], (cotrees.render(t), s, k)
+            assert profile_form(algebra, i) == reduced[(caps, typ)], (cotrees.render(t), s, k)
 
 
 def _mined_algebra(monkeypatch, cls, key):
@@ -279,9 +283,10 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
     algebra, _ = _mined_algebra(monkeypatch, polarity.TypeAlgebra, key)
     s, k = key[:2]
     cs, ck = caps = algebra.caps
-    assert algebra._profiles, key
+    profiles = [profile_of_id(algebra, p) for p in range(len(algebra._points))]
+    assert profiles, key
     box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
-    for prof, mask in zip(algebra._profiles, algebra._polar, strict=True):
+    for prof, mask in zip(profiles, algebra._polar, strict=True):
         bits = {(x, y) for x, y in box if mask >> (x * (ck + 1) + y) & 1}
         assert bits == polar_pairs(prof, caps), (prof, caps)
         assert mask >> ((cs + 1) * (ck + 1)) == 0, (prof, caps)
@@ -289,7 +294,8 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
     def polar(p):
         return any(a <= s and b <= k for a, b in p)
 
-    for i, (prof, dels) in enumerate(algebra.types):
+    types = [profile_form(algebra, i) for i in range(len(algebra._keys))]
+    for i, (prof, dels) in enumerate(types):
         assert algebra.live[i] == polar(prof), (prof, key)
         assert algebra.hit[i] == (not polar(prof) and all(polar(d) for d in dels)), (prof, key)
         assert least_polar(dels, caps) == dels, (dels, key)
@@ -308,14 +314,14 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
     combined = 0
     for op, rows in algebra._rows.items():
         for j, row in rows.items():
-            p2, d2 = algebra.types[j]
+            p2, d2 = types[j]
             for i, out in row.items():
-                p1, d1 = algebra.types[i]
+                p1, d1 = types[i]
                 dels = {capped(op, d, p2) for d in d1} | {capped(op, p1, d) for d in d2}
                 dels = frozenset(dels)
                 if dels not in least:
                     least[dels] = least_polar(dels, caps)
-                assert algebra.types[out] == (capped(op, p1, p2), least[dels]), key
+                assert types[out] == (capped(op, p1, p2), least[dels]), key
                 combined += 1
     assert combined, key
 
@@ -329,8 +335,8 @@ def test_point_table_algebra_matches_the_set_based_one(monkeypatch, key):
     ours, records = _mined_algebra(monkeypatch, polarity.TypeAlgebra, key)
     oracle, oracle_records = _mined_algebra(monkeypatch, SetTypeAlgebra, key)
     assert records == oracle_records, key
-    assert ours.types == oracle.types, key
-    assert ours._profiles == oracle._profiles, key
+    assert [profile_form(ours, i) for i in range(len(ours._keys))] == oracle.types, key
+    assert [profile_of_id(ours, p) for p in range(len(ours._points))] == oracle._profiles, key
     assert ours._polar == oracle._polar, key
     assert (ours.hit, ours.live) == (oracle.hit, oracle.live), key
     assert ours._rows == oracle._rows, key

@@ -173,6 +173,45 @@ def deletions_admit_materialised(t, s, k, dels=None):
     return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in dels)
 
 
+# profile forms of the empty graph's type, the identity of the pair rule, and
+# the leaf's; caps are >= 2, so capping keeps both
+EMPTY_TYPE = (frozenset({(0, 0)}), frozenset())
+LEAF_TYPE = (frozenset({(1, 0), (0, 1)}), frozenset({frozenset({(0, 0)})}))
+
+
+def type_of(algebra, t, memo):
+    """The number of a cotree's type in ``algebra``: its children's types folded by
+    ``combine`` from ``algebra.empty``; a leaf's is ``algebra.leaf``.
+
+    ``memo`` maps the nodes typed so far with this algebra.
+    """
+    i = memo.get(t)
+    if i is None:
+        if t.op == LEAF:
+            i = algebra.leaf
+        else:
+            i = algebra.empty
+            for child in t.children:
+                i = algebra.combine(t.op, i, type_of(algebra, child, memo))
+        memo[t] = i
+    return i
+
+
+def profile_of_id(algebra, p):
+    """The capped profile of a profile id of ``polarity.TypeAlgebra``: its minimal points."""
+    box = algebra._box
+    return frozenset(box[b] for b in algebra._points[p])
+
+
+def profile_form(algebra, i):
+    """Type number i of a ``polarity.TypeAlgebra`` in profile form.
+
+    That is (capped profile, least polar capped deleted profiles).
+    """
+    p, dels = algebra._keys[i]
+    return profile_of_id(algebra, p), frozenset(profile_of_id(algebra, d) for d in dels)
+
+
 def unreduced_type(t, caps, memo):
     """A cotree's capped type with every capped deleted profile kept.
 
@@ -183,14 +222,14 @@ def unreduced_type(t, caps, memo):
     typ = memo.get(t)
     if typ is None:
         if t.op == LEAF:
-            typ = polarity._LEAF_TYPE
+            typ = LEAF_TYPE
         else:
             merge = polarity._MERGES[t.op]
 
             def capped(p, q):
                 return polarity.cap_profile(merge(p, q), caps)
 
-            typ = polarity.EMPTY_TYPE
+            typ = EMPTY_TYPE
             for child in t.children:
                 (p1, d1), (p2, d2) = typ, unreduced_type(child, caps, memo)
                 dels = [capped(d, p2) for d in d1] + [capped(p1, d) for d in d2]
@@ -391,7 +430,9 @@ class SetTypeAlgebra:
     builds the signature set, caps and reduces it and hashes it back to an
     id, and a type is keyed by its profile id and the frozenset of its
     deleted-profile ids.  It counts the row entries it fills in ``pairs``,
-    as the library's does.
+    and numbers the empty graph's and the leaf's types first, as ``empty``
+    and ``leaf``, as the library's does.  ``types`` and ``_profiles`` keep
+    each type and each capped profile in profile form.
     """
 
     def __init__(self, s, k):
@@ -410,7 +451,8 @@ class SetTypeAlgebra:
         self._numbers = {}
         self._merged = {UNION: {}, JOIN: {}}
         self._rows = {UNION: {}, JOIN: {}}
-        self._of_node = {}
+        self.empty = self.number(EMPTY_TYPE)
+        self.leaf = self.number(LEAF_TYPE)
 
     def _profile_id(self, prof):
         p = self._profile_ids.get(prof)
@@ -442,18 +484,6 @@ class SetTypeAlgebra:
         return self._number(
             (self._profile_id(prof), frozenset(self._profile_id(d) for d in dels))
         )
-
-    def of_class(self, t):
-        i = self._of_node.get(t)
-        if i is None:
-            if t.op == LEAF:
-                i = self.number(polarity._LEAF_TYPE)
-            else:
-                i = self.number(polarity.EMPTY_TYPE)
-                for child in t.children:
-                    i = self.combine(t.op, i, self.of_class(child))
-            self._of_node[t] = i
-        return i
 
     def _merge(self, op, p, q):
         profiles = self._profiles
