@@ -45,8 +45,10 @@ For the 84 records of ``mine(inf,4,14)`` that is 397 deletions, not 909.
 
 Mining works on the (s,k)-types of ``polarity.TypeAlgebra``, since
 minimality depends on a class's type alone.  A type keeps only the least
-polar of its capped deleted profiles, which keeps the types few: 129 for
-(inf,4) up to order 15, against 1,213 with every deleted profile.  Classes
+polar of its capped deleted profiles, and every type that is neither live
+nor a hit is the algebra's one ``sink``, which keeps the types few: 124 for
+(inf,4) up to order 15, against 129 with a number for each type that is
+neither, and 1,213 with every deleted profile kept as well.  Classes
 are counted, not built, by one knapsack per parent label over blocks (order,
 type, number of classes): unions of connected blocks and joins of
 disconnected ones, starting from the leaf, which is both.  The knapsack adds
@@ -54,7 +56,9 @@ the blocks one at a time and keeps, for each total order, the number of
 multisets of each type, a multiset's type following by the pair rule and its
 number of classes being a product of binomials.  Only live types
 (``TypeAlgebra.live``) and hits are kept by type; every other multiset is
-only counted, since no extension of it is live or a hit.  Once every block
+only counted, since no extension of it is live or a hit, and a base whose
+successor row gives the sink is counted dead on its first copy without
+walking its copies.  Once every block
 below an order is in, the knapsack's numbers of that order must add up to the
 cograph count of an independent Euler transform (OEIS A000084), or mining
 raises; its live types become the blocks of that order and its hit types are
@@ -63,7 +67,7 @@ per order, but their number grows with the caps: (inf,12,40) peaked at
 182 MB, while (12,12,40) grew past 1.33 GB.  So mining also bounds its cost:
 after each block it reads how many pairs of types the algebra has combined,
 and past ``MINING_MAX_PAIRS`` it raises ``BoundExceededError``, which
-(12,12,40) now meets after 42 s at 464 MB (DECISIONS.md, "Two order
+(12,12,40) now meets after 21 s at 462 MB (DECISIONS.md, "Two order
 limits").  Each hit type is
 expanded into cotrees by following the knapsack's back-pointers down to the
 leaf, through blocks of lower order only; the number of cotrees must equal
@@ -100,8 +104,8 @@ from .polarity import INF
 # bound cost, which follows the types and so the caps; the pair limit does:
 # it bounds the successor-row entries the type algebra fills (``pairs``),
 # checked after each knapsack block.  (inf,19,40) fills 692,241 of them and
-# (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after 42 s of
-# CPU at 464 MB peak RSS (same machine; see DECISIONS.md).
+# (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after 21 s of
+# CPU at 462 MB peak RSS (same machine; see DECISIONS.md).
 ENUMERATION_MAX_ORDER = 15
 MINING_MAX_ORDER = 40
 MINING_MAX_PAIRS = 3_000_000
@@ -539,7 +543,12 @@ class _TypeKnapsack:
         counts only multisets of earlier blocks; a base of m0 gains r copies
         of the block, in C(c + r - 1, r) ways, at total order m0 + r o.  Each
         copy's type is read from the algebra's successor row of the block's
-        type, and ``combine`` runs only on a pair not met before.
+        type, and ``combine`` runs only on a pair not met before.  Each base
+        reads its row first: most bases have met the block before and die on
+        its first copy, which the row gives as the algebra's ``sink``, so
+        they take no walk.  A hit base is never combined (the knapsacks
+        combine live types only), so its row entry is missing and it is
+        skipped before any ``combine``.
 
         Per base order, ``dying[r]`` counts the bases whose r-th copy is the
         first that is not live: the dead bases and, for a None block, the
@@ -549,35 +558,39 @@ class _TypeKnapsack:
         b = len(self.blocks)
         self.blocks.append((o, i, c))
         n_max, op, kept, dead = self.n_max, self.op, self.kept, self.dead
-        combine, is_live, is_hit = self.algebra.combine, self.algebra.live, self.algebra.hit
-        row = self.algebra.row(op, i) if i is not None else None
+        algebra = self.algebra
+        combine, is_live, is_hit, sink = algebra.combine, algebra.live, algebra.hit, algebra.sink
+        row = algebra.row(op, i) if i is not None else None
         weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
         for m0 in range(n_max - o, -1, -1):
             top = (n_max - m0) // o
             dying = [0] * (top + 1)
             dying[1] = dead[m0]
-            for t0, base in kept[m0].items():
-                if not is_live[t0]:  # a hit, counted in dead[m0]
-                    continue
-                count = base[0]
-                if i is None:  # no multiset with this block is live
-                    dying[1] += count
-                    continue
-                typ, m = t0, m0
-                for r in range(1, top + 1):
-                    nxt = row.get(typ)
-                    typ = combine(op, typ, i) if nxt is None else nxt
-                    m += o
-                    live = is_live[typ] and m < n_max
-                    if live or is_hit[typ]:
-                        entry = kept[m].get(typ)
-                        if entry is None:
-                            entry = kept[m][typ] = [0]
-                        entry[0] += count * weights[r]
-                        entry.append((t0, b, r))
-                    if not live:  # no more copies give a live type or a hit
-                        dying[r] += count
-                        break
+            if row is None:  # no multiset with this block is live
+                dying[1] += sum(base[0] for t0, base in kept[m0].items() if is_live[t0])
+            else:
+                for t0, base in kept[m0].items():
+                    nxt = row.get(t0)
+                    if nxt == sink:  # the first copy is neither live nor a hit
+                        dying[1] += base[0]
+                        continue
+                    if not is_live[t0]:  # a hit, counted in dead[m0]
+                        continue
+                    count, typ, m = base[0], t0, m0
+                    for r in range(1, top + 1):
+                        typ = combine(op, typ, i) if nxt is None else nxt
+                        m += o
+                        live = is_live[typ] and m < n_max
+                        if live or is_hit[typ]:
+                            entry = kept[m].get(typ)
+                            if entry is None:
+                                entry = kept[m][typ] = [0]
+                            entry[0] += count * weights[r]
+                            entry.append((t0, b, r))
+                        if not live:  # no more copies give a live type or a hit
+                            dying[r] += count
+                            break
+                        nxt = row.get(typ)
             carry = 0
             for r in range(1, top + 1):
                 carry += dying[r]

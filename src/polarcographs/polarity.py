@@ -27,10 +27,13 @@ once, by the bitmask of its polar pairs in the cap box, as a profile id; a
 merge is the OR of one per-caps point table over the two profiles' minimal
 points; a type is only a number, keyed by a profile id with a bitset of
 deleted-profile ids; the least polar test is a mask inclusion and the (s,k)
-test one bit.  Each (label, type) keeps a successor row of the types it
-has been combined with, which the mining knapsacks read before calling
-``combine``.  There are finitely many types per (s, k), so the algebra's
-tables, which live as long as one mining call, do not grow with the order.
+test one bit.  A type that is neither polar nor a minimal obstruction's is
+never told apart from another such: nothing built on it is either, so every
+such type is one absorbing ``sink``, found at the first non-polar deletion.
+Each (label, type) keeps a successor row of the types it has been combined
+with, which the mining knapsacks read before calling ``combine``.  There are
+finitely many types per (s, k), so the algebra's tables, which live as long
+as one mining call, do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -112,6 +115,23 @@ def _merge_join(p1, p2):
     return out
 
 
+_MERGES = {UNION: _merge_union, JOIN: _merge_join}
+
+
+def _fuse(u, v):
+    """The count of a side that a merge fuses, from its two counts, or None.
+
+    The other count when one is 0, 1 when both are 1, and otherwise None: the
+    pair gives no signature.  It is the A side of a union, as in
+    ``_merge_union``, and the B side of a join, as in ``_merge_join``.
+    """
+    if u == 0:
+        return v
+    if v == 0:
+        return u
+    return 1 if u == v == 1 else None
+
+
 def _node_profile(t):
     """Memoized profile of a subtree; each node's shape is checked on its first call."""
     prof = t._profile
@@ -121,7 +141,7 @@ def _node_profile(t):
         prof = _LEAF_SIGS
     else:
         cotrees.check_node(t)
-        merge = _merge_union if t.op == UNION else _merge_join
+        merge = _MERGES[t.op]
         prof = _node_profile(t.children[0])
         for child in t.children[1:]:
             prof = _reduce(merge(prof, _node_profile(child)))
@@ -143,9 +163,6 @@ def cap_profile(prof, caps):
     """The reduced profile with each signature's coordinates capped at ``caps``."""
     cs, ck = caps
     return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
-
-
-_MERGES = {UNION: _merge_union, JOIN: _merge_join}
 
 
 class TypeAlgebra:
@@ -170,7 +187,16 @@ class TypeAlgebra:
     children, is not polar, then neither is the node, nor the node minus a
     vertex outside that part, so the node is neither live nor a hit.  Hence
     every child of a hit, and every fold of some but not all of its
-    children, is live.
+    children, is live.  So all types that are neither live nor hits are one
+    type, ``sink``: ``combine`` gives ``sink`` whenever either side is
+    ``sink``, and whenever the merged profile and some deleted profile are
+    not polar, as soon as it meets the first such deleted profile.  Only
+    live types and hits are numbered with a key.  A type is a hit exactly
+    when its merged profile is not polar and none of its candidate deleted
+    profiles is; the candidates are the least polar deleted profiles of
+    each side merged with the other side's profile, and every deleted
+    profile of the node is at least as polar as one of them, so a
+    non-polar one among all of them shows up among the candidates.
 
     Internally a capped profile is its polar mask: the bitmask of its polar
     pairs in the cap box [0, cs] x [0, ck] (bit x (ck + 1) + y for the pair
@@ -181,12 +207,16 @@ class TypeAlgebra:
     merges and the up-set of a union of points is the union of their
     up-sets, so the mask of a merge is the OR, over pairs of minimal points
     a and b, of a point table's entry: the up-set mask of the capped
-    op({a}, {b}), 0 when the pair gives no signature.  A profile's minimal
-    points are found only when its mask is first met.  Merges are memoized
-    per label, per left profile id, on the right id.  A type is known only
+    op({a}, {b}), 0 when the pair gives no signature.  That merge has at
+    most one point, which the point rule gives: a union adds the clique
+    counts and fuses the part counts (``_fuse``), a join the reverse, each
+    sum capped.  A profile's minimal points are found only when its mask is
+    first met.  Merges are memoized per label, per left profile id, on the
+    right id.  A type is known only
     by its number, keyed by its profile id and the bitset of its
-    deleted-profile ids; "least polar" is a mask inclusion test, and ``hit``
-    and ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type
+    deleted-profile ids (``sink``, numbered after ``empty`` and ``leaf``,
+    has no key); "least polar" is a mask inclusion test, and ``hit`` and
+    ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type
     is built from ``empty`` (the empty graph's, the identity of the pair
     rule) and ``leaf`` by ``combine``, which fills one successor row per
     label and right-hand type j, mapping each type i met with it to the
@@ -214,11 +244,19 @@ class TypeAlgebra:
             (1 << (b - ck - 1) if x else 0) | (1 << (b - 1) if y else 0)
             for b, (x, y) in enumerate(box)
         ]
-        # label -> box index a -> box index b -> up-set mask of the capped op({a}, {b})
-        self._tables = {
-            op: [[self._mask(merge({a}, {b})) for b in box] for a in box]
-            for op, merge in _MERGES.items()
-        }
+        # label -> box index a -> box index b -> up-set mask of the capped op({a}, {b}):
+        # a union adds cliques and fuses the parts, a join the reverse
+        up, width = self._up, ck + 1
+        self._tables = {UNION: [], JOIN: []}
+        for x1, y1 in box:
+            unions, joins = [], []
+            for x2, y2 in box:
+                x = _fuse(x1, x2)
+                unions.append(0 if x is None else up[x * width + min(y1 + y2, ck)])
+                y = _fuse(y1, y2)
+                joins.append(0 if y is None else up[min(x1 + x2, cs) * width + y])
+            self._tables[UNION].append(unions)
+            self._tables[JOIN].append(joins)
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._sizes = []  # profile id -> number of its polar pairs
@@ -232,6 +270,11 @@ class TypeAlgebra:
         nothing = self._intern(self._mask(_EMPTY_SIGS))
         self.empty = self._number(nothing, ())
         self.leaf = self._number(self._intern(self._mask(_LEAF_SIGS)), (nothing,))
+        # every type that is neither live nor a hit; it has no key
+        self.sink = len(self._keys)
+        self._keys.append(None)
+        self.hit.append(False)
+        self.live.append(False)
 
     def _mask(self, prof):
         """The polar mask of a profile, its signatures capped: the OR of their up-sets."""
@@ -258,7 +301,9 @@ class TypeAlgebra:
     def _number(self, p, dels):
         """The number of the type of profile id p and distinct deleted-profile ids ``dels``.
 
-        A new type gets the next number.
+        Every deleted profile is polar (``combine`` sends the other types
+        to ``sink``), so the type is live when p is polar and a hit when it
+        is not.  A new type gets the next number.
         """
         bits = 0
         for d in dels:
@@ -266,10 +311,10 @@ class TypeAlgebra:
         i = self._numbers.get((p, bits))
         if i is None:
             i = self._numbers[(p, bits)] = len(self._keys)
-            polar, bit = self._polar, self._bit
+            live = bool(self._polar[p] & self._bit)
             self._keys.append((p, tuple(sorted(dels))))
-            self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
-            self.live.append(bool(polar[p] & bit))
+            self.hit.append(not live)
+            self.live.append(live)
         return i
 
     def _merge(self, op, p, q):
@@ -299,43 +344,63 @@ class TypeAlgebra:
 
         The pair rule: a deletion of op(G1, G2) deletes a vertex of G1 or of
         G2, so its profile is a deleted profile of one side merged with the
-        other side's whole profile.  Only the least polar of these are kept:
-        d is dropped when another one's polar pairs are among d's.  Distinct
-        capped profiles have distinct polar masks, so such an other one has
-        fewer polar pairs: one pass over the deletions by ascending number
-        of polar pairs keeps each one that no kept one's pairs are among,
-        which also drops a repeated id.
+        other side's whole profile.  ``sink`` on either side gives ``sink``.
+        Otherwise the merged profile is found first, then the candidate
+        deletions one at a time: at the first that is not polar, the type is
+        neither live nor a hit, and ``sink`` is stored without building the
+        rest.  A live type has none such, by heredity, and a hit none by
+        definition; only these two are numbered.  Only the least polar
+        candidates are kept: d is dropped when another one's polar pairs are
+        among d's.  Distinct capped profiles have distinct polar masks, so
+        such an other one has fewer polar pairs: one pass over the deletions
+        by ascending number of polar pairs keeps each one that no kept one's
+        pairs are among, which also drops a repeated id.
         """
         row = self.row(op, j)
         out = row.get(i)
         if out is None:
-            (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
-            memo, merge = self._merged[op], self._merge
-            dels = []
-            for d in d1:
-                e = memo[d].get(p2)
-                dels.append(merge(op, d, p2) if e is None else e)
-            left = memo[p1]
-            for d in d2:
-                e = left.get(d)
-                dels.append(merge(op, p1, d) if e is None else e)
-            if len(dels) > 1:
-                polar, least, masks = self._polar, [], []
-                for d in sorted(dels, key=self._sizes.__getitem__):
-                    mask = polar[d]
-                    for kept in masks:
-                        if not kept & ~mask:
-                            break
-                    else:
-                        least.append(d)
-                        masks.append(mask)
-                dels = least
-            p = left.get(p2)
-            if p is None:
-                p = merge(op, p1, p2)
+            out = row[i] = self._combined(op, i, j)
             self.pairs += 1
-            out = row[i] = self._number(p, dels)
         return out
+
+    def _combined(self, op, i, j):
+        """``combine``'s miss path: the number of op(i, j)'s type, or ``sink``."""
+        sink = self.sink
+        if i == sink or j == sink:
+            return sink
+        (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
+        memo, merge, polar, bit = self._merged[op], self._merge, self._polar, self._bit
+        left = memo[p1]
+        p = left.get(p2)
+        if p is None:
+            p = merge(op, p1, p2)
+        dels = []
+        for d in d1:
+            e = memo[d].get(p2)
+            if e is None:
+                e = merge(op, d, p2)
+            if not polar[e] & bit:
+                return sink
+            dels.append(e)
+        for d in d2:
+            e = left.get(d)
+            if e is None:
+                e = merge(op, p1, d)
+            if not polar[e] & bit:
+                return sink
+            dels.append(e)
+        if len(dels) > 1:
+            least, masks = [], []
+            for d in sorted(dels, key=self._sizes.__getitem__):
+                mask = polar[d]
+                for kept in masks:
+                    if not kept & ~mask:
+                        break
+                else:
+                    least.append(d)
+                    masks.append(mask)
+            dels = least
+        return self._number(p, dels)
 
 
 @dataclass(frozen=True)
@@ -437,7 +502,7 @@ def _assign(t, sig, ids, next_leaf, a_list, b_list):
         else:
             b_list.append(v)
         return next_leaf + 1
-    merge = _merge_union if t.op == UNION else _merge_join
+    merge = _MERGES[t.op]
     # Rebuild the left-to-right fold prefixes, then peel children off the right.
     prefixes = [_node_profile(t.children[0])]
     for child in t.children[1:]:

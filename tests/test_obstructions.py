@@ -200,16 +200,22 @@ def test_fresh_enumerator_matches_shared():
 
 def test_minimality_matches_all_deletions_oracle():
     # the type's verdict against explicit deletions and against the exact
-    # deletion set, and the check of one deletion per class against all of them
+    # deletion set, and the check of one deletion per class against all of
+    # them; the type is the sink exactly when the class is neither polar nor
+    # a minimal obstruction
     algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         dels = None  # built once per class, on the first non-polar root
         for algebra, memo, s, k in algebras:
-            hit = algebra.hit[type_of(algebra, t, memo)]
+            i = type_of(algebra, t, memo)
+            hit = algebra.hit[i]
             oracle = minimal_by_all_deletions(t, s, k)
             assert hit == oracle, (cotrees.render(t), s, k)
-            assert is_minimal_obstruction(t, s, k) == oracle, (cotrees.render(t), s, k)
-            if not polarity.profile_dp(t).admits(s, k):
+            minimal = is_minimal_obstruction(t, s, k)
+            assert minimal == oracle, (cotrees.render(t), s, k)
+            polar = polarity.profile_dp(t).admits(s, k)
+            assert (i == algebra.sink) == (not polar and not minimal), (cotrees.render(t), s, k)
+            if not polar:
                 if dels is None:
                     dels = deletion_profiles(t)
                 assert hit == deletions_admit_materialised(t, s, k, dels), (
@@ -485,10 +491,12 @@ def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
                 assert counted[(op, n)] == (kept, not_live), (s, k, n, op)
 
 
-# types met and blocks added by both knapsacks, with only the least polar
-# deleted profiles kept (1,213 / 4,282 and 2,407 / 3,557 with all of them,
-# when the enumerated classes were typed as well)
-ORDER_15_SIZES = {(INF, 4, 15): (129, 527), (1, 8, 15): (280, 742)}
+# types numbered and blocks added by both knapsacks, with only the least
+# polar deleted profiles kept, and every type that is neither live nor a hit
+# sent to the one sink (129 / 527 and 280 / 742 when each such type had its
+# own number; 1,213 / 4,282 and 2,407 / 3,557 with every deleted profile
+# kept, when the enumerated classes were typed as well)
+ORDER_15_SIZES = {(INF, 4, 15): (124, 527), (1, 8, 15): (246, 742)}
 
 
 @pytest.mark.parametrize("key", list(ORDER_15_SIZES))
@@ -653,7 +661,9 @@ def test_keeping_the_most_polar_deletions_fails_mining(monkeypatch, key):
 
 
 def test_live_types_absorb_and_hits_have_live_children():
-    # live: the class and each one-leaf deletion are polar; exhaustive at order <= 10
+    # live: the class and each one-leaf deletion are polar; exhaustive at order
+    # <= 10; a class with a child that is not live has the sink type, which
+    # absorbs on either side of every pair
     algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         deleted = [remove_leaf(t, index) for index in range(t.order)]
@@ -668,7 +678,7 @@ def test_live_types_absorb_and_hits_have_live_children():
                 continue
             kids = [type_of(algebra, child, memo) for child in t.children]
             if not all(algebra.live[j] for j in kids):
-                assert not algebra.live[i] and not algebra.hit[i], (cotrees.render(t), s, k)
+                assert i == algebra.sink, (cotrees.render(t), s, k)
             if algebra.hit[i]:
                 # each child, and the fold of all children but one, is live
                 assert all(algebra.live[j] for j in kids), (cotrees.render(t), s, k)
@@ -677,3 +687,9 @@ def test_live_types_absorb_and_hits_have_live_children():
                     for j in kids[:skip] + kids[skip + 1 :]:
                         rest = algebra.combine(t.op, rest, j)
                     assert algebra.live[rest], (cotrees.render(t), s, k)
+    for algebra, _, s, k in algebras:
+        sink = algebra.sink
+        assert not algebra.live[sink] and not algebra.hit[sink], (s, k)
+        for op in (cotrees.UNION, cotrees.JOIN):
+            for i in range(len(algebra.hit)):
+                assert algebra.combine(op, i, sink) == algebra.combine(op, sink, i) == sink

@@ -11,6 +11,7 @@ from polarcographs.polarity import INF
 from util import (
     SetTypeAlgebra,
     deletion_profiles,
+    deletions_admit_materialised,
     least_polar,
     polar_pairs,
     profile_form,
@@ -220,18 +221,24 @@ def test_caps_keep_every_verdict():
 
 def test_pair_rule_folds_children_to_the_class_type():
     # type_of folds the children's types; the oracle caps the exact profile
-    # and deletion set of each class and keeps the least polar deleted profiles
+    # and deletion set of each class and keeps the least polar deleted
+    # profiles; a class that is neither polar nor a minimal obstruction, by
+    # its exact profile and deletion set, has the sink type
     from polarcographs.obstructions import enumerate_cographs
 
-    algebras = [(polarity.TypeAlgebra(s, k), {}) for s, k in GRID]
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in GRID]
     for t in enumerate_cographs(10):
-        prof, dels = polarity.profile_dp(t).signatures, deletion_profiles(t)
-        for algebra, memo in algebras:
+        prof, dels = polarity.profile_dp(t), deletion_profiles(t)
+        for algebra, memo, s, k in algebras:
+            i = type_of(algebra, t, memo)
+            dead = not prof.admits(s, k) and not deletions_admit_materialised(t, s, k, dels)
+            assert (i == algebra.sink) == dead, (cotrees.render(t), s, k)
+            if dead:
+                continue
             caps = algebra.caps
             capped_dels = {polarity.cap_profile(d, caps) for d in dels}
-            exact = (polarity.cap_profile(prof, caps), least_polar(capped_dels, caps))
-            typ = profile_form(algebra, type_of(algebra, t, memo))
-            assert typ == exact, (cotrees.render(t), caps)
+            exact = (polarity.cap_profile(prof.signatures, caps), least_polar(capped_dels, caps))
+            assert profile_form(algebra, i) == exact, (cotrees.render(t), caps)
 
 
 def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
@@ -256,7 +263,10 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
             assert algebra.live[i] == polar(prof, s, k), (cotrees.render(t), s, k)
             hit = not polar(prof, s, k) and all(polar(d, s, k) for d in dels)
             assert algebra.hit[i] == hit, (cotrees.render(t), s, k)
-            assert profile_form(algebra, i) == reduced[(caps, typ)], (cotrees.render(t), s, k)
+            if algebra.live[i] or hit:
+                assert profile_form(algebra, i) == reduced[(caps, typ)], (cotrees.render(t), s, k)
+            else:
+                assert i == algebra.sink, (cotrees.render(t), s, k)
 
 
 def _mined_algebra(monkeypatch, cls, key):
@@ -294,15 +304,24 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
     def polar(p):
         return any(a <= s and b <= k for a, b in p)
 
+    # every type but the sink is numbered with its profile form, and is
+    # live or a hit
     types = [profile_form(algebra, i) for i in range(len(algebra._keys))]
-    for i, (prof, dels) in enumerate(types):
+    assert types[algebra.sink] is None and not algebra.live[algebra.sink], key
+    assert not algebra.hit[algebra.sink], key
+    for i, typ in enumerate(types):
+        if i == algebra.sink:
+            continue
+        prof, dels = typ
         assert algebra.live[i] == polar(prof), (prof, key)
         assert algebra.hit[i] == (not polar(prof) and all(polar(d) for d in dels)), (prof, key)
+        assert algebra.live[i] or algebra.hit[i], (prof, key)
         assert least_polar(dels, caps) == dels, (dels, key)
 
     # combine's one greedy pass is exact only if distinct profiles have
     # distinct masks; each combined type's deletions are the least polar of
-    # all its merged deleted profiles
+    # all its merged deleted profiles, and a pair goes to the sink exactly
+    # when its merged profile and some merged deleted profile are not polar
     assert len(set(algebra._polar)) == len(algebra._polar), key
     merged, least = {}, {}  # memos of the oracle's merges and filters
 
@@ -318,10 +337,14 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
             for i, out in row.items():
                 p1, d1 = types[i]
                 dels = {capped(op, d, p2) for d in d1} | {capped(op, p1, d) for d in d2}
-                dels = frozenset(dels)
-                if dels not in least:
-                    least[dels] = least_polar(dels, caps)
-                assert types[out] == (capped(op, p1, p2), least[dels]), key
+                prof = capped(op, p1, p2)
+                if not polar(prof) and not all(polar(d) for d in dels):
+                    assert out == algebra.sink, key
+                else:
+                    dels = frozenset(dels)
+                    if dels not in least:
+                        least[dels] = least_polar(dels, caps)
+                    assert types[out] == (prof, least[dels]), key
                 combined += 1
     assert combined, key
 

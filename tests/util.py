@@ -206,8 +206,11 @@ def profile_of_id(algebra, p):
 def profile_form(algebra, i):
     """Type number i of a ``polarity.TypeAlgebra`` in profile form.
 
-    That is (capped profile, least polar capped deleted profiles).
+    That is (capped profile, least polar capped deleted profiles), or None
+    for ``algebra.sink``, which has no key.
     """
+    if i == algebra.sink:
+        return None
     p, dels = algebra._keys[i]
     return profile_of_id(algebra, p), frozenset(profile_of_id(algebra, d) for d in dels)
 
@@ -431,8 +434,12 @@ class SetTypeAlgebra:
     id, and a type is keyed by its profile id and the frozenset of its
     deleted-profile ids.  It counts the row entries it fills in ``pairs``,
     and numbers the empty graph's and the leaf's types first, as ``empty``
-    and ``leaf``, as the library's does.  ``types`` and ``_profiles`` keep
-    each type and each capped profile in profile form.
+    and ``leaf``, then ``sink``, as the library's does.  ``combine`` sends
+    every type that is neither live nor a hit to ``sink``, merging the
+    profiles first and then the candidate deletions in ascending id order up
+    to the first non-polar one, so both algebras intern the same profiles in
+    the same order.  ``types`` and ``_profiles`` keep each type (None for
+    ``sink``) and each capped profile in profile form.
     """
 
     def __init__(self, s, k):
@@ -453,6 +460,11 @@ class SetTypeAlgebra:
         self._rows = {UNION: {}, JOIN: {}}
         self.empty = self.number(EMPTY_TYPE)
         self.leaf = self.number(LEAF_TYPE)
+        self.sink = len(self.types)
+        self.types.append(None)
+        self._keys.append(None)
+        self.hit.append(False)
+        self.live.append(False)
 
     def _profile_id(self, prof):
         p = self._profile_ids.get(prof)
@@ -486,10 +498,12 @@ class SetTypeAlgebra:
         )
 
     def _merge(self, op, p, q):
-        profiles = self._profiles
-        prof = polarity.cap_profile(polarity._MERGES[op](profiles[p], profiles[q]), self.caps)
-        out = self._merged[op][(p, q)] = self._profile_id(prof)
-        return out
+        memo = self._merged[op]
+        if (p, q) not in memo:
+            profiles = self._profiles
+            prof = polarity.cap_profile(polarity._MERGES[op](profiles[p], profiles[q]), self.caps)
+            memo[(p, q)] = self._profile_id(prof)
+        return memo[(p, q)]
 
     def row(self, op, j):
         row = self._rows[op].get(j)
@@ -501,29 +515,33 @@ class SetTypeAlgebra:
         row = self.row(op, j)
         out = row.get(i)
         if out is None:
-            (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
-            memo, merge = self._merged[op], self._merge
-            dels = set()
-            for d in d1:
-                e = memo.get((d, p2))
-                dels.add(merge(op, d, p2) if e is None else e)
-            for d in d2:
-                e = memo.get((p1, d))
-                dels.add(merge(op, p1, d) if e is None else e)
-            if len(dels) > 1:
-                polar, least, masks = self._polar, [], []
-                for d in sorted(dels, key=self._sizes.__getitem__):
-                    mask = polar[d]
-                    for kept in masks:
-                        if not kept & ~mask:
-                            break
-                    else:
-                        least.append(d)
-                        masks.append(mask)
-                dels = least
-            p = memo.get((p1, p2))
-            if p is None:
-                p = merge(op, p1, p2)
+            out = row[i] = self._combined(op, i, j)
             self.pairs += 1
-            out = row[i] = self._number((p, frozenset(dels)))
         return out
+
+    def _combined(self, op, i, j):
+        if self.sink in (i, j):
+            return self.sink
+        (p1, d1), (p2, d2) = self._keys[i], self._keys[j]
+        p = self._merge(op, p1, p2)
+        candidates = itertools.chain(
+            ((d, p2) for d in sorted(d1)), ((p1, d) for d in sorted(d2))
+        )
+        dels = set()
+        for left, right in candidates:
+            e = self._merge(op, left, right)
+            if not self._polar[e] & self._bit:
+                return self.sink
+            dels.add(e)
+        if len(dels) > 1:
+            polar, least, masks = self._polar, [], []
+            for d in sorted(dels, key=self._sizes.__getitem__):
+                mask = polar[d]
+                for kept in masks:
+                    if not kept & ~mask:
+                        break
+                else:
+                    least.append(d)
+                    masks.append(mask)
+            dels = least
+        return self._number((p, frozenset(dels)))
