@@ -10,7 +10,14 @@ an unbounded side.
 Profiles are memoized on the nodes, so subtrees shared between trees are
 solved once.  Each node's shape (at least two children, labels alternating)
 is checked once, on its first profile computation, before the memo is
-written; a malformed node therefore never carries a profile.
+written; a malformed node therefore never carries a profile.  A node's
+children are folded through one memo per label (``_merged``), keyed by the
+two reduced profiles, so equal profiles met in different trees are merged
+and reduced once.  The reduced merge depends on the two antichains alone,
+so the memo is exact; like ``obstructions._ENUMERATOR`` it lives as long as
+the process.  It is small: 290 entries after ``verify_all(3)``, 1,242 after
+``mine_obstructions(INF, 10, 34)`` and 1,915 after ``(INF, 12, 40)``, each
+from a cleared memo.  Witnesses rebuild their fold prefixes through it too.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
 profile and its least polar one-leaf-deleted profiles, with every signature
@@ -117,6 +124,19 @@ def _merge_join(p1, p2):
 
 _MERGES = {UNION: _merge_union, JOIN: _merge_join}
 
+# label -> (left profile, right profile) -> their reduced merge; exact, so it
+# lives as long as the process, like ``obstructions._ENUMERATOR``
+_MERGED = {UNION: {}, JOIN: {}}
+
+
+def _merged(op, p, q):
+    """The reduced op-merge of two reduced profiles, computed once per (op, p, q)."""
+    memo = _MERGED[op]
+    out = memo.get((p, q))
+    if out is None:
+        out = memo[p, q] = _reduce(_MERGES[op](p, q))
+    return out
+
 
 def _fuse(u, v):
     """The count of a side that a merge fuses, from its two counts, or None.
@@ -141,10 +161,10 @@ def _node_profile(t):
         prof = _LEAF_SIGS
     else:
         cotrees.check_node(t)
-        merge = _MERGES[t.op]
+        op = t.op
         prof = _node_profile(t.children[0])
         for child in t.children[1:]:
-            prof = _reduce(merge(prof, _node_profile(child)))
+            prof = _merged(op, prof, _node_profile(child))
     t._profile = prof
     return prof
 
@@ -153,7 +173,10 @@ def _admits(signatures, n, s, k):
     """True iff some signature of an order-n graph is dominated by (s, k)."""
     s = n if s == INF else s
     k = n if k == INF else k
-    return any(s0 <= s and k0 <= k for s0, k0 in signatures)
+    for s0, k0 in signatures:
+        if s0 <= s and k0 <= k:
+            return True
+    return False
 
 
 # -- (s,k)-types ------------------------------------------------------------------
@@ -506,7 +529,7 @@ def _assign(t, sig, ids, next_leaf, a_list, b_list):
     # Rebuild the left-to-right fold prefixes, then peel children off the right.
     prefixes = [_node_profile(t.children[0])]
     for child in t.children[1:]:
-        prefixes.append(_reduce(merge(prefixes[-1], _node_profile(child))))
+        prefixes.append(_merged(t.op, prefixes[-1], _node_profile(child)))
     targets = [None] * len(t.children)
     want = sig
     for i in range(len(t.children) - 1, 0, -1):

@@ -13,6 +13,7 @@ from util import (
     deletion_profiles,
     deletions_admit_materialised,
     least_polar,
+    memo_free_copy,
     polar_pairs,
     profile_form,
     profile_of_id,
@@ -151,20 +152,74 @@ def test_reduce_matches_quadratic_oracle(sigs):
 
 
 @pytest.mark.parametrize("kind", ["unary", "non-alternating"])
-@pytest.mark.parametrize("memoized_sibling", [False, True])
-def test_profile_dp_rejects_malformed_node(kind, memoized_sibling):
+@pytest.mark.parametrize(
+    "memoized_sibling, warm_memo",
+    [
+        pytest.param(False, False, id="False"),
+        pytest.param(True, False, id="True"),
+        pytest.param(True, True, id="warm"),
+    ],
+)
+def test_profile_dp_rejects_malformed_node(kind, memoized_sibling, warm_memo):
     leaf = cotrees.leaf
     if kind == "unary":
-        bad = Cotree(UNION, (leaf(),))
+        bad, good = Cotree(UNION, (leaf(),)), leaf()
     else:
         bad = Cotree(UNION, (leaf(), Cotree(UNION, (leaf(), leaf()))))
+        good = Cotree(UNION, (leaf(), leaf(), leaf()))
     sibling = cotrees.cotree_of(_graph("K1 + K2"))
     if memoized_sibling:
         polarity.profile_dp(sibling)
-    root = Cotree(JOIN, (sibling, Cotree(UNION, (leaf(), Cotree(JOIN, (leaf(), bad))))))
+
+    def around(node):
+        return Cotree(JOIN, (sibling, Cotree(UNION, (leaf(), Cotree(JOIN, (leaf(), node))))))
+
+    if warm_memo:
+        # the well-formed tree of the same profiles leaves every merge that
+        # the malformed one would make in the per-label memo
+        polarity.profile_dp(memo_free_copy(around(good)))
+    entries = sum(map(len, polarity._MERGED.values()))
+    root = around(bad)
     with pytest.raises(MalformedCotreeError):
         polarity.profile_dp(root)
     assert bad._profile is None and root._profile is None
+    if warm_memo:
+        assert sum(map(len, polarity._MERGED.values())) == entries
+
+
+def _clear_merge_memo():
+    for memo in polarity._MERGED.values():
+        memo.clear()
+
+
+def test_merge_memo_holds_the_reduced_merges():
+    from polarcographs import catalog, obstructions
+
+    _clear_merge_memo()
+    catalog.verify_all(2)
+    obstructions.mine_obstructions(INF, 3, 13)
+    for op, memo in polarity._MERGED.items():
+        assert memo
+        for (p, q), merged in memo.items():
+            assert merged == polarity._reduce(polarity._MERGES[op](p, q))
+
+
+def test_profiles_agree_from_a_cleared_and_a_warm_memo():
+    rng = random.Random(47)
+    trees = [random_cotree(rng, rng.randint(1, 12)) for _ in range(40)]
+    cold = []
+    for t in trees:
+        _clear_merge_memo()
+        cold.append(polarity.profile_dp(memo_free_copy(t)).signatures)
+    for t in trees:
+        polarity.profile_dp(memo_free_copy(t))
+    # every tree again, on new nodes, with the merges of all of them memoized:
+    # each merge is read from the memo, none is added
+    entries = sum(map(len, polarity._MERGED.values()))
+    warm = [polarity.profile_dp(memo_free_copy(t)).signatures for t in trees]
+    assert sum(map(len, polarity._MERGED.values())) == entries
+    for t, c, w in zip(trees, cold, warm):
+        assert c == w == polarity.profile_bruteforce(cotrees.realize(t)).signatures
 
 
 def _bruteforce_deletion_profiles(g):
