@@ -23,6 +23,17 @@ reads the records up to its own bound from that mining (``_read``); a
 caller's n_max is the claim's bound and is mined exactly.  The conjectured
 largest order 3(k+1) is written once, in ``conjectured_order``.
 
+Claims are checked on normalized cotrees, and no Graph is built: an
+expression's cotree comes from ``expressions.to_cotree`` and a record's from
+``cotrees.decode`` of its code.  A UNION root's children are the graph's
+components, so the covers (a P3 component, a cluster), the lemma suites and
+thm11's splits read the root's parts.  The lifts of thm17 and thm19 and
+thm11's sums are built as nodes (``cotrees.compose``) and profiled by
+``polarity.profile_dp``; thm2's complement is ``cotrees.flip_labels``, and
+thm11's side deletions are ``obstructions.remove_leaf``.  Evaluating to a
+Graph and recognizing it back, and the graph structure tests, stay as the
+test oracles of these readings.
+
 A verdict is PASS, FAIL, INFO (counted as passed) or INCONCLUSIVE: the
 bound does not reach past the claim, so it was not probed; not a pass.
 """
@@ -35,8 +46,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from . import expressions, graphs, obstructions, polarity
-from .cotrees import canonical_code, cotree_of
+from . import expressions, obstructions, polarity
+from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, decode, flip_labels
 from .obstructions import mine_obstructions
 from .polarity import INF
 
@@ -278,13 +289,37 @@ def _codes_of_exprs(exprs):
     """Canonical code -> (order, text) of each expression's graph."""
     out = {}
     for e in exprs:
-        g = expressions.evaluate(e)
-        out[canonical_code(cotree_of(g))] = (g.n, expressions.unparse(e))
+        t = expressions.to_cotree(e)
+        out[canonical_code(t)] = (t.order, expressions.unparse(e))
     return out
 
 
-def _graph_of_record(record):
-    return graphs.graph6_decode(record.graph6)
+# -- cotree structure ----------------------------------------------------------------
+
+# the covers look for P3 (K1 * 2K1) among the components; thm17 and thm19 lift with K1 and K2
+_P3_CODE = canonical_code(expressions.to_cotree(expressions.P(3)))
+_K1 = expressions.to_cotree(expressions.K(1))
+_K2 = expressions.to_cotree(expressions.K(2))
+
+
+def _components(t):
+    """The components of a normalized cotree's graph: a UNION root's children,
+    else the whole tree."""
+    return t.children if t.op == UNION else (t,)
+
+
+def _is_clique(t):
+    return t.op == LEAF or (t.op == JOIN and all(c.op == LEAF for c in t.children))
+
+
+def _is_cluster(t):
+    """Whether the graph is a disjoint union of cliques; the empty graph
+    (None) is one."""
+    return t is None or all(_is_clique(c) for c in _components(t))
+
+
+def _has_p3_component(t):
+    return any(canonical_code(c) == _P3_CODE for c in _components(t))
 
 
 # -- verdicts ----------------------------------------------------------------------
@@ -348,11 +383,6 @@ def _compare_up_to(claim_id, k, n_max, built, records):
 # -- list claims --------------------------------------------------------------------
 
 
-def _has_p3_component(g):
-    """A component is connected, so one on 3 vertices with 2 edges is P3."""
-    return any(sub.n == 3 and sub.edge_count() == 2 for sub in _components_graphs(g))
-
-
 def _compare_sets(claim_id, k, bound, exprs, records):
     return _compare_up_to(claim_id, k, bound, _codes_of_exprs(exprs), records)
 
@@ -362,7 +392,7 @@ def _compare_closed_under_complement(claim_id, k, bound, exprs, records):
     codes = {r.code for r in records}
     closure = "closed under complement"
     for r in records:
-        if canonical_code(cotree_of(graphs.complement(_graph_of_record(r)))) not in codes:
+        if canonical_code(flip_labels(decode(r.code))) not in codes:
             closure = f"not closed under complement: {r.graph6}"
             break
     report.notes = "; ".join(filter(None, [report.notes, closure]))
@@ -384,12 +414,12 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
     mined = {r.code: r for r in records}
     missing, extra, found, dropped = [], [], set(), []
     for e in exprs:
-        g = expressions.evaluate(e)
-        p = sum(1 for v in range(g.n) if g.degree(v) == 0)
-        if g.n > bound:
+        t = expressions.to_cotree(e)
+        p = obstructions.cotree_type(t)[1]
+        if t.order > bound:
             dropped.append(p)
             continue
-        code = canonical_code(cotree_of(g))
+        code = canonical_code(t)
         r = mined.get(code)
         if r is None or (r.c, r.i) != (c, p) or not 1 <= p <= p_max:
             missing.append(expressions.unparse(e))
@@ -430,13 +460,11 @@ def _verify_thm17(claim_id, k, cache, n_max):
     for r in previous:
         if r.c < 2:
             continue
-        h = _graph_of_record(r)
-        if not polarity.profile_of_graph(h).admits(1, k):
+        h = decode(r.code)
+        if not polarity.profile_dp(h).admits(1, k):
             continue
-        lifted = graphs.disjoint_union(
-            graphs.Graph.empty(1), graphs.join(graphs.Graph.empty(1), h)
-        )
-        expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K1 + K1 * ({r.expression})")
+        lifted = compose(UNION, [_K1, compose(JOIN, [_K1, h])])
+        expected[canonical_code(lifted)] = (lifted.order, f"K1 + K1 * ({r.expression})")
     actual = [r for r in current if (r.c, r.i) == (2, 1)]
     return _compare_up_to(claim_id, k, bound, expected, actual)
 
@@ -454,39 +482,35 @@ def _verify_thm19(claim_id, k, cache, n_max):
             for r in previous:
                 if (r.c, r.i) != (c - 1, p):
                     continue
-                h = _graph_of_record(r)
-                if not polarity.profile_of_graph(h).admits(1, k):
+                h = decode(r.code)
+                if not polarity.profile_dp(h).admits(1, k):
                     continue
-                lifted = graphs.disjoint_union(graphs.Graph.complete(2), h)
-                expected[canonical_code(cotree_of(lifted))] = (lifted.n, f"K2 + {r.expression}")
+                lifted = compose(UNION, [_K2, h])
+                expected[canonical_code(lifted)] = (lifted.order, f"K2 + {r.expression}")
     return _compare_up_to(claim_id, k, bound, expected, scoped)
 
 
-def _min_one_k(g):
-    """Smallest m with g (1,m)-polar, or None."""
-    prof = polarity.profile_of_graph(g)
-    ks = [sig[1] for sig in prof.signatures if sig[0] <= 1]
+def _min_one_k(t):
+    """Smallest m with t's graph (1,m)-polar, or None."""
+    ks = [sig[1] for sig in polarity.profile_dp(t).signatures if sig[0] <= 1]
     return min(ks) if ks else None
 
 
-def _components_graphs(g):
-    return [graphs.induced_subgraph(g, comp) for comp in graphs.components(g)]
-
-
-def _exactly_one_non_k2_component(g):
+def _exactly_one_non_k2_component(t):
     """A component is connected, so one on 2 vertices is K2."""
-    return sum(1 for sub in _components_graphs(g) if sub.n != 2) == 1
+    return sum(1 for c in _components(t) if c.order != 2) == 1
 
 
 def _aitch_conditions(h, kv):
-    """Conditions 1-3 on a side H with its (1,kv) split level."""
-    if graphs.is_cluster(h)[0]:
+    """Conditions 1-3 on a side H with its (1,kv) split level; one vertex
+    deletion per class of isomorphic deletions (``_deletion_leaves``)."""
+    if _is_cluster(h):
         return False
-    for v in range(h.n):
-        sub = graphs.delete_vertex(h, v)
-        if graphs.is_cluster(sub)[0]:
+    for index in obstructions._deletion_leaves(h):
+        sub = obstructions.remove_leaf(h, index)
+        if _is_cluster(sub):
             continue
-        if not polarity.profile_of_graph(sub).admits(1, kv - 1):
+        if not polarity.profile_dp(sub).admits(1, kv - 1):
             return False
     return True
 
@@ -496,17 +520,11 @@ def _verify_thm11(claim_id, k, cache, n_max):
     H1 + H2 with k = k1 + k2 - 1, and every such sum is a record."""
     bound, current = _read(cache, INF, k, n_max)
     scoped = [
-        r
-        for r in current
-        if r.c >= 2 and r.i == 0 and not _has_p3_component(_graph_of_record(r))
+        r for r in current if r.c >= 2 and r.i == 0 and not _has_p3_component(decode(r.code))
     ]
 
     # forward: each scoped record admits a qualifying component split
-    bad_forward = []
-    for r in scoped:
-        g = _graph_of_record(r)
-        if not _admits_thm11_split(g, k):
-            bad_forward.append(r.graph6)
+    bad_forward = [r.graph6 for r in scoped if not _admits_thm11_split(decode(r.code), k)]
 
     # backward: the recursion built from (1, k_i - 1)-obstruction mining
     expected = {}
@@ -522,10 +540,10 @@ def _verify_thm11(claim_id, k, cache, n_max):
                     continue
                 if special2 and record1 and not _exactly_one_non_k2_component(h1):
                     continue
-                g = graphs.disjoint_union(h1, h2)
+                g = compose(UNION, [h1, h2])
                 if _has_p3_component(g):
                     continue
-                expected[canonical_code(cotree_of(g))] = (g.n, f"({e1}) + ({e2})")
+                expected[canonical_code(g)] = (g.order, f"({e1}) + ({e2})")
 
     report = _compare_up_to(claim_id, k, bound, expected, scoped)
     notes = [report.notes]
@@ -544,13 +562,13 @@ def _thm11_sides(ki, cache, fig1_codes):
     whether H is the special side, whether H is a (1,ki-1)-obstruction)."""
     records = _read(cache, 1, ki - 1)[1]
     text = _u(_rep(ki - 2, "K2"), "K1 * 2K2")
-    special = expressions.evaluate(expressions.parse(text))
-    special_code = canonical_code(cotree_of(special))
+    special = expressions.to_cotree(expressions.parse(text))
+    special_code = canonical_code(special)
     sides = []
     for r in records:
         if r.code in fig1_codes:
             continue
-        h = _graph_of_record(r)
+        h = decode(r.code)
         if _is_m_k2(h, ki):
             continue
         sides.append((h, r.expression, r.code == special_code, True))
@@ -558,23 +576,18 @@ def _thm11_sides(ki, cache, fig1_codes):
     return sides
 
 
-def _is_m_k2(g, m):
-    return g.n == 2 * m and all(sub.n == 2 for sub in _components_graphs(g))
+def _is_m_k2(t, m):
+    return t.order == 2 * m and all(c.order == 2 for c in _components(t))
 
 
-def _admits_thm11_split(g, k):
-    comps = graphs.components(g)
+def _admits_thm11_split(t, k):
+    comps = _components(t)
     m = len(comps)
     if m < 2:
         return False
     for pick in range(1, 1 << (m - 1)):  # fix comps[m-1] on side 2
-        mask1 = 0
-        for idx in range(m - 1):
-            if pick & (1 << idx):
-                mask1 |= comps[idx]
-        mask2 = g.full_mask() ^ mask1
-        h1 = graphs.induced_subgraph(g, mask1)
-        h2 = graphs.induced_subgraph(g, mask2)
+        h1 = compose(UNION, [c for idx, c in enumerate(comps) if pick >> idx & 1])
+        h2 = compose(UNION, [c for idx, c in enumerate(comps) if not pick >> idx & 1])
         k1 = _min_one_k(h1)
         k2 = _min_one_k(h2)
         if k1 is None or k2 is None or k1 + k2 - 1 != k:
@@ -672,11 +685,10 @@ def check_lemma5(records, k):
     """The five component-structure constraints on every (inf,k) record."""
     failures = []
     for r in records:
-        g = _graph_of_record(r)
-        comps = _components_graphs(g)
-        trivial = sum(1 for s in comps if s.n == 1)
+        comps = _components(decode(r.code))
+        trivial = sum(1 for c in comps if c.op == LEAF)
         non_trivial = len(comps) - trivial
-        complete = [s for s in comps if s.edge_count() == s.n * (s.n - 1) // 2]
+        complete = [c for c in comps if _is_clique(c)]
         non_complete = len(comps) - len(complete)
         if len(comps) > k + 2:
             failures.append(f"{r.graph6}: more than k+2 components")
@@ -686,7 +698,7 @@ def check_lemma5(records, k):
             failures.append(f"{r.graph6}: more than k+1 trivial components")
         if trivial >= 1 and non_complete > 1:
             failures.append(f"{r.graph6}: trivial component with >1 non-complete")
-        if any(s.n > 2 for s in complete):
+        if any(c.order > 2 for c in complete):
             failures.append(f"{r.graph6}: complete component of order > 2")
         if not (0 <= r.i <= r.c - 1 <= k + 1):
             failures.append(f"{r.graph6}: type bound violated")
@@ -709,12 +721,7 @@ def check_lemma7(records, k):
     for r in records:
         if r.c < 2 or r.i != 0:
             continue
-        g = _graph_of_record(r)
-        non_complete = sum(
-            1
-            for s in _components_graphs(g)
-            if s.edge_count() != s.n * (s.n - 1) // 2
-        )
+        non_complete = sum(1 for c in _components(decode(r.code)) if not _is_clique(c))
         if non_complete < 2:
             failures.append(r.graph6)
     return VerdictReport(
@@ -762,7 +769,7 @@ CLAIMS = (
         "remark4",
         k_min=0,
         texts=lambda k: [_u("K1", _rep(k + 1, "K2"))],
-        covers=lambda r, k: graphs.is_cluster(_graph_of_record(r))[0],
+        covers=lambda r, k: _is_cluster(decode(r.code)),
     ),
     Claim(
         "thm6",
@@ -774,7 +781,7 @@ CLAIMS = (
         "thm15",
         k_min=2,
         texts=_thm15_texts,
-        covers=lambda r, k: _has_p3_component(_graph_of_record(r)),
+        covers=lambda r, k: _has_p3_component(decode(r.code)),
     ),
     Claim(
         "thm18",

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from . import graphs
+from . import cotrees, graphs
+from .cotrees import JOIN, UNION, compose
 from .graphs import Graph
 
 
@@ -252,6 +253,33 @@ def evaluate(e):
         return reduce(graphs.disjoint_union, [evaluate(e.expr)] * e.count)
     if isinstance(e, Complement):
         return graphs.complement(evaluate(e.expr))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _leaves(op, n):
+    """K_n under JOIN, n K1 under UNION."""
+    return compose(op, [cotrees.leaf() for _ in range(n)])
+
+
+def to_cotree(e):
+    """Normalized cotree of the graph an expression denotes, with no Graph built.
+
+    ``cotrees.cotree_of(evaluate(e))`` gives the same canonical code and order.
+    """
+    if isinstance(e, Atom):
+        if e.kind == "P" and e.n == 3:  # K1 * 2K1
+            return compose(JOIN, [cotrees.leaf(), _leaves(UNION, 2)])
+        if e.kind == "C" and e.n == 4:  # 2K1 * 2K1
+            return compose(JOIN, [_leaves(UNION, 2), _leaves(UNION, 2)])
+        return _leaves(JOIN, e.n)  # K_n, P1, P2 and C3
+    if isinstance(e, Biclique):
+        return compose(JOIN, [_leaves(UNION, e.a), _leaves(UNION, e.b)])
+    if isinstance(e, (Union, Join)):
+        return compose(UNION if isinstance(e, Union) else JOIN, [to_cotree(p) for p in e.parts])
+    if isinstance(e, Repeat):
+        return compose(UNION, [to_cotree(e.expr)] * e.count)
+    if isinstance(e, Complement):
+        return cotrees.flip_labels(to_cotree(e.expr))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -351,6 +351,14 @@ def classify_type(g):
     return len(comps), trivial
 
 
+def cotree_type(t):
+    """``classify_type`` read from a normalized cotree's root: a UNION root's
+    children are the components, and any other root is one component."""
+    if t.op == UNION:
+        return len(t.children), sum(1 for child in t.children if child.op == LEAF)
+    return 1, int(t.op == LEAF)
+
+
 # -- cotree -> expression ---------------------------------------------------------
 
 
@@ -404,8 +412,11 @@ def remove_leaf(t, index):
     """Cotree of the class with the index-th leaf (preorder) deleted.
 
     Untouched sibling subtrees are reused by reference, so their memoized
-    profiles survive the surgery.  An index outside 0..order-1 raises
-    IndexError.
+    profiles survive the surgery.  Rebuilt nodes keep their children in the
+    original order, not sorted by code: the profile and ``canonical_code``
+    (which sorts child codes itself) do not depend on child order, but
+    ``_deletion_leaves`` on the result may skip less.  An index outside
+    0..order-1 raises IndexError.
     """
     if not 0 <= index < t.order:
         raise IndexError(f"leaf index {index} outside 0..{t.order - 1}")
@@ -426,7 +437,7 @@ def remove_leaf(t, index):
         acc += child.order
     if len(new_children) == 1:
         return new_children[0]
-    return Cotree(t.op, tuple(sorted(new_children, key=canonical_code)))
+    return Cotree(t.op, tuple(new_children))
 
 
 def _deletion_leaves(t, offset=0):
@@ -465,12 +476,11 @@ def is_minimal_obstruction(t, s, k):
 
 
 def _record_from_tree(t, s, k, bound):
-    g = cotrees.realize(t)
-    c, i = classify_type(g)
+    c, i = cotree_type(t)
     return ObstructionRecord(
         code=canonical_code(t),
         order=t.order,
-        graph6=graphs.graph6_encode(g),
+        graph6=graphs.graph6_encode(cotrees.realize(t)),
         expression=expressions.unparse(cotree_to_expr(t)),
         s=s,
         k=k,

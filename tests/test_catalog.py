@@ -16,8 +16,10 @@ from polarcographs.catalog import (
     verify_claim,
     write_claim_files,
 )
-from polarcographs.obstructions import BoundExceededError
+from polarcographs.obstructions import BoundExceededError, enumerate_cographs, remove_leaf
 from polarcographs.polarity import INF
+
+from util import components_graphs, has_p3_component, is_complete, lemma_failures_by_graphs
 
 
 def _codes(exprs):
@@ -284,6 +286,54 @@ def test_lemma_suites(cache):
     records = cache.mine(INF, 2, 9)
     assert check_lemma5(records, 2).status == "PASS"
     assert check_lemma7(records, 2).status == "PASS"
+
+
+def test_cotree_structure_tests_match_the_graph_ones():
+    # components, P3 components, clusters and cliques read from the cotree
+    # agree with the same tests on the realized graph, up to order 9; the
+    # cluster test also on every one-leaf deletion up to order 7
+    for t in enumerate_cographs(9):
+        g = cotrees.realize(t)
+        comps = components_graphs(g)
+        want = sorted(cotrees.canonical_code(cotrees.cotree_of(sub)) for sub in comps)
+        assert sorted(cotrees.canonical_code(c) for c in catalog._components(t)) == want
+        assert sorted(map(catalog._is_clique, catalog._components(t))) == sorted(
+            map(is_complete, comps)
+        )
+        assert catalog._has_p3_component(t) == has_p3_component(g)
+        assert catalog._is_cluster(t) == graphs.is_cluster(g)[0]
+        if t.order <= 7:
+            for index in range(t.order):
+                deleted = graphs.delete_vertex(g, index)
+                assert catalog._is_cluster(remove_leaf(t, index)) == graphs.is_cluster(deleted)[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_lemma_suites_match_the_graph_versions(k):
+    # every class up to order 8 as a record, so that each constraint both
+    # holds and fails somewhere
+    records = [obstructions._record_from_tree(t, INF, k, 8) for t in enumerate_cographs(8)]
+    five, seven = lemma_failures_by_graphs(records, k)
+    assert five and seven
+    assert check_lemma5(records, k).missing == five
+    assert check_lemma7(records, k).missing == seven
+
+
+def test_to_cotree_matches_evaluate_on_every_list_claim():
+    # the code and order of each expression's cotree, built with no Graph,
+    # against recognizing the evaluated graph
+    seen = 0
+    for k in range(1, 9):
+        for row in catalog.CLAIMS:
+            if row.texts is None or not row.applies_at(k):
+                continue
+            for e in instantiate(row.id, k):
+                t = expressions.to_cotree(e)
+                g = expressions.evaluate(e)
+                assert cotrees.canonical_code(t) == cotrees.canonical_code(cotrees.cotree_of(g))
+                assert t.order == g.n
+                seen += 1
+    assert seen > 500
 
 
 def test_verdict_json_shape(cache):

@@ -165,6 +165,17 @@ def test_records_are_sorted_and_typed():
             assert cotrees.is_isomorphic(e, g)
 
 
+def test_record_codes_decode_to_their_graphs():
+    # a record's code alone gives its graph6 and its type (c, i)
+    records = mine_obstructions(INF, 3, 13)
+    assert records
+    for r in records:
+        t = cotrees.decode(r.code)
+        g = cotrees.realize(t)
+        assert graphs.graph6_encode(g) == r.graph6
+        assert (r.c, r.i) == obstructions.cotree_type(t) == obstructions.classify_type(g)
+
+
 def test_record_json_fields():
     record = mine_obstructions(INF, 0, 4)[0]
     payload = json.loads(record.to_json())

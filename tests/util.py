@@ -545,3 +545,44 @@ class SetTypeAlgebra:
                     masks.append(mask)
             dels = least
         return self._number((p, frozenset(dels)))
+
+
+def components_graphs(g):
+    """The components of g as graphs: the claims' structure tests as they were
+    before they read cotrees."""
+    return [graphs.induced_subgraph(g, comp) for comp in graphs.components(g)]
+
+
+def is_complete(g):
+    return g.edge_count() == g.n * (g.n - 1) // 2
+
+
+def has_p3_component(g):
+    """A component is connected, so one on 3 vertices with 2 edges is P3."""
+    return any(sub.n == 3 and sub.edge_count() == 2 for sub in components_graphs(g))
+
+
+def lemma_failures_by_graphs(records, k):
+    """(lemma5 failures, lemma7 failures) of ``catalog.check_lemma5`` and
+    ``check_lemma7`` as they were, over each record's decoded graph6."""
+    five, seven = [], []
+    for r in records:
+        comps = components_graphs(graphs.graph6_decode(r.graph6))
+        trivial = sum(1 for s in comps if s.n == 1)
+        complete = [s for s in comps if is_complete(s)]
+        non_complete = len(comps) - len(complete)
+        if len(comps) > k + 2:
+            five.append(f"{r.graph6}: more than k+2 components")
+        if len(comps) - trivial < 1:
+            five.append(f"{r.graph6}: no non-trivial component")
+        if trivial > k + 1:
+            five.append(f"{r.graph6}: more than k+1 trivial components")
+        if trivial >= 1 and non_complete > 1:
+            five.append(f"{r.graph6}: trivial component with >1 non-complete")
+        if any(s.n > 2 for s in complete):
+            five.append(f"{r.graph6}: complete component of order > 2")
+        if not (0 <= r.i <= r.c - 1 <= k + 1):
+            five.append(f"{r.graph6}: type bound violated")
+        if r.c >= 2 and r.i == 0 and non_complete < 2:
+            seven.append(r.graph6)
+    return five, seven
