@@ -258,12 +258,13 @@ def graph6_encode(g):
         head = [n + 63]
     else:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    rows = g.rows
     acc = 0
     nbits = 0
     body = []
     for v in range(1, n):
         for u in range(v):
-            acc = (acc << 1) | (1 if g.rows[u] & _bit(v) else 0)
+            acc = (acc << 1) | (rows[u] >> v & 1)
             nbits += 1
             if nbits == 6:
                 body.append(acc + 63)

@@ -74,10 +74,17 @@ leaf, through blocks of lower order only; the number of cotrees must equal
 the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
 The leaf is the one record not expanded: it is a minimal obstruction only at
 (0,0).  The classes up to a split order are also enumerated, as a
-cross-check: their number must be A000084's, and the ones that
-``is_minimal_obstruction`` accepts must be exactly the mined cotrees of
+cross-check: their number must be A000084's, and the ones that are minimal
+obstructions by their exact profiles must be exactly the mined cotrees of
 those orders, so a record the knapsacks or the expansion lose or add there
-is caught.
+is caught.  That check reads each class's memoized profile and, for a
+non-polar one, the exact profiles of its one-vertex deletions, folded by
+``polarity.deleted_profiles`` from its children's profiles without building
+a deleted tree.  The deleted profiles do not depend on (s,k), so the
+enumerator keeps them by code (``CographEnumerator.deleted``), and each
+class is folded once per enumerator, not once per mining.  The records of
+those orders are thus confirmed by two derivations: the fold and
+``is_minimal_obstruction``, which rebuilds each deletion.
 """
 
 from __future__ import annotations
@@ -149,11 +156,17 @@ class CographEnumerator:
     parts are carried in code order and each class is assembled by inserting
     its last part, not sorted, with one bisect per insertion place, not one
     per class.  Profiles are left to ``polarity.profile_dp``.
+
+    ``deleted`` maps the code of a class to the exact profiles of its
+    one-vertex deletions (``polarity.deleted_profiles``), which the split
+    cross-check of mining fills for the non-polar classes it meets and their
+    subtrees; like the classes, they are kept as long as the enumerator.
     """
 
     def __init__(self):
         self.connected = {1: [_SHARED_LEAF]}
         self.disconnected = {1: [_SHARED_LEAF]}
+        self.deleted = {}
         self._built = 1
 
     def _build_to(self, n):
@@ -475,6 +488,30 @@ def is_minimal_obstruction(t, s, k):
     return True
 
 
+def _minimal_codes(classes, s, k, memo):
+    """The codes of the classes that are minimal (s,k)-obstructions, in order.
+
+    ``is_minimal_obstruction``'s verdict read from each class's memoized
+    profile and, for a class that is not (s,k)-polar, from its deleted
+    profiles, folded by ``polarity.deleted_profiles`` and kept in ``memo``.
+    A signature of an order-n graph has both counts at most n, so INF bounds
+    are compared as they are, with no order.
+    """
+
+    def polar(prof):
+        for s0, k0 in prof:
+            if s0 <= s and k0 <= k:
+                return True
+        return False
+
+    return [
+        t._code
+        for t in classes
+        if not polar(polarity._node_profile(t))
+        and all(map(polar, polarity.deleted_profiles(t, memo)))
+    ]
+
+
 def _record_from_tree(t, s, k, bound):
     c, i = cotree_type(t)
     return ObstructionRecord(
@@ -623,10 +660,12 @@ def _mine_types(s, k, n_max, enum):
     One knapsack per parent label counts every order from the leaf up, and
     the hit types are expanded into cotrees (see the module docstring); the
     leaf itself is a hit only at (0,0).  The classes of order <= the split
-    are enumerated as well, as a cross-check.  A class count that differs
-    from the Euler transform's, a hit whose expansion differs from its
-    count, or mined cotrees of order <= the split other than the enumerated
-    minimal obstructions raise AssertionError; more than
+    are enumerated as well, as a cross-check: a class is minimal there when
+    its memoized profile is not (s,k)-polar and each of its folded deleted
+    profiles, kept in ``enum.deleted``, is (``_minimal_codes``).  A class
+    count that differs from the Euler transform's, a hit whose expansion
+    differs from its count, or mined cotrees of order <= the split other
+    than the enumerated minimal obstructions raise AssertionError; more than
     ``MINING_MAX_PAIRS`` pairs combined after a block raises
     BoundExceededError.
     """
@@ -646,7 +685,7 @@ def _mine_types(s, k, n_max, enum):
             classes = enum.classes_of_order(n)
             if len(classes) != expected[n - 1]:
                 raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
-            minimal.extend(t._code for t in classes if is_minimal_obstruction(t, s, k))
+            minimal.extend(_minimal_codes(classes, s, k, enum.deleted))
         if n > 1:
             total = 0
             for op, knapsack in knapsacks.items():
@@ -735,8 +774,9 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     travels with every record: completeness beyond n_max is never implied.
     Every class found is re-checked by ``is_minimal_obstruction``; a class
     it rejects raises AssertionError.  ``enumerator`` serves the enumerated
-    cross-check of the low orders.  s and k must be non-negative ints or INF,
-    and n_max a non-negative int, or ValueError is raised before any work.
+    cross-check of the low orders, and keeps the deleted profiles it folds.
+    s and k must be non-negative ints or INF, and n_max a non-negative int,
+    or ValueError is raised before any work.
     An n_max above ``MINING_MAX_ORDER`` raises ``BoundExceededError`` before
     any work; so does, during the mining, a type algebra that has combined
     more than ``MINING_MAX_PAIRS`` pairs.

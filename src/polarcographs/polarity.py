@@ -15,9 +15,12 @@ children are folded through one memo per label (``_merged``), keyed by the
 two reduced profiles, so equal profiles met in different trees are merged
 and reduced once.  The reduced merge depends on the two antichains alone,
 so the memo is exact; like ``obstructions._ENUMERATOR`` it lives as long as
-the process.  It is small: 290 entries after ``verify_all(3)``, 1,242 after
-``mine_obstructions(INF, 10, 34)`` and 1,915 after ``(INF, 12, 40)``, each
-from a cleared memo.  Witnesses rebuild their fold prefixes through it too.
+the process.  It is small: 498 entries after ``verify_all(3)``, 1,891 after
+``mine_obstructions(INF, 10, 34)`` and 2,902 after ``(INF, 12, 40)``, each
+in a new process.  Witnesses rebuild their fold prefixes through it too, and
+``deleted_profiles`` folds a class's one-vertex deletions through it from
+its children's profiles and their own deleted profiles, exactly, with no
+deleted tree built; the caller keeps those sets by code.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
 profile and its least polar one-leaf-deleted profiles, with every signature
@@ -138,6 +141,16 @@ def _merged(op, p, q):
     return out
 
 
+def _fold(op, p, q):
+    """``_merged``, but the empty graph's profile, the identity of both merges,
+    gives the other profile with no memo entry."""
+    if p is _EMPTY_SIGS:
+        return q
+    if q is _EMPTY_SIGS:
+        return p
+    return _merged(op, p, q)
+
+
 def _fuse(u, v):
     """The count of a side that a merge fuses, from its two counts, or None.
 
@@ -167,6 +180,48 @@ def _node_profile(t):
             prof = _merged(op, prof, _node_profile(child))
     t._profile = prof
     return prof
+
+
+def deleted_profiles(t, memo):
+    """The distinct exact profiles of t's one-vertex deletions, memoized in ``memo`` by code.
+
+    A leaf's one deletion is the empty graph, whose profile is the identity
+    of both merges.  A deletion in an internal node's child c is c minus a
+    vertex, put back under the node with the other children: so its profile
+    is a deleted profile of c merged with the fold of the other children,
+    which is read from the prefix and suffix folds.  The merges are exact,
+    commutative and associative on reduced profiles, so that is the profile
+    of the rebuilt tree, whether c's deletion is spliced in (same label),
+    empty, or leaves the node with one child.  Only the first of a run of
+    children with equal codes is descended into, as in
+    ``obstructions._deletion_leaves``: equal children give equal deletions.
+    The sets depend on t alone; ``memo`` keeps each one for every subtree
+    folded, as a frozenset.
+    """
+    code = cotrees.canonical_code(t)
+    out = memo.get(code)
+    if out is not None:
+        return out
+    if t.op == LEAF:
+        out = frozenset({_EMPTY_SIGS})
+    else:
+        _node_profile(t)  # checks the shape of every node below
+        op, kids = t.op, t.children
+        # suffixes[i]: the fold of the children after i
+        suffixes = [_EMPTY_SIGS] * len(kids)
+        for i in range(len(kids) - 2, -1, -1):
+            suffixes[i] = _fold(op, kids[i + 1]._profile, suffixes[i + 1])
+        found = set()
+        prefix, previous = _EMPTY_SIGS, None  # the fold of the children before the next
+        for kid, suffix in zip(kids, suffixes):
+            if cotrees.canonical_code(kid) != previous:
+                previous = kid._code
+                rest = _fold(op, prefix, suffix)
+                found.update(_fold(op, rest, d) for d in deleted_profiles(kid, memo))
+            prefix = _fold(op, prefix, kid._profile)
+        out = frozenset(found)
+    memo[code] = out
+    return out
 
 
 def _admits(signatures, n, s, k):

@@ -20,6 +20,7 @@ from polarcographs.obstructions import (
 from polarcographs.polarity import INF
 
 from util import (
+    ORACLE_PAIRS,
     class_level_records,
     deletion_profiles,
     deletions_admit_materialised,
@@ -33,9 +34,6 @@ from util import (
 
 # unlabeled cograph counts, frozen from two independent enumerators
 COGRAPH_COUNTS_10 = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
-
-# every (s,k) of the grid
-ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
 
 
 def test_cograph_counts():
@@ -637,6 +635,40 @@ def test_a_lost_record_fails_the_split_cross_check(monkeypatch):
     ):
         mine_obstructions(INF, 4, 14)
     assert len(dropped) == 1
+
+
+def _dropping_last_children(t, memo):
+    """A mutant fold of deleted profiles: each node's last child's deletions are dropped."""
+    if t.op == cotrees.LEAF:
+        return frozenset({polarity._EMPTY_SIGS})
+    profs = [polarity.profile_dp(kid).signatures for kid in t.children]
+    out = set()
+    for i, kid in enumerate(t.children[:-1]):
+        rest = polarity._EMPTY_SIGS
+        for prof in profs[:i] + profs[i + 1 :]:
+            rest = polarity._merged(t.op, rest, prof)
+        out.update(polarity._merged(t.op, rest, d) for d in _dropping_last_children(kid, memo))
+    return frozenset(out)
+
+
+def test_a_fold_that_drops_deletions_fails_the_split_cross_check(monkeypatch):
+    # fewer deletions make classes of order <= the split read as minimal that
+    # the type knapsacks rightly do not mine
+    monkeypatch.setattr(polarity, "deleted_profiles", _dropping_last_children)
+    with pytest.raises(AssertionError, match="enumerated minimal obstructions"):
+        mine_obstructions(0, 3, 12, enumerator=CographEnumerator())
+
+
+def test_the_deleted_profile_memo_holds_the_split_orders_only():
+    from polarcographs import catalog
+
+    catalog.verify_all(3)
+    memo = obstructions._ENUMERATOR.deleted
+    assert memo
+    for code, dels in memo.items():
+        t = cotrees.decode(code)
+        assert t.order <= obstructions._SPLIT_ORDER, cotrees.render(t)
+        assert dels == deletion_profiles(t), cotrees.render(t)
 
 
 class MostPolarAlgebra(polarity.TypeAlgebra):

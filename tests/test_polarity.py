@@ -9,6 +9,7 @@ from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
 from util import (
+    ORACLE_PAIRS,
     SetTypeAlgebra,
     deletion_profiles,
     deletions_admit_materialised,
@@ -239,7 +240,32 @@ def test_deletion_profiles_match_bruteforce():
         )
 
 
-GRID = [(s, k) for s in (0, 1, 2, 3, INF) for k in (0, 1, 2, 3, INF)]
+def test_deleted_profile_fold_matches_the_rebuilt_deletions():
+    # the fold against the profile DP on remove_leaf's trees, one leaf per
+    # class of identical siblings; a deleted leaf leaves the empty graph
+    from polarcographs.obstructions import _deletion_leaves, enumerate_cographs, remove_leaf
+
+    memo = {}
+    for t in enumerate_cographs(9):
+        rebuilt = set()
+        for index in _deletion_leaves(t):
+            sub = remove_leaf(t, index)
+            rebuilt.add(polarity._EMPTY_SIGS if sub is None else polarity.profile_dp(sub).signatures)
+        assert polarity.deleted_profiles(t, memo) == rebuilt, cotrees.render(t)
+    rng = random.Random(53)
+    for _ in range(40):
+        t = random_cotree(rng, rng.randint(1, 11))
+        assert polarity.deleted_profiles(t, {}) == deletion_profiles(t), cotrees.render(t)
+
+
+def test_split_cross_check_verdicts_match_is_minimal_obstruction():
+    from polarcographs import obstructions
+
+    classes = list(obstructions.enumerate_cographs(obstructions._SPLIT_ORDER))
+    memo = {}
+    for s, k in ORACLE_PAIRS:
+        expected = [t._code for t in classes if obstructions.is_minimal_obstruction(t, s, k)]
+        assert obstructions._minimal_codes(classes, s, k, memo) == expected, (s, k)
 
 
 def _stored_profiles(n_max):
@@ -251,7 +277,7 @@ def _stored_profiles(n_max):
 
 def test_capping_commutes_with_merges_and_complement():
     profiles = {p for p, _ in _stored_profiles(10)}
-    for caps in {polarity.TypeAlgebra(s, k).caps for s, k in GRID}:
+    for caps in {polarity.TypeAlgebra(s, k).caps for s, k in ORACLE_PAIRS}:
         capped = {p: polarity.cap_profile(p, caps) for p in profiles}
         swapped_caps = caps[::-1]
         for p in profiles:
@@ -267,7 +293,7 @@ def test_capping_commutes_with_merges_and_complement():
 
 def test_caps_keep_every_verdict():
     profiles = _stored_profiles(10)
-    for s, k in GRID:
+    for s, k in ORACLE_PAIRS:
         caps = polarity.TypeAlgebra(s, k).caps
         for p, n in profiles:
             capped = polarity.cap_profile(p, caps)
@@ -281,7 +307,7 @@ def test_pair_rule_folds_children_to_the_class_type():
     # its exact profile and deletion set, has the sink type
     from polarcographs.obstructions import enumerate_cographs
 
-    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in GRID]
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     for t in enumerate_cographs(10):
         prof, dels = polarity.profile_dp(t), deletion_profiles(t)
         for algebra, memo, s, k in algebras:
@@ -304,7 +330,7 @@ def test_least_polar_deletions_are_a_congruence_of_the_pair_rule():
     def polar(p, s, k):
         return any(a <= s and b <= k for a, b in p)
 
-    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in GRID]
+    algebras = [(polarity.TypeAlgebra(s, k), {}, s, k) for s, k in ORACLE_PAIRS]
     memos = {algebra.caps: {} for algebra, _, _, _ in algebras}
     reduced = {}  # (caps, unreduced type) -> the reduced type
     for t in enumerate_cographs(10):

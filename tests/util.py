@@ -16,6 +16,9 @@ from bisect import bisect_right
 from polarcographs import cotrees, graphs, obstructions, polarity
 from polarcographs.cotrees import JOIN, LEAF, UNION, Cotree
 
+# every (s,k) of the grid
+ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, math.inf) for k in (0, 1, 2, 3, math.inf)]
+
 
 def random_cotree(rng: random.Random, n, op=None):
     """A uniform-ish random normalized cotree with n leaves."""
