@@ -1,8 +1,13 @@
 """Mine every minimal (s,k)-polar obstruction up to a given order.
 
-Enumeration generates one cotree per unlabeled cograph class; a graph is a
-minimal obstruction when it is not (s,k)-polar but every single-vertex
-deletion is (deletion suffices: polarity is hereditary).
+A graph is a minimal obstruction when it is not (s,k)-polar but every
+single-vertex deletion is (deletion suffices: polarity is hereditary), and
+that depends on its (s,k)-type alone: its profile and its least polar
+deleted profiles, capped.  Mining counts the classes of each order by type,
+without building them, and expands only the types that are minimal
+obstructions into cotrees, each re-checked by its deletions.  Enumerating
+one cotree per unlabeled cograph class serves as the cross-check: up to
+order 8, the enumerated minimal obstructions must be the mined ones.
 
 Run:  python3 demos/03_mining_obstructions.py
 """

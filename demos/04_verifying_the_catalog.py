@@ -1,11 +1,11 @@
 """Mechanically verify the published obstruction lists and recursions.
 
 Each claim expands to concrete expressions for a given k; the verifier
-mines exhaustively and compares canonical-code sets, checks the recursive
-constructions in both directions, and probes the conjectures one order
-beyond their stated bound.
+mines every minimal obstruction up to a bound and compares canonical-code
+sets, checks the recursive constructions in both directions, and probes
+the conjectures one order beyond their stated bound.
 
-Run:  python3 demos/04_verifying_the_catalog.py  (takes ~1 minute)
+Run:  python3 demos/04_verifying_the_catalog.py  (under a second)
 """
 
 from polarcographs import catalog

@@ -30,4 +30,4 @@ from .obstructions import (  # noqa: F401
     enumerate_cographs,
     mine_obstructions,
 )
-from .catalog import MiningCache, check_conjectures, verify_all, verify_claim  # noqa: F401
+from .catalog import MiningCache, verify_all, verify_claim  # noqa: F401

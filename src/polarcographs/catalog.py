@@ -24,15 +24,16 @@ caller's n_max is the claim's bound and is mined exactly.  The conjectured
 largest order 3(k+1) is written once, in ``conjectured_order``.
 
 Claims are checked on normalized cotrees, and no Graph is built: an
-expression's cotree comes from ``expressions.to_cotree`` and a record's from
-``cotrees.decode`` of its code.  A UNION root's children are the graph's
-components, so the covers (a P3 component, a cluster), the lemma suites and
-thm11's splits read the root's parts.  The lifts of thm17 and thm19 and
-thm11's sums are built as nodes (``cotrees.compose``) and profiled by
-``polarity.profile_dp``; thm2's complement is ``cotrees.flip_labels``, and
-thm11's side deletions are ``obstructions.remove_leaf``.  Evaluating to a
-Graph and recognizing it back, and the graph structure tests, stay as the
-test oracles of these readings.
+expression's cotree comes from ``expressions.to_cotree``, and a record's is
+the one it was mined as (``ObstructionRecord.tree``), which carries the
+profiles memoized while mining.  A UNION root's children are the graph's
+components, so the covers (a P3 component, a cluster) and thm11's splits
+read the root's parts.  The lifts of thm17 and thm19 and thm11's sums are
+built as nodes (``cotrees.compose``) and profiled by ``polarity.profile_dp``;
+thm2's complement is ``cotrees.flip_labels``, and thm11's side deletions are
+``obstructions.remove_leaf``.  Evaluating to a Graph and recognizing it
+back, and the graph structure tests, stay as the test oracles of these
+readings.
 
 A verdict is PASS, FAIL, INFO (counted as passed) or INCONCLUSIVE: the
 bound does not reach past the claim, so it was not probed; not a pass.
@@ -47,7 +48,7 @@ from functools import partial
 from typing import Callable
 
 from . import expressions, obstructions, polarity
-from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, decode, flip_labels
+from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, flip_labels
 from .obstructions import mine_obstructions
 from .polarity import INF
 
@@ -392,7 +393,7 @@ def _compare_closed_under_complement(claim_id, k, bound, exprs, records):
     codes = {r.code for r in records}
     closure = "closed under complement"
     for r in records:
-        if canonical_code(flip_labels(decode(r.code))) not in codes:
+        if canonical_code(flip_labels(r.tree)) not in codes:
             closure = f"not closed under complement: {r.graph6}"
             break
     report.notes = "; ".join(filter(None, [report.notes, closure]))
@@ -460,10 +461,9 @@ def _verify_thm17(claim_id, k, cache, n_max):
     for r in previous:
         if r.c < 2:
             continue
-        h = decode(r.code)
-        if not polarity.profile_dp(h).admits(1, k):
+        if not polarity.profile_dp(r.tree).admits(1, k):
             continue
-        lifted = compose(UNION, [_K1, compose(JOIN, [_K1, h])])
+        lifted = compose(UNION, [_K1, compose(JOIN, [_K1, r.tree])])
         expected[canonical_code(lifted)] = (lifted.order, f"K1 + K1 * ({r.expression})")
     actual = [r for r in current if (r.c, r.i) == (2, 1)]
     return _compare_up_to(claim_id, k, bound, expected, actual)
@@ -482,10 +482,9 @@ def _verify_thm19(claim_id, k, cache, n_max):
             for r in previous:
                 if (r.c, r.i) != (c - 1, p):
                     continue
-                h = decode(r.code)
-                if not polarity.profile_dp(h).admits(1, k):
+                if not polarity.profile_dp(r.tree).admits(1, k):
                     continue
-                lifted = compose(UNION, [_K2, h])
+                lifted = compose(UNION, [_K2, r.tree])
                 expected[canonical_code(lifted)] = (lifted.order, f"K2 + {r.expression}")
     return _compare_up_to(claim_id, k, bound, expected, scoped)
 
@@ -520,11 +519,11 @@ def _verify_thm11(claim_id, k, cache, n_max):
     H1 + H2 with k = k1 + k2 - 1, and every such sum is a record."""
     bound, current = _read(cache, INF, k, n_max)
     scoped = [
-        r for r in current if r.c >= 2 and r.i == 0 and not _has_p3_component(decode(r.code))
+        r for r in current if r.c >= 2 and r.i == 0 and not _has_p3_component(r.tree)
     ]
 
     # forward: each scoped record admits a qualifying component split
-    bad_forward = [r.graph6 for r in scoped if not _admits_thm11_split(decode(r.code), k)]
+    bad_forward = [r.graph6 for r in scoped if not _admits_thm11_split(r.tree, k)]
 
     # backward: the recursion built from (1, k_i - 1)-obstruction mining
     expected = {}
@@ -568,10 +567,9 @@ def _thm11_sides(ki, cache, fig1_codes):
     for r in records:
         if r.code in fig1_codes:
             continue
-        h = decode(r.code)
-        if _is_m_k2(h, ki):
+        if _is_m_k2(r.tree, ki):
             continue
-        sides.append((h, r.expression, r.code == special_code, True))
+        sides.append((r.tree, r.expression, r.code == special_code, True))
     sides.append((special, text, True, any(r.code == special_code for r in records)))
     return sides
 
@@ -603,26 +601,14 @@ def _admits_thm11_split(t, k):
 # -- conjectures ------------------------------------------------------------------
 
 
-def check_conjectures(k, n_max, cache=None):
-    """Verdicts for the uniqueness-per-type and order-bound conjectures, each
-    that applies at k, through ``verify_claim``.
-
-    Each is INCONCLUSIVE when ``n_max`` does not reach past 3(k+1) and
-    nothing fails: a record of a larger order could still break it, and no
-    such order was probed.  So below the probe, only a type with more than
-    one record fails conj1; a type with none may have its record above.
-    """
-    cache = cache or MiningCache()
-    return [
-        verify_claim(claim_id, k, cache, n_max)
-        for claim_id in ("conj1", "conj2")
-        if _ROWS[claim_id].applies_at(k)
-    ]
-
-
 def _probe(k, cache, n_max):
     """A conjecture's bound (n_max, or one past 3(k+1)), the (inf,k) records
-    up to it, whether it reaches past 3(k+1), and the notes' suffix."""
+    up to it, whether it reaches past 3(k+1), and the notes' suffix.
+
+    A conjecture is INCONCLUSIVE when its bound does not reach past 3(k+1)
+    and nothing fails: a record of a larger order could still break it, and
+    no such order was probed.  So below the probe, only a type with more than
+    one record fails conj1; a type with none may have its record above."""
     bound = _mining_bound(INF, k) if n_max is None else n_max
     probed = bound > conjectured_order(k)
     suffix = "" if probed else f"; bound {bound} does not probe beyond the conjecture"
@@ -678,63 +664,6 @@ def _sixteen_note(claim_id, k, cache, n_max):
     return VerdictReport(claim_id, k, None, "INFO", notes=notes)
 
 
-# -- structural lemma suites ---------------------------------------------------------
-
-
-def check_lemma5(records, k):
-    """The five component-structure constraints on every (inf,k) record."""
-    failures = []
-    for r in records:
-        comps = _components(decode(r.code))
-        trivial = sum(1 for c in comps if c.op == LEAF)
-        non_trivial = len(comps) - trivial
-        complete = [c for c in comps if _is_clique(c)]
-        non_complete = len(comps) - len(complete)
-        if len(comps) > k + 2:
-            failures.append(f"{r.graph6}: more than k+2 components")
-        if non_trivial < 1:
-            failures.append(f"{r.graph6}: no non-trivial component")
-        if trivial > k + 1:
-            failures.append(f"{r.graph6}: more than k+1 trivial components")
-        if trivial >= 1 and non_complete > 1:
-            failures.append(f"{r.graph6}: trivial component with >1 non-complete")
-        if any(c.order > 2 for c in complete):
-            failures.append(f"{r.graph6}: complete component of order > 2")
-        if not (0 <= r.i <= r.c - 1 <= k + 1):
-            failures.append(f"{r.graph6}: type bound violated")
-    return VerdictReport(
-        claim="lemma5",
-        k=k,
-        bound=max((r.bound for r in records), default=0),
-        status="PASS" if not failures else "FAIL",
-        expected=len(records),
-        actual=len(records) - len(failures),
-        missing=failures,
-        notes="component-structure constraints incl. 0 <= i <= c-1 <= k+1",
-    )
-
-
-def check_lemma7(records, k):
-    """Disconnected records without isolated vertices have >= 2 non-complete
-    components."""
-    failures = []
-    for r in records:
-        if r.c < 2 or r.i != 0:
-            continue
-        non_complete = sum(1 for c in _components(decode(r.code)) if not _is_clique(c))
-        if non_complete < 2:
-            failures.append(r.graph6)
-    return VerdictReport(
-        claim="lemma7",
-        k=k,
-        bound=max((r.bound for r in records), default=0),
-        status="PASS" if not failures else "FAIL",
-        expected=len(records),
-        actual=len(records) - len(failures),
-        missing=failures,
-    )
-
-
 # -- claim registry / verify-all ------------------------------------------------------
 
 
@@ -769,7 +698,7 @@ CLAIMS = (
         "remark4",
         k_min=0,
         texts=lambda k: [_u("K1", _rep(k + 1, "K2"))],
-        covers=lambda r, k: _is_cluster(decode(r.code)),
+        covers=lambda r, k: _is_cluster(r.tree),
     ),
     Claim(
         "thm6",
@@ -781,7 +710,7 @@ CLAIMS = (
         "thm15",
         k_min=2,
         texts=_thm15_texts,
-        covers=lambda r, k: _has_p3_component(decode(r.code)),
+        covers=lambda r, k: _has_p3_component(r.tree),
     ),
     Claim(
         "thm18",

@@ -281,57 +281,6 @@ def canonical_code(t):
     return code
 
 
-def decode(code):
-    """Normalized cotree of a canonical code: the inverse of ``canonical_code``.
-
-    Each node carries its slice of ``code`` as its own code.  Bytes that are
-    not a canonical code raise MalformedCotreeError: a head other than L, U
-    or J, a child count below 2, a child with its parent's label or out of
-    code order, and a code that ends early or has bytes left over.
-    """
-    code = bytes(code)
-    t, end = _decode_at(code, 0)
-    if end != len(code):
-        raise MalformedCotreeError(f"{len(code) - end} trailing byte(s) after a complete code")
-    return t
-
-
-_DECODED_LEAF = leaf()  # every decoded leaf; a leaf's profile memo is the same anywhere
-_DECODED_LEAF._order = 1
-_DECODED_LEAF._code = _LEAF_CODE
-
-
-def _decode_at(code, pos):
-    """(subtree, end offset) of the code that starts at ``pos``."""
-    head = code[pos : pos + 1]
-    if head == _LEAF_CODE:
-        return _DECODED_LEAF, pos + 1
-    if head not in (b"U", b"J", b""):
-        raise MalformedCotreeError(f"bad head {head!r} at offset {pos}")
-    if pos + 1 >= len(code):
-        raise MalformedCotreeError("truncated code")
-    op = head.decode("ascii")
-    count = code[pos + 1]
-    if count < 2:
-        raise MalformedCotreeError(f"internal node with {count} child(ren) at offset {pos}")
-    kids = []
-    end = pos + 2
-    previous = b""
-    for _ in range(count):
-        kid, kid_end = _decode_at(code, end)
-        if kid.op == op:
-            raise MalformedCotreeError(f"labels do not alternate at offset {end}")
-        if kid._code < previous:
-            raise MalformedCotreeError(f"children out of code order at offset {end}")
-        previous = kid._code
-        kids.append(kid)
-        end = kid_end
-    t = Cotree(op, kids)
-    t._order = sum(kid._order for kid in kids)
-    t._code = code[pos:end]
-    return t, end
-
-
 def code_hex(t):
     return canonical_code(t).hex()
 

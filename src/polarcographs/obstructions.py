@@ -92,7 +92,7 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import attrgetter
@@ -319,7 +319,13 @@ def cograph_counts(n_max, enumerator=None):
 
 @dataclass(frozen=True)
 class ObstructionRecord:
-    """A minimal (s,k)-polar obstruction with its type and provenance."""
+    """A minimal (s,k)-polar obstruction with its type and provenance.
+
+    ``tree`` is the normalized cotree the record was mined as, with the
+    profiles memoized while mining; claims read it.  It is no part of the
+    record's JSON, equality or repr: a record built without it (None) is
+    equal to one with it.
+    """
 
     code: bytes
     order: int
@@ -331,6 +337,7 @@ class ObstructionRecord:
     i: int
     provenance: str
     bound: int
+    tree: Cotree | None = field(default=None, compare=False, repr=False)
 
     def sort_key(self):
         return (self.order, self.code)
@@ -494,15 +501,10 @@ def _minimal_codes(classes, s, k, memo):
     ``is_minimal_obstruction``'s verdict read from each class's memoized
     profile and, for a class that is not (s,k)-polar, from its deleted
     profiles, folded by ``polarity.deleted_profiles`` and kept in ``memo``.
-    A signature of an order-n graph has both counts at most n, so INF bounds
-    are compared as they are, with no order.
     """
 
-    def polar(prof):
-        for s0, k0 in prof:
-            if s0 <= s and k0 <= k:
-                return True
-        return False
+    def polar(signatures):
+        return polarity._admits(signatures, s, k)
 
     return [
         t._code
@@ -525,6 +527,7 @@ def _record_from_tree(t, s, k, bound):
         i=i,
         provenance="MINED",
         bound=bound,
+        tree=t,
     )
 
 

@@ -224,10 +224,8 @@ def deleted_profiles(t, memo):
     return out
 
 
-def _admits(signatures, n, s, k):
-    """True iff some signature of an order-n graph is dominated by (s, k)."""
-    s = n if s == INF else s
-    k = n if k == INF else k
+def _admits(signatures, s, k):
+    """True iff some signature is dominated by (s, k); INF is above every count."""
     for s0, k0 in signatures:
         if s0 <= s and k0 <= k:
             return True
@@ -490,7 +488,7 @@ class PolarProfile:
 
     def admits(self, s, k):
         """True iff some stored signature is dominated by (s, k)."""
-        return _admits(self.signatures, self.n, s, k)
+        return _admits(self.signatures, s, k)
 
     def closure(self):
         """All (s,k) pairs in [0..n]^2 the graph is polar for; oracle-comparison form."""
@@ -630,14 +628,10 @@ def is_polar(g, s, k):
         return True, PartitionWitness(0, 0, (0, 0))
     t = cotree_of(g)
     prof = profile_dp(t)
-    s_bound = prof.n if s == INF else s
-    k_bound = prof.n if k == INF else k
-    candidates = sorted(
-        sig for sig in prof.signatures if sig[0] <= s_bound and sig[1] <= k_bound
-    )
+    candidates = [sig for sig in prof.signatures if _admits((sig,), s, k)]
     if not candidates:
         return False, None
-    witness = witness_for(t, candidates[0])
+    witness = witness_for(t, min(candidates))
     if not validate_witness(g, witness):  # pragma: no cover - defense against memo bugs
         raise AssertionError("reconstructed witness failed validation")
     return True, witness

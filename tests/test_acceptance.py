@@ -14,17 +14,11 @@ import time
 import pytest
 
 from polarcographs import catalog, cotrees, expressions, graphs, obstructions, polarity
-from polarcographs.catalog import (
-    check_conjectures,
-    check_lemma5,
-    check_lemma7,
-    conjectured_order,
-    verify_claim,
-)
+from polarcographs.catalog import conjectured_order, verify_claim
 from polarcographs.obstructions import enumerate_cographs, mine_obstructions
 from polarcographs.polarity import INF
 
-from util import nx_p4_free_census, perm_canonical, random_cotree
+from util import lemma_failures_by_graphs, nx_p4_free_census, perm_canonical, random_cotree
 
 
 def _report(name, ok, detail):
@@ -202,19 +196,20 @@ def test_criterion_7_census():
 
 
 def test_criterion_8_structural_suites(cache):
-    reports = []
+    reports, failing = [], []
     for k in (2, 3):
         records = cache.mine(INF, k, conjectured_order(k))
-        reports.append(check_lemma5(records, k))
-        reports.append(check_lemma7(records, k))
+        five, seven = lemma_failures_by_graphs(records, k)
+        failing += [f"lemma{n}@k={k}" for n, bad in ((5, five), (7, seven)) if bad]
         for claim in ("thm17", "thm19", "thm11"):
             reports.append(verify_claim(claim, k, cache=cache))
-        reports.extend(check_conjectures(k, conjectured_order(k) + 1, cache=cache))
-    failing = [f"{r.claim}@k={r.k}" for r in reports if r.status != "PASS"]
+        for claim in ("conj1", "conj2"):
+            reports.append(verify_claim(claim, k, cache, n_max=conjectured_order(k) + 1))
+    failing += [f"{r.claim}@k={r.k}" for r in reports if r.status != "PASS"]
     _report(
         "criterion-8",
         not failing,
-        f"{len(reports)} structural/recursion/conjecture suites over k in {{2,3}} "
+        f"lemmas 5 and 7 and {len(reports)} recursion/conjecture suites over k in {{2,3}} "
         f"(conjectures probed at N=3(k+1)+1)"
         + (f"; failing: {failing}" if failing else ", all PASS"),
     )

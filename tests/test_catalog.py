@@ -7,16 +7,18 @@ from polarcographs.catalog import (
     FIG1,
     ClaimParameterError,
     UnknownClaimError,
-    check_conjectures,
-    check_lemma5,
-    check_lemma7,
     instantiate,
     verify_all,
     conjectured_order,
     verify_claim,
     write_claim_files,
 )
-from polarcographs.obstructions import BoundExceededError, enumerate_cographs, remove_leaf
+from polarcographs.obstructions import (
+    BoundExceededError,
+    enumerate_cographs,
+    mine_obstructions,
+    remove_leaf,
+)
 from polarcographs.polarity import INF
 
 from util import components_graphs, has_p3_component, is_complete, lemma_failures_by_graphs
@@ -97,17 +99,17 @@ def test_conjectured_order():
 
 
 def test_conjecture_reports(cache):
-    reports = check_conjectures(2, 10, cache=cache)
-    assert {r.claim for r in reports} == {"conj1", "conj2"}
-    assert all(r.status == "PASS" for r in reports)
+    for claim in ("conj1", "conj2"):
+        report = verify_claim(claim, 2, cache, n_max=10)
+        assert (report.claim, report.status) == (claim, "PASS")
 
 
 def test_unprobed_order_bound_is_inconclusive(cache):
-    reports = {r.claim: r for r in check_conjectures(2, 9, cache=cache)}
     for claim in ("conj1", "conj2"):
-        assert reports[claim].status == "INCONCLUSIVE"
-        assert not reports[claim].passed
-        assert "bound 9 does not probe" in reports[claim].notes
+        report = verify_claim(claim, 2, cache, n_max=9)
+        assert report.status == "INCONCLUSIVE"
+        assert not report.passed
+        assert "bound 9 does not probe" in report.notes
 
 
 def test_a_zero_bound_is_mined_exactly_and_probes_nothing(cache):
@@ -119,18 +121,18 @@ def test_a_zero_bound_is_mined_exactly_and_probes_nothing(cache):
 
 def test_conjecture_reports_follow_the_registry():
     # conj1 needs k >= 2, so at k = 1 only conj2 is reported
-    assert [r.claim for r in check_conjectures(1, 7)] == ["conj2"]
+    assert [r.claim for r in verify_all(1) if r.claim.startswith("conj")] == ["conj2"]
     with pytest.raises(ClaimParameterError):
         verify_claim("conj1", 1)
 
 
 def test_uniqueness_below_the_probe_fails_only_on_two_records():
     # at order 3 no type has its record yet; that is not a failure
-    reports = {r.claim: r for r in check_conjectures(2, 3)}
-    assert reports["conj1"].status == "INCONCLUSIVE"
-    assert (reports["conj1"].missing, reports["conj1"].actual) == ([], 0)
+    report = verify_claim("conj1", 2, n_max=3)
+    assert report.status == "INCONCLUSIVE"
+    assert (report.missing, report.actual) == ([], 0)
     two = [SimpleNamespace(c=3, i=1, order=7, graph6=g6) for g6 in ("F????", "F???_")]
-    report = check_conjectures(2, 8, cache=_FixedCache(two))[0]
+    report = verify_claim("conj1", 2, _FixedCache(two), n_max=8)
     assert report.status == "FAIL"
     assert report.missing == ["type (3,1): 2 records"]
 
@@ -146,9 +148,9 @@ class _FixedCache:
 def test_record_over_the_order_bound_fails_even_unprobed():
     over = SimpleNamespace(c=1, i=0, order=7, graph6="F????")
     for n_max in (6, 7):
-        reports = {r.claim: r for r in check_conjectures(1, n_max, cache=_FixedCache([over]))}
-        assert reports["conj2"].status == "FAIL"
-        assert reports["conj2"].extra == ["F????"]
+        report = verify_claim("conj2", 1, _FixedCache([over]), n_max=n_max)
+        assert report.status == "FAIL"
+        assert report.extra == ["F????"]
 
 
 def test_conjecture_probe_past_order_15_passes():
@@ -283,9 +285,7 @@ def test_cor20_compares_only_graphs_within_the_bound(cache, n_max, status, kept,
 
 
 def test_lemma_suites(cache):
-    records = cache.mine(INF, 2, 9)
-    assert check_lemma5(records, 2).status == "PASS"
-    assert check_lemma7(records, 2).status == "PASS"
+    assert lemma_failures_by_graphs(cache.mine(INF, 2, 9), 2) == ([], [])
 
 
 def test_cotree_structure_tests_match_the_graph_ones():
@@ -310,13 +310,13 @@ def test_cotree_structure_tests_match_the_graph_ones():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_lemma_suites_match_the_graph_versions(k):
-    # every class up to order 8 as a record, so that each constraint both
-    # holds and fails somewhere
+    # Lemmas 5 and 7 hold on the records mined to 3(k+1); every class up to
+    # order 8 taken as a record fails each of them somewhere, so the graph
+    # versions can fail
+    assert lemma_failures_by_graphs(mine_obstructions(INF, k, conjectured_order(k)), k) == ([], [])
     records = [obstructions._record_from_tree(t, INF, k, 8) for t in enumerate_cographs(8)]
     five, seven = lemma_failures_by_graphs(records, k)
     assert five and seven
-    assert check_lemma5(records, k).missing == five
-    assert check_lemma7(records, k).missing == seven
 
 
 def test_to_cotree_matches_evaluate_on_every_list_claim():

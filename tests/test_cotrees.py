@@ -6,7 +6,7 @@ from polarcographs import cotrees, graphs, obstructions
 from polarcographs.cotrees import JOIN, UNION, Cotree
 from polarcographs.graphs import Graph
 
-from util import memo_free_copy, permute_graph, random_cotree
+from util import permute_graph, random_cotree
 
 
 def test_p4_yields_certificate():
@@ -97,37 +97,6 @@ def test_canonical_relabel_merges_isomorphs():
 def test_render_shows_structure():
     t = cotrees.cotree_of(Graph.path(3))
     assert cotrees.render(t).startswith("J(")
-
-
-def test_decode_inverts_canonical_code_on_every_class_up_to_order_9():
-    for t in obstructions.enumerate_cographs(9):
-        code = cotrees.canonical_code(t)
-        back = cotrees.decode(code)
-        assert back._code == code and back.order == t.order
-        # the code computed afresh from the decoded structure, not the carried slice
-        assert cotrees.canonical_code(memo_free_copy(back)) == code
-
-
-@pytest.mark.parametrize(
-    "code",
-    [
-        b"",  # truncated: nothing at all
-        b"X",  # bad head
-        b"U\x02LX",  # bad head of a child
-        b"U\x01L",  # count below 2
-        b"J\x00",  # count below 2
-        b"U",  # truncated: no count
-        b"U\x02L",  # truncated: a child missing
-        b"J\x02LU\x02L",  # truncated inside a child
-        b"LL",  # trailing byte
-        b"U\x02LLJ",  # trailing byte after a node
-        b"U\x02LU\x02LL",  # a child with its parent's label
-        b"U\x02LJ\x02LL",  # children out of code order
-    ],
-)
-def test_decode_rejects_malformed_codes(code):
-    with pytest.raises(cotrees.MalformedCotreeError):
-        cotrees.decode(code)
 
 
 def test_compose_splices_same_label_parts():

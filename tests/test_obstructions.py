@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -163,15 +164,23 @@ def test_records_are_sorted_and_typed():
             assert cotrees.is_isomorphic(e, g)
 
 
-def test_record_codes_decode_to_their_graphs():
-    # a record's code alone gives its graph6 and its type (c, i)
+def test_records_keep_the_cotree_they_were_mined_as():
+    # a record's tree gives its code, graph6 and type (c, i); the tree is in
+    # neither its JSON nor its equality, so two minings give equal records
     records = mine_obstructions(INF, 3, 13)
     assert records
     for r in records:
-        t = cotrees.decode(r.code)
-        g = cotrees.realize(t)
+        g = cotrees.realize(r.tree)
+        assert cotrees.canonical_code(r.tree) == r.code
+        assert cotrees.canonical_code(memo_free_copy(r.tree)) == r.code
         assert graphs.graph6_encode(g) == r.graph6
-        assert (r.c, r.i) == obstructions.cotree_type(t) == obstructions.classify_type(g)
+        assert (r.c, r.i) == obstructions.cotree_type(r.tree) == obstructions.classify_type(g)
+        assert "tree" not in json.loads(r.to_json())
+        bare = dataclasses.replace(r, tree=None)
+        assert bare == r and hash(bare) == hash(r) and repr(bare) == repr(r)
+    again = mine_obstructions(INF, 3, 13, enumerator=CographEnumerator())
+    assert again == records
+    assert all(a.tree is not b.tree for a, b in zip(again, records))
 
 
 def test_record_json_fields():
@@ -665,10 +674,12 @@ def test_the_deleted_profile_memo_holds_the_split_orders_only():
     catalog.verify_all(3)
     memo = obstructions._ENUMERATOR.deleted
     assert memo
-    for code, dels in memo.items():
-        t = cotrees.decode(code)
-        assert t.order <= obstructions._SPLIT_ORDER, cotrees.render(t)
-        assert dels == deletion_profiles(t), cotrees.render(t)
+    found = 0
+    for t in enumerate_cographs(obstructions._SPLIT_ORDER):
+        if t._code in memo:
+            found += 1
+            assert memo[t._code] == deletion_profiles(t), cotrees.render(t)
+    assert found == len(memo)
 
 
 class MostPolarAlgebra(polarity.TypeAlgebra):

@@ -292,12 +292,12 @@ def test_capping_commutes_with_merges_and_complement():
 
 
 def test_caps_keep_every_verdict():
-    profiles = _stored_profiles(10)
+    profiles = {p for p, _ in _stored_profiles(10)}
     for s, k in ORACLE_PAIRS:
         caps = polarity.TypeAlgebra(s, k).caps
-        for p, n in profiles:
+        for p in profiles:
             capped = polarity.cap_profile(p, caps)
-            assert polarity._admits(capped, n, s, k) == polarity._admits(p, n, s, k), (p, s, k)
+            assert polarity._admits(capped, s, k) == polarity._admits(p, s, k), (p, s, k)
 
 
 def test_pair_rule_folds_children_to_the_class_type():

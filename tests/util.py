@@ -173,7 +173,7 @@ def deletions_admit_materialised(t, s, k, dels=None):
     """
     if dels is None:
         dels = deletion_profiles(t)
-    return all(polarity._admits(sigs, t.order - 1, s, k) for sigs in dels)
+    return all(polarity._admits(sigs, s, k) for sigs in dels)
 
 
 # profile forms of the empty graph's type, the identity of the pair rule, and
@@ -566,8 +566,12 @@ def has_p3_component(g):
 
 
 def lemma_failures_by_graphs(records, k):
-    """(lemma5 failures, lemma7 failures) of ``catalog.check_lemma5`` and
-    ``check_lemma7`` as they were, over each record's decoded graph6."""
+    """(lemma5 failures, lemma7 failures) over each record's decoded graph6.
+
+    Lemma 5: the five component-structure constraints on an (inf,k) record,
+    with its type bound 0 <= i <= c-1 <= k+1.  Lemma 7: a disconnected record
+    with no isolated vertex has at least two non-complete components.
+    """
     five, seven = [], []
     for r in records:
         comps = components_graphs(graphs.graph6_decode(r.graph6))
