@@ -215,8 +215,20 @@ def _connected_one_s_obstructions(s):
 # -- claim instantiation -----------------------------------------------------------
 
 
+# expression text -> its parse; expressions are immutable, so one parse per
+# text serves the whole process
+_PARSED = {}
+
+
 def _exprs(texts):
-    return [expressions.parse(t) for t in texts]
+    """The parsed expressions of the texts, as a new list; each text is parsed once."""
+    out = []
+    for text in texts:
+        e = _PARSED.get(text)
+        if e is None:
+            e = _PARSED[text] = expressions.parse(text)
+        out.append(e)
+    return out
 
 
 def _thm15_texts(k):
@@ -561,7 +573,7 @@ def _thm11_sides(ki, cache, fig1_codes):
     whether H is the special side, whether H is a (1,ki-1)-obstruction)."""
     records = _read(cache, 1, ki - 1)[1]
     text = _u(_rep(ki - 2, "K2"), "K1 * 2K2")
-    special = expressions.to_cotree(expressions.parse(text))
+    special = expressions.to_cotree(_exprs([text])[0])
     special_code = canonical_code(special)
     sides = []
     for r in records:

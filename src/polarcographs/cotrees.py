@@ -213,36 +213,50 @@ def leaf_vertices(t):
     return out
 
 
+def adjacency_rows(t):
+    """Adjacency rows of the graph a cotree represents, vertex j its j-th leaf in preorder.
+
+    Two leaves are adjacent iff their lowest common ancestor is a JOIN node.
+    A subtree's leaves are consecutive in preorder, so its vertex mask is a
+    run of bits; one walk down the tree hands each child what its leaves
+    are adjacent to outside it: its JOIN parent's other children, and what
+    the parent was handed.  The node shapes are not checked.
+    """
+    rows = []
+
+    def walk(nd, start, outside):
+        """Append the rows of the leaves below nd, the first of them vertex ``start``."""
+        join = nd.op == JOIN
+        whole = ((1 << nd.order) - 1) << start
+        for c in nd.children:
+            size = 1 if c.op == LEAF else c.order
+            inner = outside | whole ^ (((1 << size) - 1) << start) if join else outside
+            if size == 1:  # only a leaf has order 1
+                rows.append(inner)
+            else:
+                walk(c, start, inner)
+            start += size
+
+    if t.op == LEAF:
+        return [0]
+    walk(t, 0, 0)
+    return rows
+
+
 def realize(t):
-    """Graph represented by a cotree: u,v adjacent iff their LCA is a JOIN node."""
+    """Graph represented by a cotree: u,v adjacent iff their LCA is a JOIN node.
+
+    Vertex ids are the leaves' own (``leaf_vertices``).
+    """
     validate(t)
     ids = leaf_vertices(t)
-    n = len(ids)
-    rows = [0] * n
-    counter = [0]
-
-    def walk(nd):
-        """Return the vertex-id mask of the subtree, wiring JOIN cross edges."""
-        if nd.op == LEAF:
-            v = ids[counter[0]]
-            counter[0] += 1
-            return 1 << v
-        masks = [walk(c) for c in nd.children]
-        if nd.op == JOIN:
-            total = 0
-            for m in masks:
-                total |= m
-            for m in masks:
-                others = total & ~m
-                for v in bits(m):
-                    rows[v] |= others
-        out = 0
-        for m in masks:
-            out |= m
-        return out
-
-    walk(t)
-    return Graph(n, rows)
+    rows = adjacency_rows(t)
+    if ids != list(range(len(ids))):
+        out = [0] * len(ids)
+        for j, row in enumerate(rows):
+            out[ids[j]] = graphs.mask_of(ids[u] for u in bits(row))
+        rows = out
+    return Graph(len(rows), rows)
 
 
 def _strip_ids(t):

@@ -253,26 +253,24 @@ def brute_force_isomorphic(g, h):
 
 def graph6_encode(g):
     """Header-less graph6 string per the standard format."""
-    n = g.n
+    return graph6_of_rows(g.n, g.rows)
+
+
+def graph6_of_rows(n, rows):
+    """``graph6_encode`` of the graph of order n with these symmetric adjacency rows.
+
+    The body is the upper triangle column by column, bit (u, v) for u < v
+    in order of v then u, six bits to a character: column v is row v's
+    bits below v, lowest first.
+    """
     if n <= 62:
         head = [n + 63]
     else:
         head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    rows = g.rows
-    acc = 0
-    nbits = 0
-    body = []
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | (rows[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                body.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        body.append((acc << (6 - nbits)) + 63)
-    return bytes(head + body).decode("ascii")
+    body = "".join(format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    body += "0" * (-len(body) % 6)
+    chars = [int(body[x : x + 6], 2) + 63 for x in range(0, len(body), 6)]
+    return bytes(head + chars).decode("ascii")
 
 
 def graph6_decode(text):

@@ -56,9 +56,11 @@ the blocks one at a time and keeps, for each total order, the number of
 multisets of each type, a multiset's type following by the pair rule and its
 number of classes being a product of binomials.  Only live types
 (``TypeAlgebra.live``) and hits are kept by type; every other multiset is
-only counted, since no extension of it is live or a hit, and a base whose
-successor row gives the sink is counted dead on its first copy without
-walking its copies.  Once every block
+only counted, since no extension of it is live or a hit.  Each base takes
+its first copy of a block inline, in one loop per base order, and only a
+base still live after it, with room for another, walks the copies r >= 2:
+806 of the 13,360 live bases that ``mine(inf,4,14)`` meets, while 6,739 die
+on the first copy and 5,815 have no room for a second.  Once every block
 below an order is in, the knapsack's numbers of that order must add up to the
 cograph count of an independent Euler transform (OEIS A000084), or mining
 raises; its live types become the blocks of that order and its hit types are
@@ -99,7 +101,6 @@ from operator import attrgetter
 
 from . import cotrees, expressions, graphs, polarity
 from .cotrees import JOIN, LEAF, UNION, Cotree, canonical_code
-from .graphs import Graph
 from .polarity import INF
 
 # Each limit is checked in this module only.  The enumerator builds and keeps
@@ -519,7 +520,7 @@ def _record_from_tree(t, s, k, bound):
     return ObstructionRecord(
         code=canonical_code(t),
         order=t.order,
-        graph6=graphs.graph6_encode(cotrees.realize(t)),
+        graph6=graphs.graph6_of_rows(t.order, cotrees.adjacency_rows(t)),
         expression=expressions.unparse(cotree_to_expr(t)),
         s=s,
         k=k,
@@ -593,17 +594,21 @@ class _TypeKnapsack:
         counts only multisets of earlier blocks; a base of m0 gains r copies
         of the block, in C(c + r - 1, r) ways, at total order m0 + r o.  Each
         copy's type is read from the algebra's successor row of the block's
-        type, and ``combine`` runs only on a pair not met before.  Each base
-        reads its row first: most bases have met the block before and die on
-        its first copy, which the row gives as the algebra's ``sink``, so
-        they take no walk.  A hit base is never combined (the knapsacks
-        combine live types only), so its row entry is missing and it is
-        skipped before any ``combine``.
+        type, and ``combine`` runs only on a pair not met before.  A hit
+        base is never combined (the knapsacks combine live types only), so
+        its row entry is missing and it is skipped before any ``combine``.
 
-        Per base order, ``dying[r]`` counts the bases whose r-th copy is the
-        first that is not live: the dead bases and, for a None block, the
-        live ones die on the first.  Each of them with r' >= r copies is not
-        live, so one running sum over r adds every death to ``dead``.
+        One loop per base order takes every base's first copy inline: about
+        half the bases die on it, many of them read from the row as the
+        algebra's ``sink``, and most of the others have room for no second
+        copy.  Only a base whose first copy is live, with room for a second,
+        walks the copies r >= 2, and only then is ``dying`` allocated:
+        ``dying[r]`` counts the bases whose r-th copy is the first that is
+        not live.  The bases that die on the first copy (the dead bases, the
+        hits among them, and, for a None block, the live ones) are counted
+        in ``first``.  Each base that dies on copy r is not live with
+        r' >= r copies either, so one running sum over r adds every death to
+        ``dead``.
         """
         b = len(self.blocks)
         self.blocks.append((o, i, c))
@@ -613,21 +618,41 @@ class _TypeKnapsack:
         row = algebra.row(op, i) if i is not None else None
         weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
         for m0 in range(n_max - o, -1, -1):
+            m1 = m0 + o
             top = (n_max - m0) // o
-            dying = [0] * (top + 1)
-            dying[1] = dead[m0]
+            first = dead[m0]  # the bases that die on their first copy
+            dying = None
             if row is None:  # no multiset with this block is live
-                dying[1] += sum(base[0] for t0, base in kept[m0].items() if is_live[t0])
+                first += sum(base[0] for t0, base in kept[m0].items() if is_live[t0])
             else:
+                kept1, open1 = kept[m1], m1 < n_max
                 for t0, base in kept[m0].items():
-                    nxt = row.get(t0)
-                    if nxt == sink:  # the first copy is neither live nor a hit
-                        dying[1] += base[0]
+                    typ = row.get(t0)
+                    if typ == sink:  # the first copy is neither live nor a hit
+                        first += base[0]
                         continue
                     if not is_live[t0]:  # a hit, counted in dead[m0]
                         continue
-                    count, typ, m = base[0], t0, m0
-                    for r in range(1, top + 1):
+                    if typ is None:
+                        typ = combine(op, t0, i)
+                    count = base[0]
+                    live = open1 and is_live[typ]
+                    if live or is_hit[typ]:
+                        entry = kept1.get(typ)
+                        if entry is None:
+                            entry = kept1[typ] = [0]
+                        entry[0] += count * c
+                        entry.append((t0, b, 1))
+                    if not live:  # no more copies give a live type or a hit
+                        first += count
+                        continue
+                    if top == 1:
+                        continue
+                    if dying is None:
+                        dying = [0] * (top + 1)
+                    m = m1
+                    for r in range(2, top + 1):
+                        nxt = row.get(typ)
                         typ = combine(op, typ, i) if nxt is None else nxt
                         m += o
                         live = is_live[typ] and m < n_max
@@ -637,13 +662,13 @@ class _TypeKnapsack:
                                 entry = kept[m][typ] = [0]
                             entry[0] += count * weights[r]
                             entry.append((t0, b, r))
-                        if not live:  # no more copies give a live type or a hit
+                        if not live:
                             dying[r] += count
                             break
-                        nxt = row.get(typ)
-            carry = 0
+            carry = first
             for r in range(1, top + 1):
-                carry += dying[r]
+                if dying is not None:
+                    carry += dying[r]
                 if carry:
                     dead[m0 + r * o] += carry * weights[r]
 

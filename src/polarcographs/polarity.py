@@ -288,19 +288,20 @@ class TypeAlgebra:
     counts and fuses the part counts (``_fuse``), a join the reverse, each
     sum capped.  A profile's minimal points are found only when its mask is
     first met.  Merges are memoized per label, per left profile id, on the
-    right id.  A type is known only
-    by its number, keyed by its profile id and the bitset of its
-    deleted-profile ids (``sink``, numbered after ``empty`` and ``leaf``,
-    has no key); "least polar" is a mask inclusion test, and ``hit`` and
-    ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type
-    is built from ``empty`` (the empty graph's, the identity of the pair
-    rule) and ``leaf`` by ``combine``, which fills one successor row per
-    label and right-hand type j, mapping each type i met with it to the
-    number of op(i, j), and counts the entries it fills in ``pairs``; a
-    caller that applies the same j many times reads ``row`` and calls
-    ``combine`` only on a miss.  The tables live as long as the algebra and
-    are bounded by the number of types and capped profiles, which are
-    finite for each (s, k).
+    right id.  A type is known only by its number, keyed by its profile id
+    and the bitset of its deleted-profile ids (``sink``, numbered after
+    ``empty`` and ``leaf``, has no key); "least polar" is a strict mask
+    inclusion test between two candidates, so a miss of ``combine`` builds
+    the key's bitset as it filters its few candidates, with no sort, and
+    reads the type by that key.  ``hit`` and ``live`` test the one bit of
+    (min(s, cs), min(k, ck)).  Every type is built from ``empty`` (the empty
+    graph's, the identity of the pair rule) and ``leaf`` by ``combine``,
+    which fills one successor row per label and right-hand type j, mapping
+    each type i met with it to the number of op(i, j), and counts the
+    entries it fills in ``pairs``; a caller that applies the same j many
+    times reads ``row`` once and calls ``combine`` only on a miss.  The
+    tables live as long as the algebra and are bounded by the number of
+    types and capped profiles, which are finite for each (s, k).
     """
 
     def __init__(self, s, k):
@@ -335,9 +336,8 @@ class TypeAlgebra:
             self._tables[JOIN].append(joins)
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
-        self._sizes = []  # profile id -> number of its polar pairs
         self._ids = {}  # polar mask -> profile id
-        self._keys = []  # number -> (profile id, tuple of deleted-profile ids)
+        self._keys = []  # number -> (profile id, ascending tuple of deleted-profile ids)
         self._numbers = {}  # (profile id, bitset of deleted-profile ids) -> number
         self._merged = {UNION: [], JOIN: []}  # label -> left id -> right id -> merged id
         self._rows = {UNION: {}, JOIN: {}}
@@ -369,28 +369,33 @@ class TypeAlgebra:
             points = tuple(b for b in range(len(below)) if mask >> b & 1 and not mask & below[b])
             self._points.append(points)
             self._polar.append(mask)
-            self._sizes.append(mask.bit_count())
             for memo in self._merged.values():
                 memo.append({})
         return p
 
     def _number(self, p, dels):
-        """The number of the type of profile id p and distinct deleted-profile ids ``dels``.
+        """The number of the type of profile id p and deleted-profile ids ``dels``,
+        numbered if it is new."""
+        deleted = 0
+        for d in dels:
+            deleted |= 1 << d
+        i = self._numbers.get((p, deleted))
+        if i is None:
+            i = self._new_type(p, deleted)
+        return i
+
+    def _new_type(self, p, deleted):
+        """Number the type keyed by profile id p and the bitset of its deleted-profile ids.
 
         Every deleted profile is polar (``combine`` sends the other types
         to ``sink``), so the type is live when p is polar and a hit when it
-        is not.  A new type gets the next number.
+        is not.  The new type gets the next number.
         """
-        bits = 0
-        for d in dels:
-            bits |= 1 << d
-        i = self._numbers.get((p, bits))
-        if i is None:
-            i = self._numbers[(p, bits)] = len(self._keys)
-            live = bool(self._polar[p] & self._bit)
-            self._keys.append((p, tuple(sorted(dels))))
-            self.hit.append(not live)
-            self.live.append(live)
+        i = self._numbers[(p, deleted)] = len(self._keys)
+        live = bool(self._polar[p] & self._bit)
+        self._keys.append((p, tuple(bits(deleted))))
+        self.hit.append(not live)
+        self.live.append(live)
         return i
 
     def _merge(self, op, p, q):
@@ -426,13 +431,15 @@ class TypeAlgebra:
         neither live nor a hit, and ``sink`` is stored without building the
         rest.  A live type has none such, by heredity, and a hit none by
         definition; only these two are numbered.  Only the least polar
-        candidates are kept: d is dropped when another one's polar pairs are
-        among d's.  Distinct capped profiles have distinct polar masks, so
-        such an other one has fewer polar pairs: one pass over the deletions
-        by ascending number of polar pairs keeps each one that no kept one's
-        pairs are among, which also drops a repeated id.
+        candidates are kept, as a bitset of profile ids: a candidate stays
+        unless another one's polar mask lies strictly inside its own, and a
+        repeated id is one bit.  The type is then read by (profile id,
+        bitset), and numbered if it is new.
         """
-        row = self.row(op, j)
+        rows = self._rows[op]
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = {}
         out = row.get(i)
         if out is None:
             out = row[i] = self._combined(op, i, j)
@@ -465,18 +472,22 @@ class TypeAlgebra:
             if not polar[e] & bit:
                 return sink
             dels.append(e)
-        if len(dels) > 1:
-            least, masks = [], []
-            for d in sorted(dels, key=self._sizes.__getitem__):
+        if len(dels) == 1:
+            deleted = 1 << dels[0]
+        else:
+            deleted = 0
+            for d in dels:
                 mask = polar[d]
-                for kept in masks:
-                    if not kept & ~mask:
+                for e in dels:
+                    inner = polar[e]
+                    if inner != mask and not inner & ~mask:  # e is strictly less polar
                         break
                 else:
-                    least.append(d)
-                    masks.append(mask)
-            dels = least
-        return self._number(p, dels)
+                    deleted |= 1 << d
+        out = self._numbers.get((p, deleted))
+        if out is None:
+            out = self._new_type(p, deleted)
+        return out
 
 
 @dataclass(frozen=True)

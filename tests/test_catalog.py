@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -367,6 +368,29 @@ def test_verify_all_reads_written_claim_files(tmp_path, cache):
     (tmp_path / "thm22.k3.txt").unlink()
     with pytest.raises(ClaimParameterError, match="thm22.k3.txt"):
         verify_all(3, cache=cache, catalog_dir=str(tmp_path))
+
+
+def test_each_claim_text_is_parsed_once_per_process(monkeypatch, cache):
+    # two verifications parse each distinct text once, give the same
+    # verdicts, and each call of _exprs gets a list of its own
+    parse = expressions.parse
+    calls = Counter()
+
+    def counting(text):
+        calls[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(catalog, "_PARSED", {})
+    monkeypatch.setattr(expressions, "parse", counting)
+    first = [r.to_json() for r in verify_all(3, cache=cache)]
+    assert calls and max(calls.values()) == 1
+    parsed = dict(calls)
+    assert [r.to_json() for r in verify_all(3, cache=cache)] == first
+    assert calls == parsed
+    texts = list(FIG1)
+    one, two = catalog._exprs(texts), catalog._exprs(texts)
+    assert one == two == [parse(t) for t in texts] and one is not two
+    assert calls == parsed
 
 
 # every verify_all(4) row: (claim, status, expected, actual, missing, extra)

@@ -11,6 +11,7 @@ from util import (
     cluster_parts_checked,
     co_components_walk,
     components_walk,
+    graph6_bitwise,
     multipartite_parts_joined,
     permute_graph,
     random_cotree,
@@ -139,6 +140,16 @@ def test_graph6_long_form():
 def test_graph6_known_values():
     assert graphs.graph6_encode(Graph.empty(1)) == "@"
     assert graphs.graph6_encode(Graph.complete(2)) == "A_"
+
+
+def test_graph6_columns_match_the_bitwise_encoder():
+    # every order up to the largest, with the long header past 62, at several densities
+    rng = random.Random(11)
+    for n in range(graphs.MAX_ORDER + 1):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            assert graphs.graph6_encode(g) == graph6_bitwise(g), (n, p)
+            assert graphs.graph6_of_rows(g.n, g.rows) == graph6_bitwise(g), (n, p)
 
 
 def test_to_dot_mentions_all_edges():

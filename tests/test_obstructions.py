@@ -23,6 +23,7 @@ from polarcographs.polarity import INF
 from util import (
     ORACLE_PAIRS,
     class_level_records,
+    copies_walk_add,
     deletion_profiles,
     deletions_admit_materialised,
     memo_free_copy,
@@ -181,6 +182,17 @@ def test_records_keep_the_cotree_they_were_mined_as():
     again = mine_obstructions(INF, 3, 13, enumerator=CographEnumerator())
     assert again == records
     assert all(a.tree is not b.tree for a, b in zip(again, records))
+
+
+def test_record_graph6_is_the_realized_graphs():
+    # a record's graph6 is written from its cotree's adjacency rows, with no
+    # Graph built: every class up to order 9 and the records of a few minings
+    trees = list(enumerate_cographs(9))
+    for key in [(INF, 4, 14), (2, 2, 13), (4, 4, 20)]:
+        trees.extend(r.tree for r in mine_obstructions(*key))
+    for t in trees:
+        record = obstructions._record_from_tree(t, INF, 4, 14)
+        assert record.graph6 == graphs.graph6_encode(cotrees.realize(t)), cotrees.render(t)
 
 
 def test_record_json_fields():
@@ -560,6 +572,53 @@ def test_folded_deaths_match_the_per_base_add(monkeypatch, key):
     monkeypatch.setattr(obstructions._TypeKnapsack, "add", both)
     mine_obstructions(*key)
     assert len(twins) == 2 and blocks["typed"] and blocks[None]
+
+
+def _mined_tables(monkeypatch, key, add):
+    """The records of one mining with ``add`` as the knapsack's, and its tables:
+    per knapsack, its blocks, kept entries, dead counts and limits, then the
+    algebra's successor rows, pairs and type keys."""
+    init = obstructions._TypeKnapsack.__init__
+    knapsacks = []
+
+    def recording(knapsack, *args):
+        init(knapsack, *args)
+        knapsacks.append(knapsack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(obstructions._TypeKnapsack, "__init__", recording)
+        patch.setattr(obstructions._TypeKnapsack, "add", add)
+        records = mine_obstructions(*key)
+    algebra = knapsacks[0].algebra
+    tables = [
+        (
+            knapsack.blocks,
+            [list(kept.items()) for kept in knapsack.kept],
+            knapsack.dead,
+            knapsack.limits,
+        )
+        for knapsack in knapsacks
+    ]
+    rows = {
+        op: [(j, list(row.items())) for j, row in by_j.items()]
+        for op, by_j in algebra._rows.items()
+    }
+    return records, tables, (rows, algebra.pairs, algebra._keys)
+
+
+@pytest.mark.parametrize("key", [(INF, 4, 14), (2, 2, 13), (1, 8, 15), (4, 4, 20), (INF, 8, 24)])
+def test_inline_first_copies_match_the_copies_walk(monkeypatch, key):
+    # the walk over every copy from the first, kept as the oracle, gives the
+    # same counts, back-pointers and deaths, and combines the same pairs in
+    # the same order, so the algebra numbers the same types; (inf,8,24)
+    # takes long chains of copies of one block
+    records, tables, algebra = _mined_tables(monkeypatch, key, obstructions._TypeKnapsack.add)
+    oracle = _mined_tables(monkeypatch, key, copies_walk_add)
+    assert records == oracle[0]
+    assert tables == oracle[1], key
+    assert algebra == oracle[2], key
+    pointers = (entry[1:] for _, kept, _, _ in tables for entries in kept for _, entry in entries)
+    assert max(r for chain in pointers for _, _, r in chain) > 2, key
 
 
 def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):

@@ -321,6 +321,80 @@ def per_base_add(knapsack, o, i, c):
                     break
 
 
+def copies_walk_add(knapsack, o, i, c):
+    """``obstructions._TypeKnapsack.add`` before it took each base's first copy inline.
+
+    Each base that the block's successor row does not send to ``sink`` on
+    its first copy walks its copies from r = 1, and each base order gets a
+    ``dying`` array, where ``dying[r]`` counts the bases whose r-th copy is
+    the first that is not live; one running sum over r adds every death to
+    ``dead``.
+    """
+    b = len(knapsack.blocks)
+    knapsack.blocks.append((o, i, c))
+    n_max, op, kept, dead = knapsack.n_max, knapsack.op, knapsack.kept, knapsack.dead
+    algebra = knapsack.algebra
+    combine, is_live, is_hit, sink = algebra.combine, algebra.live, algebra.hit, algebra.sink
+    row = algebra.row(op, i) if i is not None else None
+    weights = [math.comb(c + r - 1, r) for r in range(n_max // o + 1)]
+    for m0 in range(n_max - o, -1, -1):
+        top = (n_max - m0) // o
+        dying = [0] * (top + 1)
+        dying[1] = dead[m0]
+        if row is None:  # no multiset with this block is live
+            dying[1] += sum(base[0] for t0, base in kept[m0].items() if is_live[t0])
+        else:
+            for t0, base in kept[m0].items():
+                nxt = row.get(t0)
+                if nxt == sink:  # the first copy is neither live nor a hit
+                    dying[1] += base[0]
+                    continue
+                if not is_live[t0]:  # a hit, counted in dead[m0]
+                    continue
+                count, typ, m = base[0], t0, m0
+                for r in range(1, top + 1):
+                    typ = combine(op, typ, i) if nxt is None else nxt
+                    m += o
+                    live = is_live[typ] and m < n_max
+                    if live or is_hit[typ]:
+                        entry = kept[m].get(typ)
+                        if entry is None:
+                            entry = kept[m][typ] = [0]
+                        entry[0] += count * weights[r]
+                        entry.append((t0, b, r))
+                    if not live:  # no more copies give a live type or a hit
+                        dying[r] += count
+                        break
+                    nxt = row.get(typ)
+        carry = 0
+        for r in range(1, top + 1):
+            carry += dying[r]
+            if carry:
+                dead[m0 + r * o] += carry * weights[r]
+
+
+def graph6_bitwise(g):
+    """``graphs.graph6_encode`` as it was before it wrote each column as a bit string:
+    one bit of the upper triangle at a time, six to a character."""
+    n, rows = g.n, g.rows
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    acc = nbits = 0
+    body = []
+    for v in range(1, n):
+        for u in range(v):
+            acc = (acc << 1) | (rows[u] >> v & 1)
+            nbits += 1
+            if nbits == 6:
+                body.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        body.append((acc << (6 - nbits)) + 63)
+    return bytes(head + body).decode("ascii")
+
+
 def per_class_bisect_order(enum, m):
     """(connected, disconnected) classes of order m, each list sorted by code.
 
