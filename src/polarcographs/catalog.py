@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 from . import expressions, obstructions, polarity
 from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, flip_labels
 from .obstructions import mine_obstructions
 from .polarity import INF
+from .values import FrozenValue, Value, set_field
 
 
 class UnknownClaimError(KeyError):
@@ -338,17 +337,21 @@ def _has_p3_component(t):
 # -- verdicts ----------------------------------------------------------------------
 
 
-@dataclass
-class VerdictReport:
-    claim: str
-    k: object
-    bound: object
-    status: str
-    expected: int = 0
-    actual: int = 0
-    missing: list = field(default_factory=list)
-    extra: list = field(default_factory=list)
-    notes: str = ""
+class VerdictReport(Value):
+    __slots__ = ("claim", "k", "bound", "status", "expected", "actual", "missing", "extra", "notes")
+
+    def __init__(
+        self, claim, k, bound, status, expected=0, actual=0, missing=None, extra=None, notes=""
+    ):
+        self.claim = claim
+        self.k = k
+        self.bound = bound
+        self.status = status
+        self.expected = expected
+        self.actual = actual
+        self.missing = [] if missing is None else missing
+        self.extra = [] if extra is None else extra
+        self.notes = notes
 
     @property
     def passed(self):
@@ -679,18 +682,30 @@ def _sixteen_note(claim_id, k, cache, n_max):
 # -- claim registry / verify-all ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(FrozenValue):
     """One row of the claim registry; the module docstring describes the fields."""
 
-    id: str
-    k_min: int | None = None
-    k_only: int | None = None
-    texts: Callable | None = None
-    covers: Callable | None = None
-    mining: tuple = (INF, None)
-    compare: Callable = _compare_sets
-    check: Callable | None = None
+    __slots__ = ("id", "k_min", "k_only", "texts", "covers", "mining", "compare", "check")
+
+    def __init__(
+        self,
+        id,
+        k_min=None,
+        k_only=None,
+        texts=None,
+        covers=None,
+        mining=(INF, None),
+        compare=_compare_sets,
+        check=None,
+    ):
+        set_field(self, "id", id)
+        set_field(self, "k_min", k_min)
+        set_field(self, "k_only", k_only)
+        set_field(self, "texts", texts)
+        set_field(self, "covers", covers)
+        set_field(self, "mining", mining)
+        set_field(self, "compare", compare)
+        set_field(self, "check", check)
 
     def applies_at(self, k):
         if self.k_only is not None:

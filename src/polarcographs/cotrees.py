@@ -8,11 +8,11 @@ graph or a four-vertex induced-path certificate proving it is not a cograph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs
 from .graphs import Graph, bits
+from .values import FrozenValue, set_field
 
 LEAF = "leaf"
 UNION = "U"
@@ -33,11 +33,13 @@ class NotCographError(ValueError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class P4Certificate:
+class P4Certificate(FrozenValue):
     """Four vertex ids (a, b, c, d) inducing the path a-b-c-d."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices):
+        set_field(self, "vertices", vertices)
 
     def validates_against(self, g):
         a, b, c, d = self.vertices

@@ -14,12 +14,12 @@ cographs, so P_n is only allowed for n <= 3 and C_n for n in {3, 4}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from . import cotrees, graphs
 from .cotrees import JOIN, UNION, compose
 from .graphs import Graph
+from .values import FrozenValue, set_field
 
 
 class ExprError(ValueError):
@@ -31,37 +31,49 @@ class ExprError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # 'K', 'P' or 'C'
-    n: int
+class Atom(FrozenValue):
+    __slots__ = ("kind", "n")
+
+    def __init__(self, kind, n):
+        set_field(self, "kind", kind)  # 'K', 'P' or 'C'
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Biclique:
-    a: int
-    b: int
+class Biclique(FrozenValue):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Union:
-    parts: tuple
+class Union(FrozenValue):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Join:
-    parts: tuple
+class Join(FrozenValue):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        set_field(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Repeat:
-    count: int
-    expr: object
+class Repeat(FrozenValue):
+    __slots__ = ("count", "expr")
+
+    def __init__(self, count, expr):
+        set_field(self, "count", count)
+        set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class Complement:
-    expr: object
+class Complement(FrozenValue):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr):
+        set_field(self, "expr", expr)
 
 
 def _check_atom(kind, n, offset=None):

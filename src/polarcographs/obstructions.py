@@ -94,7 +94,6 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import attrgetter
@@ -102,6 +101,7 @@ from operator import attrgetter
 from . import cotrees, expressions, graphs, polarity
 from .cotrees import JOIN, LEAF, UNION, Cotree, canonical_code
 from .polarity import INF
+from .values import FrozenValue, set_field
 
 # Each limit is checked in this module only.  The enumerator builds and keeps
 # every class (1,399,068 of order 15 alone): ``cograph_counts(15)`` takes
@@ -318,27 +318,33 @@ def cograph_counts(n_max, enumerator=None):
 # -- obstruction records --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(FrozenValue):
     """A minimal (s,k)-polar obstruction with its type and provenance.
 
     ``tree`` is the normalized cotree the record was mined as, with the
     profiles memoized while mining; claims read it.  It is no part of the
-    record's JSON, equality or repr: a record built without it (None) is
-    equal to one with it.
+    record's JSON, equality, hash or repr: a record built without it (None)
+    is equal to one with it.  ``s`` and ``k`` are ints or INF.
     """
 
-    code: bytes
-    order: int
-    graph6: str
-    expression: str
-    s: object  # int or INF
-    k: object
-    c: int
-    i: int
-    provenance: str
-    bound: int
-    tree: Cotree | None = field(default=None, compare=False, repr=False)
+    __slots__ = (
+        "code", "order", "graph6", "expression", "s", "k", "c", "i", "provenance", "bound",
+        "tree",
+    )
+    _fields = __slots__[:-1]
+
+    def __init__(self, code, order, graph6, expression, s, k, c, i, provenance, bound, tree=None):
+        set_field(self, "code", code)
+        set_field(self, "order", order)
+        set_field(self, "graph6", graph6)
+        set_field(self, "expression", expression)
+        set_field(self, "s", s)
+        set_field(self, "k", k)
+        set_field(self, "c", c)
+        set_field(self, "i", i)
+        set_field(self, "provenance", provenance)
+        set_field(self, "bound", bound)
+        set_field(self, "tree", tree)
 
     def sort_key(self):
         return (self.order, self.code)

@@ -52,11 +52,11 @@ enumerates all bipartitions and is the authoritative oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import cotrees, graphs
 from .cotrees import JOIN, LEAF, UNION, cotree_of
 from .graphs import Graph, bits
+from .values import FrozenValue, set_field
 
 INF = math.inf
 
@@ -490,12 +490,14 @@ class TypeAlgebra:
         return out
 
 
-@dataclass(frozen=True)
-class PolarProfile:
+class PolarProfile(FrozenValue):
     """Antichain of exact achievable signatures for a graph of order n."""
 
-    n: int
-    signatures: frozenset
+    __slots__ = ("n", "signatures")
+
+    def __init__(self, n, signatures):
+        set_field(self, "n", n)
+        set_field(self, "signatures", signatures)  # frozenset
 
     def admits(self, s, k):
         """True iff some stored signature is dominated by (s, k)."""
@@ -555,13 +557,15 @@ def profile_bruteforce(g):
 # -- witnesses -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(FrozenValue):
     """An explicit (A, B) bipartition with its exact claimed signature."""
 
-    a_mask: int
-    b_mask: int
-    signature: tuple
+    __slots__ = ("a_mask", "b_mask", "signature")
+
+    def __init__(self, a_mask, b_mask, signature):
+        set_field(self, "a_mask", a_mask)
+        set_field(self, "b_mask", b_mask)
+        set_field(self, "signature", signature)
 
 
 def validate_witness(g, w):

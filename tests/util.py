@@ -12,9 +12,12 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Callable
 
-from polarcographs import cotrees, graphs, obstructions, polarity
+from polarcographs import catalog, cotrees, graphs, obstructions, polarity
 from polarcographs.cotrees import JOIN, LEAF, UNION, Cotree
+from polarcographs.polarity import INF
 
 # every (s,k) of the grid
 ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, math.inf) for k in (0, 1, 2, 3, math.inf)]
@@ -667,3 +670,100 @@ def lemma_failures_by_graphs(records, k):
         if r.c >= 2 and r.i == 0 and non_complete < 2:
             seven.append(r.graph6)
     return five, seven
+
+
+# -- dataclass oracles --------------------------------------------------------------
+# The package's value classes as they were written with dataclasses, under the
+# same names so that their reprs read alike; the slots classes that replaced
+# them must give the same ==, hash, repr, defaults and refusal of assignment.
+
+
+@dataclass(frozen=True)
+class Atom:
+    kind: str  # 'K', 'P' or 'C'
+    n: int
+
+
+@dataclass(frozen=True)
+class Biclique:
+    a: int
+    b: int
+
+
+@dataclass(frozen=True)
+class Union:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Join:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Repeat:
+    count: int
+    expr: object
+
+
+@dataclass(frozen=True)
+class Complement:
+    expr: object
+
+
+@dataclass(frozen=True)
+class PolarProfile:
+    n: int
+    signatures: frozenset
+
+
+@dataclass(frozen=True)
+class PartitionWitness:
+    a_mask: int
+    b_mask: int
+    signature: tuple
+
+
+@dataclass(frozen=True)
+class P4Certificate:
+    vertices: tuple
+
+
+@dataclass(frozen=True)
+class ObstructionRecord:
+    code: bytes
+    order: int
+    graph6: str
+    expression: str
+    s: object  # int or INF
+    k: object
+    c: int
+    i: int
+    provenance: str
+    bound: int
+    tree: Cotree | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class VerdictReport:
+    claim: str
+    k: object
+    bound: object
+    status: str
+    expected: int = 0
+    actual: int = 0
+    missing: list = field(default_factory=list)
+    extra: list = field(default_factory=list)
+    notes: str = ""
+
+
+@dataclass(frozen=True)
+class Claim:
+    id: str
+    k_min: int | None = None
+    k_only: int | None = None
+    texts: Callable | None = None
+    covers: Callable | None = None
+    mining: tuple = (INF, None)
+    compare: Callable = catalog._compare_sets
+    check: Callable | None = None
