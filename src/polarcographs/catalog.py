@@ -4,7 +4,8 @@ Each claim is stored as concrete expressions (instantiated per k where the
 statement is parameterized) and verified against exhaustive mining by
 canonical-code set equality.  Recursive constructions are checked in both
 directions: everything the recursion builds must be mined, and everything
-mined in the claim's scope must arise from the recursion.
+mined in the claim's scope must arise from the recursion.  thm17 and thm19
+are one such check, ``_verify_lift``, given each row's scope, source and lift.
 
 Every claim is one row of the ordered table ``CLAIMS``, in ``verify_all``
 order.  A row applies at every k >= ``k_min`` (at every k, None included,
@@ -467,40 +468,18 @@ def _verify_cor20(item, claim_id, k, bound, exprs, records):
 # -- recursion claims -----------------------------------------------------------------
 
 
-def _verify_thm17(claim_id, k, cache, n_max):
-    """Type (2,1) records are exactly K1 + (K1 join H') over disconnected
-    (inf,k-1)-obstructions H' that are (1,k)-polar."""
+def _verify_lift(claim_id, k, cache, n_max, scope, source, lift, text):
+    """The (inf,k) records in ``scope`` are exactly the lifts of the (inf,k-1)
+    records in ``source`` that are (1,k)-polar.  ``scope`` and ``source`` take
+    (record, k); ``lift`` builds a lift's cotree from the source's and
+    ``text`` formats its expression from the source's."""
     bound, current = _read(cache, INF, k, n_max)
-    previous = _read(cache, INF, k - 1)[1]
     expected = {}
-    for r in previous:
-        if r.c < 2:
-            continue
-        if not polarity.profile_dp(r.tree).admits(1, k):
-            continue
-        lifted = compose(UNION, [_K1, compose(JOIN, [_K1, r.tree])])
-        expected[canonical_code(lifted)] = (lifted.order, f"K1 + K1 * ({r.expression})")
-    actual = [r for r in current if (r.c, r.i) == (2, 1)]
-    return _compare_up_to(claim_id, k, bound, expected, actual)
-
-
-def _verify_thm19(claim_id, k, cache, n_max):
-    """Every type (c,p) record with 1 <= p <= c-2 is K2 + (a type (c-1,p)
-    record at level k-1 that is (1,k)-polar), and conversely."""
-    bound, current = _read(cache, INF, k, n_max)
-    previous = _read(cache, INF, k - 1)[1]
-    expected = {}
-    scoped = []
-    for c in range(3, k + 3):
-        for p in range(1, c - 1):
-            scoped.extend(r for r in current if (r.c, r.i) == (c, p))
-            for r in previous:
-                if (r.c, r.i) != (c - 1, p):
-                    continue
-                if not polarity.profile_dp(r.tree).admits(1, k):
-                    continue
-                lifted = compose(UNION, [_K2, r.tree])
-                expected[canonical_code(lifted)] = (lifted.order, f"K2 + {r.expression}")
+    for r in _read(cache, INF, k - 1)[1]:
+        if source(r, k) and polarity.profile_dp(r.tree).admits(1, k):
+            lifted = lift(r.tree)
+            expected[canonical_code(lifted)] = (lifted.order, text.format(r.expression))
+    scoped = [r for r in current if scope(r, k)]
     return _compare_up_to(claim_id, k, bound, expected, scoped)
 
 
@@ -594,22 +573,28 @@ def _is_m_k2(t, m):
 
 
 def _admits_thm11_split(t, k):
+    """Whether t's components split into sides H1 + H2 with k1 + k2 - 1 = k
+    that meet conditions 1-3.  A union's (1,m) level is the sum of its
+    parts' levels, so the sum holds for every split or for none and is
+    tested once; each side's level is the sum of its components'."""
     comps = _components(t)
     m = len(comps)
     if m < 2:
         return False
+    levels = [_min_one_k(c) for c in comps]
+    if None in levels or sum(levels) != k + 1:
+        return False
     for pick in range(1, 1 << (m - 1)):  # fix comps[m-1] on side 2
-        h1 = compose(UNION, [c for idx, c in enumerate(comps) if pick >> idx & 1])
-        h2 = compose(UNION, [c for idx, c in enumerate(comps) if not pick >> idx & 1])
-        k1 = _min_one_k(h1)
-        k2 = _min_one_k(h2)
-        if k1 is None or k2 is None or k1 + k2 - 1 != k:
-            continue
+        k1 = sum(level for idx, level in enumerate(levels) if pick >> idx & 1)
+        k2 = k + 1 - k1
         if k1 < 1 or k2 < 1:
             continue
-        if not (_aitch_conditions(h1, k1) and _aitch_conditions(h2, k2)):
+        h1 = compose(UNION, [c for idx, c in enumerate(comps) if pick >> idx & 1])
+        if not _aitch_conditions(h1, k1):
             continue
-        return True
+        h2 = compose(UNION, [c for idx, c in enumerate(comps) if not pick >> idx & 1])
+        if _aitch_conditions(h2, k2):
+            return True
     return False
 
 
@@ -784,8 +769,30 @@ CLAIMS = (
     Claim("thm21", k_only=2, texts=lambda k: THM21_LIST),
     Claim("thm22", k_only=3, texts=lambda k: THM22_LIST),
     Claim("thm11", k_min=2, check=_verify_thm11),
-    Claim("thm17", k_min=2, check=_verify_thm17),
-    Claim("thm19", k_min=1, check=_verify_thm19),
+    # type (2,1): K1 + (K1 join H) over the disconnected level-(k-1) records H
+    Claim(
+        "thm17",
+        k_min=2,
+        check=partial(
+            _verify_lift,
+            scope=lambda r, k: (r.c, r.i) == (2, 1),
+            source=lambda r, k: r.c >= 2,
+            lift=lambda h: compose(UNION, [_K1, compose(JOIN, [_K1, h])]),
+            text="K1 + K1 * ({})",
+        ),
+    ),
+    # type (c,p), 1 <= p <= c-2 <= k: K2 + H over the type (c-1,p) level-(k-1) records H
+    Claim(
+        "thm19",
+        k_min=1,
+        check=partial(
+            _verify_lift,
+            scope=lambda r, k: 1 <= r.i <= r.c - 2 <= k,
+            source=lambda r, k: 1 <= r.i <= r.c - 1 <= k,
+            lift=lambda h: compose(UNION, [_K2, h]),
+            text="K2 + {}",
+        ),
+    ),
     Claim("conj1", k_min=2, check=_check_conj1),
     Claim("conj2", k_min=1, check=_check_conj2),
     Claim("sixteen-note", check=_sixteen_note),

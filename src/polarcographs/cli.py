@@ -94,6 +94,12 @@ def _graph_payload(g):
     }
 
 
+def _p4_json(certificate):
+    """The JSON line that reports a graph as not a cograph, with its induced P4."""
+    payload = {"cograph": False, "p4": list(certificate.vertices), "version": __version__}
+    return json.dumps(payload, sort_keys=True)
+
+
 def _format_graph(g, fmt):
     if fmt == "graph6":
         return graphs.graph6_encode(g)
@@ -125,12 +131,7 @@ def cmd_recognize(args):
     except graphs.GraphError as exc:  # the order-0 graph has no cotree
         raise CliError(str(exc), EXIT_PARSE)
     if isinstance(result, cotrees.P4Certificate):
-        payload = {
-            "cograph": False,
-            "p4": list(result.vertices),
-            "version": __version__,
-        }
-        _emit(json.dumps(payload, sort_keys=True), args.out)
+        _emit(_p4_json(result), args.out)
         return EXIT_NOT_COGRAPH
     payload = {
         "cograph": True,
@@ -148,12 +149,7 @@ def _require_profile(g):
     try:
         return polarity.profile_of_graph(g)
     except NotCographError as exc:
-        payload = {
-            "cograph": False,
-            "p4": list(exc.certificate.vertices),
-            "version": __version__,
-        }
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        print(_p4_json(exc.certificate), file=sys.stderr)
         raise CliError(str(exc), EXIT_NOT_COGRAPH)
 
 
@@ -175,8 +171,6 @@ def _oracle_disagrees(args, g, prof, payload):
 def cmd_polarity(args):
     s = _parse_param(args.s, "s")
     k = _parse_param(args.k, "k")
-    if s is None or k is None:
-        raise CliError("polarity requires --s and --k", EXIT_PARSE)
     g = _read_input(args.input, force_graph6=args.graph6)
     prof = _require_profile(g)
     verdict, witness = polarity.is_polar(g, s, k)
@@ -188,9 +182,7 @@ def cmd_polarity(args):
         "signatures": [list(sig) for sig in prof.sorted_signatures()],
         "version": __version__,
     }
-    if witness is not None:
-        if not polarity.validate_witness(g, witness):
-            raise CliError("witness failed validation", EXIT_VERIFY_FAIL)
+    if witness is not None:  # is_polar has re-validated it against g
         payload["witness"] = {
             "A": sorted(graphs.bits(witness.a_mask)),
             "B": sorted(graphs.bits(witness.b_mask)),
@@ -220,8 +212,6 @@ def cmd_profile(args):
 def cmd_mine(args):
     s = _parse_param(args.s, "s")
     k = _parse_param(args.k, "k")
-    if s is None or k is None:
-        raise CliError("mine requires --s and --k", EXIT_PARSE)
     n_max = args.n_max if args.n_max is not None else catalog.conjectured_order(k)
     _check_bound(n_max)
     records = obstructions.mine_obstructions(s, k, n_max)
@@ -358,23 +348,23 @@ def build_parser():
     return parser
 
 
+# the errors main reports on stderr, with their exit codes; a CliError carries its own
+_EXIT_CODES = {
+    BoundExceededError: EXIT_BOUND,
+    NotCographError: EXIT_NOT_COGRAPH,
+    ExprError: EXIT_PARSE,
+}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except NotCographError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_COGRAPH
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def entry():

@@ -4,7 +4,7 @@ Vertices are 0..n-1.  Each row is a Python int used as a bit vector, so
 intersection, union and popcount are single machine operations for the
 orders this library ever touches (hard cap 64; enumeration stays <= 15 and
 mining <= 40).
-Graphs are immutable after construction and safe to share between workers.
+Graphs are immutable after construction.
 """
 
 from __future__ import annotations

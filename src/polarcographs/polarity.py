@@ -529,7 +529,7 @@ def profile_dp(t):
 def profile_of_graph(g):
     """Profile of a cograph given as a Graph; raises NotCographError otherwise."""
     if g.n == 0:
-        return PolarProfile(0, frozenset({(0, 0)}))
+        return PolarProfile(0, _EMPTY_SIGS)
     return profile_dp(cotree_of(g))
 
 
@@ -540,7 +540,7 @@ def profile_bruteforce(g):
             f"brute-force profile limited to order {BRUTE_FORCE_MAX_ORDER}"
         )
     if g.n == 0:
-        return PolarProfile(0, frozenset({(0, 0)}))
+        return PolarProfile(0, _EMPTY_SIGS)
     full = g.full_mask()
     sigs = set()
     for a_mask in range(full + 1):

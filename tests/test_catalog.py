@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from polarcographs.obstructions import (
 )
 from polarcographs.polarity import INF
 
+import util
 from util import components_graphs, has_p3_component, is_complete, lemma_failures_by_graphs
 
 
@@ -194,6 +196,77 @@ def test_recursion_compares_only_graphs_within_the_bound(cache, claim, k, n_max,
     assert report.status == ("PASS" if kept else "INCONCLUSIVE")
     default = verify_claim(claim, k, cache=cache)
     assert default.status == "PASS" and "left out" not in default.notes
+
+
+# the default bound at k = 1..10, and the bounds of
+# test_recursion_compares_only_graphs_within_the_bound
+@pytest.mark.parametrize("k, n_max", [(k, None) for k in range(1, 11)] + [(3, 5), (3, 9), (3, 10)])
+def test_lift_checks_match_the_hand_written_ones(cache, k, n_max):
+    # thm17 and thm19 as one lift check give the reports of the two loops
+    # they replaced, notes included
+    for claim_id, oracle in (("thm17", util.verify_thm17), ("thm19", util.verify_thm19)):
+        if catalog._row(claim_id).applies_at(k):
+            report = verify_claim(claim_id, k, cache=cache, n_max=n_max)
+            assert report.to_json() == oracle(claim_id, k, cache, n_max).to_json()
+
+
+class _AdmitsEverything:
+    def admits(self, s, k):
+        return True
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_a_lift_check_without_the_polar_filter_fails(monkeypatch, cache, k):
+    # every (inf,k-1) source lifted, (1,k)-polar or not: more graphs are
+    # built than mined, so both rows must FAIL
+    for claim_id in ("thm17", "thm19"):
+        verify_claim(claim_id, k, cache=cache)  # mines both levels unpatched
+    unfiltered = SimpleNamespace(profile_dp=lambda t: _AdmitsEverything())
+    monkeypatch.setattr(catalog, "polarity", unfiltered)
+    for claim_id in ("thm17", "thm19"):
+        report = verify_claim(claim_id, k, cache=cache)
+        assert report.status == "FAIL" and report.missing, (claim_id, k)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_thm11_split_reads_the_level_sum_once(cache, k):
+    # the split test agrees with composing and profiling both sides of every
+    # split, on every record thm11 scopes
+    for r in catalog._read(cache, INF, k)[1]:
+        if r.c >= 2 and r.i == 0 and not catalog._has_p3_component(r.tree):
+            assert catalog._admits_thm11_split(r.tree, k) == util.admits_thm11_split(r.tree, k)
+
+
+def test_thm11_split_matches_on_random_unions():
+    # unions of 2-4 connected cographs, most of which have no split, at
+    # their own level sum and beside it
+    rng = random.Random(11)
+    verdicts = Counter()
+    for _ in range(300):
+        sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+        comps = [util.random_cotree(rng, n, cotrees.JOIN) for n in sizes]
+        t = cotrees.compose(cotrees.UNION, comps)
+        levels = [catalog._min_one_k(c) for c in comps]
+        near = sum(levels) - 1 if None not in levels else 3
+        for k in (near - 1, near, near + 1):
+            got = catalog._admits_thm11_split(t, k)
+            assert got == util.admits_thm11_split(t, k)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_a_unions_one_k_level_is_the_sum_of_its_sides():
+    # a disjoint union splits into an independent set and cliques side by
+    # side, so its least (1,m) level adds up, and is None when a side has none
+    rng = random.Random(4000)
+    nones = 0
+    for _ in range(4000):
+        a, b = (util.random_cotree(rng, rng.randint(1, 7)) for _ in range(2))
+        la, lb = catalog._min_one_k(a), catalog._min_one_k(b)
+        want = None if la is None or lb is None else la + lb
+        assert catalog._min_one_k(cotrees.compose(cotrees.UNION, [a, b])) == want
+        nones += want is None
+    assert 0 < nones < 4000
 
 
 class _PlanCache:

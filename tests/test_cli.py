@@ -60,6 +60,27 @@ def test_recognize_p4_certificate(capsys):
     assert len(payload["p4"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv", [["profile", "Ch", "--graph6"], ["polarity", "Ch", "--graph6", "--s", "1", "--k", "1"]]
+)
+def test_a_non_cograph_profile_writes_its_p4_to_stderr(capsys, argv):
+    # the same P4 payload recognize prints, then the error line; exit 3
+    _, p4, _ = run(capsys, "recognize", "Ch", "--graph6")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    first, second = err.splitlines()
+    assert first + "\n" == p4
+    assert second.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["polarity", "K2", "--s", "1"], ["mine", "--k", "2"]])
+def test_s_and_k_are_required(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert "--" in capsys.readouterr().err
+
+
 def test_polarity_not_polar(capsys):
     code, out, _ = run(capsys, "polarity", "K1 + 3K2", "--s", "inf", "--k", "2")
     assert code == 0
@@ -240,6 +261,13 @@ def test_verify_missing_catalog_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "thm21", "--k", "2", "--catalog-dir", str(tmp_path))
     assert code == 2
     assert str(tmp_path / "thm21.k2.txt") in err
+
+
+def test_unparsable_catalog_file_is_a_parse_error(capsys, tmp_path):
+    (tmp_path / "fig1.txt").write_text("P4\n")
+    code, out, err = run(capsys, "verify", "fig1", "--catalog-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "P4" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

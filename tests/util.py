@@ -672,6 +672,71 @@ def lemma_failures_by_graphs(records, k):
     return five, seven
 
 
+# -- recursion-check oracles ----------------------------------------------------------
+# thm17's and thm19's checks as two hand-written loops, and thm11's split test
+# composing and profiling both sides of every split, as they were before
+# ``catalog._verify_lift`` and the level sum read once per record.
+
+
+def verify_thm17(claim_id, k, cache, n_max):
+    """Type (2,1) records are exactly K1 + (K1 join H') over disconnected
+    (inf,k-1)-obstructions H' that are (1,k)-polar."""
+    bound, current = catalog._read(cache, INF, k, n_max)
+    previous = catalog._read(cache, INF, k - 1)[1]
+    expected = {}
+    for r in previous:
+        if r.c < 2:
+            continue
+        if not polarity.profile_dp(r.tree).admits(1, k):
+            continue
+        joined = cotrees.compose(JOIN, [catalog._K1, r.tree])
+        lifted = cotrees.compose(UNION, [catalog._K1, joined])
+        expected[cotrees.canonical_code(lifted)] = (lifted.order, f"K1 + K1 * ({r.expression})")
+    actual = [r for r in current if (r.c, r.i) == (2, 1)]
+    return catalog._compare_up_to(claim_id, k, bound, expected, actual)
+
+
+def verify_thm19(claim_id, k, cache, n_max):
+    """Every type (c,p) record with 1 <= p <= c-2 is K2 + (a type (c-1,p)
+    record at level k-1 that is (1,k)-polar), and conversely."""
+    bound, current = catalog._read(cache, INF, k, n_max)
+    previous = catalog._read(cache, INF, k - 1)[1]
+    expected = {}
+    scoped = []
+    for c in range(3, k + 3):
+        for p in range(1, c - 1):
+            scoped.extend(r for r in current if (r.c, r.i) == (c, p))
+            for r in previous:
+                if (r.c, r.i) != (c - 1, p):
+                    continue
+                if not polarity.profile_dp(r.tree).admits(1, k):
+                    continue
+                lifted = cotrees.compose(UNION, [catalog._K2, r.tree])
+                expected[cotrees.canonical_code(lifted)] = (lifted.order, f"K2 + {r.expression}")
+    return catalog._compare_up_to(claim_id, k, bound, expected, scoped)
+
+
+def admits_thm11_split(t, k):
+    """thm11's split test profiling both composed sides of every split."""
+    comps = catalog._components(t)
+    m = len(comps)
+    if m < 2:
+        return False
+    for pick in range(1, 1 << (m - 1)):  # fix comps[m-1] on side 2
+        h1 = cotrees.compose(UNION, [c for idx, c in enumerate(comps) if pick >> idx & 1])
+        h2 = cotrees.compose(UNION, [c for idx, c in enumerate(comps) if not pick >> idx & 1])
+        k1 = catalog._min_one_k(h1)
+        k2 = catalog._min_one_k(h2)
+        if k1 is None or k2 is None or k1 + k2 - 1 != k:
+            continue
+        if k1 < 1 or k2 < 1:
+            continue
+        if not (catalog._aitch_conditions(h1, k1) and catalog._aitch_conditions(h2, k2)):
+            continue
+        return True
+    return False
+
+
 # -- dataclass oracles --------------------------------------------------------------
 # The package's value classes as they were written with dataclasses, under the
 # same names so that their reprs read alike; the slots classes that replaced
