@@ -100,11 +100,6 @@ def P(n):
     return Atom("P", n)
 
 
-def C(n):
-    _check_atom("C", n)
-    return Atom("C", n)
-
-
 def Kbip(a, b):
     if a < 1 or b < 1:
         raise ValueError("biclique parts must be positive")
@@ -140,10 +135,6 @@ def repeat(count, expr):
     if count == 1:
         return expr
     return Repeat(count, expr)
-
-
-def comp(expr):
-    return Complement(expr)
 
 
 # -- parser -------------------------------------------------------------------
@@ -336,21 +327,8 @@ def _fmt(e, need):
 
 
 def unparse(e):
-    """Canonical text; parsing it back gives the same AST after normalization."""
+    """Canonical text; parsing the text of a parsed AST gives the same AST back."""
     return _fmt(e, _LEVEL_UNION)
-
-
-def normalize(e):
-    """Flatten nested unions/joins and drop unit repeats."""
-    if isinstance(e, Union):
-        return union(*[normalize(p) for p in e.parts])
-    if isinstance(e, Join):
-        return joined(*[normalize(p) for p in e.parts])
-    if isinstance(e, Repeat):
-        return repeat(e.count, normalize(e.expr))
-    if isinstance(e, Complement):
-        return Complement(normalize(e.expr))
-    return e
 
 
 # -- catalog file format --------------------------------------------------------

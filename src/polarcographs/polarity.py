@@ -10,17 +10,21 @@ an unbounded side.
 Profiles are memoized on the nodes, so subtrees shared between trees are
 solved once.  Each node's shape (at least two children, labels alternating)
 is checked once, on its first profile computation, before the memo is
-written; a malformed node therefore never carries a profile.  A node's
+written; a malformed node therefore never carries a profile.  One pair
+rule, ``_point``, gives the signature of op(G1, G2) from one signature of
+each side, or None; every merge, witness and type reads it.  A node's
 children are folded through one memo per label (``_merged``), keyed by the
 two reduced profiles, so equal profiles met in different trees are merged
-and reduced once.  The reduced merge depends on the two antichains alone,
-so the memo is exact; like ``obstructions._ENUMERATOR`` it lives as long as
-the process.  It is small: 498 entries after ``verify_all(3)``, 1,891 after
-``mine_obstructions(INF, 10, 34)`` and 2,902 after ``(INF, 12, 40)``, each
-in a new process.  Witnesses rebuild their fold prefixes through it too, and
-``deleted_profiles`` folds a class's one-vertex deletions through it from
-its children's profiles and their own deleted profiles, exactly, with no
-deleted tree built; the caller keeps those sets by code.
+and reduced once; a miss reduces the rule's points over the two profiles.
+The reduced merge depends on the two antichains alone, so the memo is
+exact; like ``obstructions._ENUMERATOR`` it lives as long as the process.
+It is small: 420 entries after ``verify_all(3)``, 1,887 after
+``mine_obstructions(INF, 10, 34)`` and 2,898 after ``(INF, 12, 40)``,
+each in a new process.  Witnesses rebuild their fold prefixes through it
+and pick each child's signature by the pair rule, and ``deleted_profiles``
+folds (profile, deleted set) pairs of a node's children through it, the
+one-vertex deletions exactly, with no deleted tree built; the caller keeps
+those sets by code.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
 profile and its least polar one-leaf-deleted profiles, with every signature
@@ -55,7 +59,7 @@ import math
 
 from . import cotrees, graphs
 from .cotrees import JOIN, LEAF, UNION, cotree_of
-from .graphs import Graph, bits
+from .graphs import bits
 from .values import FrozenValue, set_field
 
 INF = math.inf
@@ -91,41 +95,34 @@ def _reduce(sigs):
     return frozenset(kept)
 
 
-def _merge_union(p1, p2):
-    """Exact signatures of a disjoint union from exact child signatures.
+def _fuse(u, v):
+    """The count of a side that a merge fuses, from its two counts, or None.
 
-    Cluster components add.  The A side survives only if one part is empty,
-    or both are single independent parts that merge into one.
+    The other count when one is 0, 1 when both are 1, and otherwise None: the
+    pair gives no signature.
     """
-    out = set()
-    for s1, k1 in p1:
-        for s2, k2 in p2:
-            k = k1 + k2
-            if s1 == 0:
-                out.add((s2, k))
-            elif s2 == 0:
-                out.add((s1, k))
-            elif s1 == 1 and s2 == 1:
-                out.add((1, k))
-    return out
+    if u == 0:
+        return v
+    if v == 0:
+        return u
+    return 1 if u == v == 1 else None
 
 
-def _merge_join(p1, p2):
-    """Dual rule: parts add; B sides must be empty or single cliques that merge."""
-    out = set()
-    for s1, k1 in p1:
-        for s2, k2 in p2:
-            s = s1 + s2
-            if k1 == 0:
-                out.add((s, k2))
-            elif k2 == 0:
-                out.add((s, k1))
-            elif k1 == 1 and k2 == 1:
-                out.add((s, 1))
-    return out
+def _point(op, a, b):
+    """The signature of op(G1, G2) from one signature of each side, or None.
 
+    The pair rule of both merges.  Across a union the cliques of B add and
+    the parts of A fuse: A survives only if one side's A is empty, or both
+    are single independent parts that merge into one.  Across a join the
+    parts of A add and the cliques of B fuse.
+    """
+    (s1, k1), (s2, k2) = a, b
+    if op == UNION:
+        s = _fuse(s1, s2)
+        return None if s is None else (s, k1 + k2)
+    k = _fuse(k1, k2)
+    return None if k is None else (s1 + s2, k)
 
-_MERGES = {UNION: _merge_union, JOIN: _merge_join}
 
 # label -> (left profile, right profile) -> their reduced merge; exact, so it
 # lives as long as the process, like ``obstructions._ENUMERATOR``
@@ -133,36 +130,23 @@ _MERGED = {UNION: {}, JOIN: {}}
 
 
 def _merged(op, p, q):
-    """The reduced op-merge of two reduced profiles, computed once per (op, p, q)."""
-    memo = _MERGED[op]
-    out = memo.get((p, q))
-    if out is None:
-        out = memo[p, q] = _reduce(_MERGES[op](p, q))
-    return out
+    """The reduced op-merge of two reduced profiles, computed once per (op, p, q).
 
-
-def _fold(op, p, q):
-    """``_merged``, but the empty graph's profile, the identity of both merges,
-    gives the other profile with no memo entry."""
+    The merge is the set of the pair rule's points over p x q.  The empty
+    graph's profile, the identity of both merges, gives the other profile
+    with no memo entry.
+    """
     if p is _EMPTY_SIGS:
         return q
     if q is _EMPTY_SIGS:
         return p
-    return _merged(op, p, q)
-
-
-def _fuse(u, v):
-    """The count of a side that a merge fuses, from its two counts, or None.
-
-    The other count when one is 0, 1 when both are 1, and otherwise None: the
-    pair gives no signature.  It is the A side of a union, as in
-    ``_merge_union``, and the B side of a join, as in ``_merge_join``.
-    """
-    if u == 0:
-        return v
-    if v == 0:
-        return u
-    return 1 if u == v == 1 else None
+    memo = _MERGED[op]
+    out = memo.get((p, q))
+    if out is None:
+        points = {_point(op, a, b) for a in p for b in q}
+        points.discard(None)
+        out = memo[p, q] = _reduce(points)
+    return out
 
 
 def _node_profile(t):
@@ -186,17 +170,17 @@ def deleted_profiles(t, memo):
     """The distinct exact profiles of t's one-vertex deletions, memoized in ``memo`` by code.
 
     A leaf's one deletion is the empty graph, whose profile is the identity
-    of both merges.  A deletion in an internal node's child c is c minus a
-    vertex, put back under the node with the other children: so its profile
-    is a deleted profile of c merged with the fold of the other children,
-    which is read from the prefix and suffix folds.  The merges are exact,
-    commutative and associative on reduced profiles, so that is the profile
-    of the rebuilt tree, whether c's deletion is spliced in (same label),
-    empty, or leaves the node with one child.  Only the first of a run of
-    children with equal codes is descended into, as in
-    ``obstructions._deletion_leaves``: equal children give equal deletions.
-    The sets depend on t alone; ``memo`` keeps each one for every subtree
-    folded, as a frozenset.
+    of both merges.  An internal node is a left fold of (profile, deleted
+    set) pairs by the pair rule, the rule ``TypeAlgebra.combine`` applies to
+    capped types: a deletion of op(G1, G2) deletes a vertex of G1 or of G2,
+    so after each child c the set is that of the fold so far, each merged
+    with c's profile, and c's own deleted profiles, each merged with the
+    fold so far.  The merges are exact, commutative and associative on
+    reduced profiles, so that is the profile of the rebuilt tree, whether
+    c's deletion is spliced in (same label), empty, or leaves the node with
+    one child.  Equal children are folded once, through ``memo``, and the
+    set drops the equal deletions they give.  The sets depend on t alone;
+    ``memo`` keeps each one for every subtree folded, as a frozenset.
     """
     code = cotrees.canonical_code(t)
     out = memo.get(code)
@@ -206,19 +190,13 @@ def deleted_profiles(t, memo):
         out = frozenset({_EMPTY_SIGS})
     else:
         _node_profile(t)  # checks the shape of every node below
-        op, kids = t.op, t.children
-        # suffixes[i]: the fold of the children after i
-        suffixes = [_EMPTY_SIGS] * len(kids)
-        for i in range(len(kids) - 2, -1, -1):
-            suffixes[i] = _fold(op, kids[i + 1]._profile, suffixes[i + 1])
-        found = set()
-        prefix, previous = _EMPTY_SIGS, None  # the fold of the children before the next
-        for kid, suffix in zip(kids, suffixes):
-            if cotrees.canonical_code(kid) != previous:
-                previous = kid._code
-                rest = _fold(op, prefix, suffix)
-                found.update(_fold(op, rest, d) for d in deleted_profiles(kid, memo))
-            prefix = _fold(op, prefix, kid._profile)
+        op = t.op
+        prefix, found = _EMPTY_SIGS, set()  # the fold of the children so far, and its deletions
+        for kid in t.children:
+            prof = kid._profile
+            found = {_merged(op, d, prof) for d in found}
+            found.update(_merged(op, prefix, d) for d in deleted_profiles(kid, memo))
+            prefix = _merged(op, prefix, prof)
         out = frozenset(found)
     memo[code] = out
     return out
@@ -284,24 +262,24 @@ class TypeAlgebra:
     up-sets, so the mask of a merge is the OR, over pairs of minimal points
     a and b, of a point table's entry: the up-set mask of the capped
     op({a}, {b}), 0 when the pair gives no signature.  That merge has at
-    most one point, which the point rule gives: a union adds the clique
-    counts and fuses the part counts (``_fuse``), a join the reverse, each
-    sum capped.  A profile's minimal points are found only when its mask is
-    first met.  Merges are memoized per label, per left profile id, on the
-    right id.  A type is known only by its number, keyed by its profile id
-    and the bitset of its deleted-profile ids (``sink``, numbered after
-    ``empty`` and ``leaf``, has no key); "least polar" is a strict mask
-    inclusion test between two candidates, so a miss of ``combine`` builds
-    the key's bitset as it filters its few candidates, with no sort, and
-    reads the type by that key.  ``hit`` and ``live`` test the one bit of
-    (min(s, cs), min(k, ck)).  Every type is built from ``empty`` (the empty
-    graph's, the identity of the pair rule) and ``leaf`` by ``combine``,
-    which fills one successor row per label and right-hand type j, mapping
-    each type i met with it to the number of op(i, j), and counts the
-    entries it fills in ``pairs``; a caller that applies the same j many
-    times reads ``row`` once and calls ``combine`` only on a miss.  The
-    tables live as long as the algebra and are bounded by the number of
-    types and capped profiles, which are finite for each (s, k).
+    most one point, the pair rule's ``_point(op, a, b)``, capped; the tables
+    are filled from it once per algebra.  A profile's minimal points are
+    found only when its mask is first met.  Merges are memoized per label,
+    per left profile id, on the right id.  A type is known only by its
+    number, keyed by its profile id and the bitset of its deleted-profile
+    ids (``sink``, numbered after ``empty`` and ``leaf``, has no key);
+    "least polar" is a strict mask inclusion test between two candidates,
+    so a miss of ``combine`` builds the key's bitset as it filters its few
+    candidates, with no sort, and reads the type by that key.  ``hit`` and
+    ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type is
+    built from ``empty`` (the empty graph's, the identity of the pair rule)
+    and ``leaf`` by ``combine``, which fills one successor row per label
+    and right-hand type j, mapping each type i met with it to the number of
+    op(i, j), and counts the entries it fills in ``pairs``; a caller that
+    applies the same j many times reads ``row`` once and calls ``combine``
+    only on a miss.  The tables live as long as the algebra and are bounded
+    by the number of types and capped profiles, which are finite for each
+    (s, k).
     """
 
     def __init__(self, s, k):
@@ -321,19 +299,6 @@ class TypeAlgebra:
             (1 << (b - ck - 1) if x else 0) | (1 << (b - 1) if y else 0)
             for b, (x, y) in enumerate(box)
         ]
-        # label -> box index a -> box index b -> up-set mask of the capped op({a}, {b}):
-        # a union adds cliques and fuses the parts, a join the reverse
-        up, width = self._up, ck + 1
-        self._tables = {UNION: [], JOIN: []}
-        for x1, y1 in box:
-            unions, joins = [], []
-            for x2, y2 in box:
-                x = _fuse(x1, x2)
-                unions.append(0 if x is None else up[x * width + min(y1 + y2, ck)])
-                y = _fuse(y1, y2)
-                joins.append(0 if y is None else up[min(x1 + x2, cs) * width + y])
-            self._tables[UNION].append(unions)
-            self._tables[JOIN].append(joins)
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._ids = {}  # polar mask -> profile id
@@ -341,11 +306,18 @@ class TypeAlgebra:
         self._numbers = {}  # (profile id, bitset of deleted-profile ids) -> number
         self._merged = {UNION: [], JOIN: []}  # label -> left id -> right id -> merged id
         self._rows = {UNION: {}, JOIN: {}}
+        # label -> box index a -> box index b -> up-set mask of the capped
+        # op({a}, {b}), 0 when the pair gives no signature
+        self._tables = {UNION: [], JOIN: []}
+        for op, table in self._tables.items():
+            for a in box:
+                points = (_point(op, a, b) for b in box)
+                table.append([0 if point is None else self._mask((point,)) for point in points])
         # the empty graph's type, the identity of the pair rule, and the leaf's,
         # whose one deletion is the empty graph
         nothing = self._intern(self._mask(_EMPTY_SIGS))
-        self.empty = self._number(nothing, ())
-        self.leaf = self._number(self._intern(self._mask(_LEAF_SIGS)), (nothing,))
+        self.empty = self._new_type(nothing, 0)
+        self.leaf = self._new_type(self._intern(self._mask(_LEAF_SIGS)), 1 << nothing)
         # every type that is neither live nor a hit; it has no key
         self.sink = len(self._keys)
         self._keys.append(None)
@@ -372,17 +344,6 @@ class TypeAlgebra:
             for memo in self._merged.values():
                 memo.append({})
         return p
-
-    def _number(self, p, dels):
-        """The number of the type of profile id p and deleted-profile ids ``dels``,
-        numbered if it is new."""
-        deleted = 0
-        for d in dels:
-            deleted |= 1 << d
-        i = self._numbers.get((p, deleted))
-        if i is None:
-            i = self._new_type(p, deleted)
-        return i
 
     def _new_type(self, p, deleted):
         """Number the type keyed by profile id p and the bitset of its deleted-profile ids.
@@ -593,23 +554,20 @@ def _assign(t, sig, ids, next_leaf, a_list, b_list):
         else:
             b_list.append(v)
         return next_leaf + 1
-    merge = _MERGES[t.op]
+    op = t.op
     # Rebuild the left-to-right fold prefixes, then peel children off the right.
     prefixes = [_node_profile(t.children[0])]
     for child in t.children[1:]:
-        prefixes.append(_merged(t.op, prefixes[-1], _node_profile(child)))
+        prefixes.append(_merged(op, prefixes[-1], _node_profile(child)))
     targets = [None] * len(t.children)
     want = sig
     for i in range(len(t.children) - 1, 0, -1):
-        child_prof = _node_profile(t.children[i])
-        found = None
-        for left in sorted(prefixes[i - 1]):
-            for right in sorted(child_prof):
-                if want in merge({left}, {right}):
-                    found = (left, right)
-                    break
-            if found:
-                break
+        pairs = (
+            (left, right)
+            for left in sorted(prefixes[i - 1])
+            for right in sorted(_node_profile(t.children[i]))
+        )
+        found = next((pair for pair in pairs if _point(op, *pair) == want), None)
         if found is None:  # pragma: no cover - sig always comes from the same fold
             raise AssertionError("signature not reachable in DP reconstruction")
         targets[i] = found[1]

@@ -91,11 +91,6 @@ def test_builders_validate():
     assert isinstance(expressions.union(expressions.K(1), expressions.union(expressions.K(1), expressions.K(2))), Union)
 
 
-def test_normalize_flattens():
-    e = Union((Union((Atom("K", 1), Atom("K", 1))), Atom("K", 2)))
-    assert len(expressions.normalize(e).parts) == 3
-
-
 def test_trailing_input_rejected():
     with pytest.raises(ExprError):
         parse("K2)")

@@ -762,9 +762,13 @@ class MostPolarAlgebra(polarity.TypeAlgebra):
             def above(e, d):  # e's polar pairs strictly contain d's
                 return polar[e] != polar[d] and not polar[d] & ~polar[e]
 
-            most = [d for d in dels if not any(above(e, d) for e in dels)]
+            deleted = sum(1 << d for d in dels if not any(above(e, d) for e in dels))
+            key = (self._merge(op, p1, p2), deleted)
             self.pairs += 1
-            out = row[i] = self._number(self._merge(op, p1, p2), most)
+            out = self._numbers.get(key)
+            if out is None:
+                out = self._new_type(*key)
+            row[i] = out
         return out
 
 

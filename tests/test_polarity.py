@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,15 @@ from polarcographs.graphs import Graph
 from polarcographs.polarity import INF
 
 from util import (
+    MERGES,
     ORACLE_PAIRS,
     SetTypeAlgebra,
     deletion_profiles,
     deletions_admit_materialised,
     least_polar,
     memo_free_copy,
+    merge_join,
+    merge_union,
     polar_pairs,
     profile_form,
     profile_of_id,
@@ -202,7 +206,26 @@ def test_merge_memo_holds_the_reduced_merges():
     for op, memo in polarity._MERGED.items():
         assert memo
         for (p, q), merged in memo.items():
-            assert merged == polarity._reduce(polarity._MERGES[op](p, q))
+            assert merged == polarity._reduce(MERGES[op](p, q))
+
+
+def test_the_pair_rule_gives_the_one_point_of_the_merge_of_points():
+    for op in (UNION, JOIN):
+        for a in itertools.product(range(5), repeat=2):
+            for b in itertools.product(range(5), repeat=2):
+                merged = MERGES[op]({a}, {b})
+                assert len(merged) <= 1, (op, a, b)
+                want = next(iter(merged)) if merged else None
+                assert polarity._point(op, a, b) == want, (op, a, b)
+
+
+def test_the_empty_profile_passes_through_the_merge_memo():
+    q = polarity.profile_dp(cotrees.cotree_of(_graph("P3 + K2"))).signatures
+    entries = sum(map(len, polarity._MERGED.values()))
+    for op in (UNION, JOIN):
+        assert polarity._merged(op, polarity._EMPTY_SIGS, q) is q
+        assert polarity._merged(op, q, polarity._EMPTY_SIGS) is q
+    assert sum(map(len, polarity._MERGED.values())) == entries
 
 
 def test_profiles_agree_from_a_cleared_and_a_warm_memo():
@@ -285,7 +308,7 @@ def test_capping_commutes_with_merges_and_complement():
             complement = frozenset((b, a) for a, b in p)
             assert swap == polarity.cap_profile(complement, swapped_caps)
             for q in profiles:
-                for merge in (polarity._merge_union, polarity._merge_join):
+                for merge in (merge_union, merge_join):
                     assert polarity.cap_profile(merge(p, q), caps) == polarity.cap_profile(
                         merge(capped[p], capped[q]), caps
                     ), (p, q, caps, merge.__name__)
@@ -408,7 +431,7 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
 
     def capped(op, p, q):
         if (op, p, q) not in merged:
-            merged[(op, p, q)] = polarity.cap_profile(polarity._MERGES[op](p, q), caps)
+            merged[(op, p, q)] = polarity.cap_profile(MERGES[op](p, q), caps)
         return merged[(op, p, q)]
 
     combined = 0
@@ -460,7 +483,7 @@ def test_point_tables_hold_the_capped_merges_of_points(s, k):
         assert len(table) == len(box)
         for a, entries in zip(box, table, strict=True):
             for b, mask in zip(box, entries, strict=True):
-                prof = polarity.cap_profile(polarity._MERGES[op]({a}, {b}), caps)
+                prof = polarity.cap_profile(MERGES[op]({a}, {b}), caps)
                 if prof not in ups:
                     ups[prof] = sum(1 << (x * (ck + 1) + y) for x, y in polar_pairs(prof, caps))
                 assert mask == ups[prof], (op, a, b, caps)

@@ -100,6 +100,44 @@ def _nx_has_induced_p4(G):
 # -- differential oracles ---------------------------------------------------------
 
 
+def merge_union(p1, p2):
+    """Exact signatures of a disjoint union from exact child signatures.
+
+    The library's union merge before ``polarity._point`` wrote the pair rule
+    once.  Cluster components add.  The A side survives only if one part is
+    empty, or both are single independent parts that merge into one.
+    """
+    out = set()
+    for s1, k1 in p1:
+        for s2, k2 in p2:
+            k = k1 + k2
+            if s1 == 0:
+                out.add((s2, k))
+            elif s2 == 0:
+                out.add((s1, k))
+            elif s1 == 1 and s2 == 1:
+                out.add((1, k))
+    return out
+
+
+def merge_join(p1, p2):
+    """Dual rule: parts add; B sides must be empty or single cliques that merge."""
+    out = set()
+    for s1, k1 in p1:
+        for s2, k2 in p2:
+            s = s1 + s2
+            if k1 == 0:
+                out.add((s, k2))
+            elif k2 == 0:
+                out.add((s, k1))
+            elif k1 == 1 and k2 == 1:
+                out.add((s, 1))
+    return out
+
+
+MERGES = {UNION: merge_union, JOIN: merge_join}
+
+
 def reduce_quadratic(sigs):
     """Dominance-minimal antichain, testing each signature against every kept one."""
     kept = []
@@ -150,7 +188,7 @@ def deletion_profiles(t):
     if t.op == LEAF:
         return frozenset({empty})
     polarity.profile_dp(t)  # checks the shape of every node below before it is trusted
-    merge = polarity._merge_union if t.op == UNION else polarity._merge_join
+    merge = MERGES[t.op]
 
     def fold(p, q):
         return polarity._reduce(merge(p, q))
@@ -233,7 +271,7 @@ def unreduced_type(t, caps, memo):
         if t.op == LEAF:
             typ = LEAF_TYPE
         else:
-            merge = polarity._MERGES[t.op]
+            merge = MERGES[t.op]
 
             def capped(p, q):
                 return polarity.cap_profile(merge(p, q), caps)
@@ -581,7 +619,7 @@ class SetTypeAlgebra:
         memo = self._merged[op]
         if (p, q) not in memo:
             profiles = self._profiles
-            prof = polarity.cap_profile(polarity._MERGES[op](profiles[p], profiles[q]), self.caps)
+            prof = polarity.cap_profile(MERGES[op](profiles[p], profiles[q]), self.caps)
             memo[(p, q)] = self._profile_id(prof)
         return memo[(p, q)]
 
