@@ -143,10 +143,6 @@ def induced_subgraph(g, vertex_mask):
     return Graph(len(verts), rows)
 
 
-def delete_vertex(g, v):
-    return induced_subgraph(g, g.full_mask() ^ _bit(v))
-
-
 def disjoint_union(g, h):
     """G + H: g's vertices first, h's shifted by g.n."""
     rows = list(g.rows) + [row << g.n for row in h.rows]
@@ -223,12 +219,6 @@ def cluster_parts_in(g, vertex_mask):
 def multipartite_parts_in(g, vertex_mask):
     """Part count if G[mask] is complete multipartite, else None."""
     return _clique_parts_in(g, vertex_mask, -1)
-
-
-def is_cluster(g):
-    """(is-cluster, component count).  A cluster is a P3-free graph."""
-    k = cluster_parts_in(g, g.full_mask())
-    return (k is not None), (k if k is not None else len(components(g)))
 
 
 def brute_force_isomorphic(g, h):

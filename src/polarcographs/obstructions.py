@@ -1,34 +1,41 @@
 """Isomorph-free cograph enumeration and minimal obstruction mining.
 
-Enumeration builds canonical cotrees bottom-up, one recursion per order: a
-disconnected class of order n is a multiset (size >= 2) of connected classes
-with total order n, and a connected one a multiset of disconnected classes,
-drawn by index in nondecreasing (order, index) order so every multiset
-appears once.  Complementation pairs the connected and the disconnected
-classes of each order, so their stored lists have the same length, and one
-walk over multisets of indices builds each UNION class from the connected
-classes at those indices and each JOIN class from the disconnected ones.
-Every child is therefore a stored class or the shared leaf, and no node is
-duplicated.
+Enumeration builds the canonical codes of the classes bottom-up, one
+recursion per order: a disconnected class of order n is a multiset (size >=
+2) of connected classes with total order n, and a connected one a multiset
+of disconnected classes, drawn by index in nondecreasing (order, index)
+order so every multiset appears once.  Complementation pairs the connected
+and the disconnected classes of each order, so their stored lists have the
+same length, and one walk over multisets of indices gives each UNION class
+from the connected classes at those indices and each JOIN class from the
+disconnected ones.  The parts chosen so far are carried in code order, each
+inserted where its code falls, so a class's code is assembled, not sorted:
+the label and the number of parts, then the codes of the parts before its
+last part's place, that part's, and the rest.  The last part runs over a
+code-sorted block, so its place never decreases along the block and each
+place takes one contiguous run of it: one bisect per place, not one per
+class.  Each order's connected and disconnected codes are stored as two
+sorted lists of ``bytes``; the walk gives each as a few hundred ascending
+runs, which the sort merges in about linear time, and an order's classes are
+the connected list followed by the disconnected one (b"J" < b"U").
 
-Enumerated nodes are well-formed by construction (at least two children,
-labels alternating), and each is built in one step with its order and
-canonical code.  The parts chosen so far are carried in code order, each
-inserted where its code falls, so a class is assembled, not sorted: its
-children and code are the parts before its last part's place, that part, and
-the rest.  The last part runs over a code-sorted block, so its place never
-decreases along the block and each place takes one contiguous run of it: one
-bisect per place, not one per class.  No profile is computed while building:
+Counting needs the codes alone, so the enumerator builds cotrees only for
+the orders read as trees: every order up to the split order, which every
+mining's cross-check reads, and the orders a caller asks for by
+``CographEnumerator.trees_of_order``, which ``enumerate_cographs`` does.  The
+same walk then builds a node per class from the stored cotrees of the lower
+orders, so every child is a stored class or the shared leaf and no node is
+duplicated; each node is well-formed by construction (at least two
+children, labels alternating) and is built in one step with its order and
+code.  A tree build of an order already held as codes must give the same
+codes, or it raises.  No profile is computed while building:
 ``polarity.profile_dp`` computes and memoizes one on the first node that
-asks.  The connected and the disconnected classes of each order are each
-stored in code order; since the last part runs over a code-sorted list, each
-list is built as a few hundred ascending runs, which the sort merges in about
-linear time, and an order's classes are the connected list followed by the
-disconnected one (b"J" < b"U").  The cyclic garbage collector is paused while building: the
-enumerator allocates only acyclic trees, and the collector's passes over the
-growing heap of stored nodes would find nothing to free.  The new nodes are
-then handed to the collector's oldest generation, so that the caller's next
-allocation does not start a pass over them.
+asks.  The cyclic garbage collector is paused while cotrees are built: they
+are acyclic, and the collector's passes over the growing heap of stored
+nodes would find nothing to free.  The new nodes are then handed to the
+collector's oldest generation, so that the caller's next allocation does not
+start a pass over them.  A walk that builds codes only allocates no tracked
+object that outlives a class, and it runs as fast with the collector on.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -103,17 +110,19 @@ from .cotrees import JOIN, LEAF, UNION, Cotree, canonical_code
 from .polarity import INF
 from .values import FrozenValue, set_field
 
-# Each limit is checked in this module only.  The enumerator builds and keeps
-# every class (1,399,068 of order 15 alone): ``cograph_counts(15)`` takes
-# 1.6-2.0 s of CPU at 482 MB peak RSS (2-vCPU Xeon VM, Python 3.11), and
-# the process keeps that memory.  Mining enumerates only up to
-# _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
-# 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order limit does not
-# bound cost, which follows the types and so the caps; the pair limit does:
-# it bounds the successor-row entries the type algebra fills (``pairs``),
-# checked after each knapsack block.  (inf,19,40) fills 692,241 of them and
-# (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after 21 s of
-# CPU at 462 MB peak RSS (same machine; see DECISIONS.md).
+# Each limit is checked in this module only.  The enumerator keeps the code
+# of every class it has built (1,399,068 of order 15 alone), and the cotree of
+# every class of the orders read as trees: ``cograph_counts(15)``, codes only
+# above order 8, takes 0.47-0.56 s of CPU at 196 MB peak RSS, and
+# ``enumerate_cographs(15)``, which builds every cotree, 1.1-2.0 s at 498 MB
+# (2-vCPU Xeon VM, Python 3.11); the process keeps that memory.  Mining
+# enumerates only up to _SPLIT_ORDER and counts the rest by type: at order 40
+# its peak RSS was 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order
+# limit does not bound cost, which follows the types and so the caps; the pair
+# limit does: it bounds the successor-row entries the type algebra fills
+# (``pairs``), checked after each knapsack block.  (inf,19,40) fills 692,241
+# of them and (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after
+# 21 s of CPU at 462 MB peak RSS (same machine; see DECISIONS.md).
 ENUMERATION_MAX_ORDER = 15
 MINING_MAX_ORDER = 40
 MINING_MAX_PAIRS = 3_000_000
@@ -130,33 +139,42 @@ _SHARED_LEAF._code = canonical_code(_SHARED_LEAF)
 _CODE = attrgetter("_code")
 
 
-def _insert(parts, part):
-    """(children, codes) in code order, with ``part`` inserted where its code falls."""
-    kids, codes = parts
-    p = bisect_right(codes, part._code)
-    return kids[:p] + (part,) + kids[p:], codes[:p] + (part._code,) + codes[p:]
+def _insert(parts, codes, trees, i):
+    """``parts``, (codes, children) in code order, with a block's i-th class inserted
+    where its code falls.
 
-
-def _places(kids, codes, head):
-    """Per place p of one more child: (kids before, after, head + codes before, after)."""
-    cut = range(len(kids) + 1)
-    return [(kids[:p], kids[p:], head + b"".join(codes[:p]), b"".join(codes[p:])) for p in cut]
+    ``codes`` and ``trees`` are the block's codes and cotrees; in a walk that
+    builds codes only, ``trees`` and the children are None.
+    """
+    have, kids = parts
+    code = codes[i]
+    p = bisect_right(have, code)
+    return have[:p] + (code,) + have[p:], None if trees is None else kids[:p] + (trees[i],) + kids[p:]
 
 
 class CographEnumerator:
-    """Incremental generator of one cotree per unlabeled cograph class.
+    """Incremental generator of every unlabeled cograph class, by canonical code.
 
-    ``connected[n]`` and ``disconnected[n]`` hold the classes of order n,
-    each list in ascending code order; the shared leaf is in both.  A
-    disconnected class is a UNION of parts drawn by index from
-    ``connected``, and a connected one a JOIN of parts drawn by the same
-    indices from ``disconnected``: both lists of an order have the same
-    length (complementation pairs them), so one walk over index multisets
-    builds every class of both kinds once.  Every node gets its order and
-    canonical code when it is built, its children already in code order:
-    parts are carried in code order and each class is assembled by inserting
-    its last part, not sorted, with one bisect per insertion place, not one
-    per class.  Profiles are left to ``polarity.profile_dp``.
+    ``codes[n]`` holds the canonical codes of the classes of order n as two
+    lists, the connected classes' and the disconnected ones', each in
+    ascending order; the leaf's code is in both.  A disconnected class is a
+    UNION of parts drawn by index from the connected lists, and a connected
+    one a JOIN of parts drawn by the same indices from the disconnected
+    lists: both lists of an order have the same length (complementation
+    pairs them), so one walk over index multisets gives every class of both
+    kinds once.  A class's code is assembled, not sorted: parts are carried
+    in code order and its last part is inserted with one bisect per
+    insertion place, not one per class.
+
+    ``trees[n]`` holds the cotrees of the classes of order n, in the same two
+    lists and the same order, for the orders read as trees: every order up
+    to ``_SPLIT_ORDER``, which mining reads, and every order up to the
+    largest asked for by ``trees_of_order``.  The same walk builds them from
+    the stored cotrees of the lower orders, so every child is a stored class
+    or the shared leaf; each node gets its order and code when it is built,
+    its children already in code order.  A tree build of an order whose codes
+    are already held must give those codes, or it raises AssertionError.
+    Profiles are left to ``polarity.profile_dp``.
 
     ``deleted`` maps the code of a class to the exact profiles of its
     one-vertex deletions (``polarity.deleted_profiles``), which the split
@@ -165,53 +183,101 @@ class CographEnumerator:
     """
 
     def __init__(self):
-        self.connected = {1: [_SHARED_LEAF]}
-        self.disconnected = {1: [_SHARED_LEAF]}
+        self.codes = {1: ([_SHARED_LEAF._code], [_SHARED_LEAF._code])}
+        self.trees = {1: ([_SHARED_LEAF], [_SHARED_LEAF])}
         self.deleted = {}
-        self._built = 1
 
-    def _build_to(self, n):
-        """Build every order up to n; ``classes_of_order`` pauses the collector."""
+    def _build_to(self, n, trees=False):
+        """Build the codes of every order up to n, and the cotrees of the orders read as trees.
+
+        Those are the orders up to n if ``trees``, and up to ``_SPLIT_ORDER``
+        in any case.
+        """
         _check_enumeration_bound(n)
-        while self._built < n:
-            m = self._built + 1
-            conn, disc = [], []
-            self._add_unions(m, ((), ()), ((), ()), 1, 0, m, conn, disc)
+        top = n if trees else min(n, _SPLIT_ORDER)
+        if len(self.trees) < top:
+            self._build_trees_to(top)
+        while len(self.codes) < n:
+            m = len(self.codes) + 1
+            conn, disc = self._walk(m, None)
             # each comes out of the walk in a few hundred ascending runs,
             # which timsort merges in about linear time
-            conn.sort(key=_CODE)
-            disc.sort(key=_CODE)
-            self.connected[m] = conn
-            self.disconnected[m] = disc
-            self._built = m
+            conn.sort()
+            disc.sort()
+            self.codes[m] = conn, disc
 
-    def _add_unions(self, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc):
-        """Build each order-m class whose parts extend the parts chosen so far, once.
+    def _build_trees_to(self, n):
+        """Build the cotrees of every order up to n, with the cyclic collector paused.
+
+        The caller's collector state is restored even on error.  The
+        enumerator allocates only acyclic trees, which reference counting
+        frees, so collector passes over the growing heap of stored nodes
+        would find nothing.  Afterwards ``gc.freeze`` and ``gc.unfreeze``
+        move the new nodes to the oldest generation without a pass, and
+        leave the generation-0 count at zero, so that the caller's next
+        allocation does not start a pass over them; that is skipped when the
+        caller has frozen objects of its own, which ``gc.unfreeze`` would
+        release.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while len(self.trees) < n:
+                m = len(self.trees) + 1
+                conn, disc = self._walk(m, self.trees)
+                conn.sort(key=_CODE)
+                disc.sort(key=_CODE)
+                codes = [t._code for t in conn], [t._code for t in disc]
+                if self.codes.get(m, codes) != codes:
+                    raise AssertionError(f"the cotrees of order {m} do not give its held codes")
+                self.codes[m] = codes
+                self.trees[m] = conn, disc
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _walk(self, m, trees):
+        """(connected, disconnected) classes of order m, unsorted: cotrees, or codes if ``trees`` is None.
+
+        ``trees`` is ``self.trees``, holding every order below m.
+        """
+        conn, disc = [], []
+        parts = ((), None if trees is None else ())
+        self._add_unions(m, trees, parts, parts, 1, 0, m, conn, disc)
+        return conn, disc
+
+    def _add_unions(self, m, trees, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc):
+        """Add each order-m class whose parts extend the parts chosen so far, once.
 
         Indices (o, i) are drawn in nondecreasing order, starting at (o0, i0),
         until their orders add up to m; ``remaining`` is m minus the orders
-        chosen so far.  Index (o, i) adds ``connected[o][i]`` to
-        ``union_parts`` and ``disconnected[o][i]`` to ``join_parts``, both
-        (children, codes) in code order, each part inserted in place.  Each
-        multiset of at least two indices gives the UNION of its union parts,
-        appended to ``new_disc``, and the JOIN of its join parts, appended to
-        ``new_conn``.  The last part runs over a block sorted by code, so its
-        insertion place never decreases along the block: each place p takes
-        the run of parts x with codes[p-1] <= x's code < codes[p], which one
-        bisect per place finds, not one per class.  Each node is built in one
-        step, all six slots set on ``Cotree.__new__``: no initializer runs
-        per node.
+        chosen so far.  Index (o, i) adds the i-th connected class of order o
+        to ``union_parts`` and the i-th disconnected one to ``join_parts``,
+        both (codes, children) in code order, each part inserted in place;
+        the children are None when ``trees`` is.  Each multiset of at least
+        two indices gives the UNION of its union parts, added to ``new_disc``,
+        and the JOIN of its join parts, added to ``new_conn``: its code, or
+        with ``trees`` its cotree, built in one step with all six slots set
+        on ``Cotree.__new__``, so no initializer runs per node.  The last
+        part runs over a block sorted by code, so its insertion place never
+        decreases along the block: each place p takes the run of parts whose
+        codes x have codes[p-1] <= x < codes[p], which one bisect per place
+        finds, not one per class.
         """
-        connected, disconnected = self.connected, self.disconnected
+        codes = self.codes
         # a part that leaves room for another has order <= remaining // 2
         for o in range(o0, remaining // 2 + 1):
-            union_block = connected[o]
-            join_block = disconnected[o]
+            union_block, join_block = codes[o]
+            union_kids, join_kids = (None, None) if trees is None else trees[o]
             for i in range(i0 if o == o0 else 0, len(union_block)):
                 self._add_unions(
                     m,
-                    _insert(union_parts, union_block[i]),
-                    _insert(join_parts, join_block[i]),
+                    trees,
+                    _insert(union_parts, union_block, union_kids, i),
+                    _insert(join_parts, join_block, join_kids, i),
                     o,
                     i,
                     remaining - o,
@@ -225,62 +291,60 @@ class CographEnumerator:
         start = i0 if remaining == o0 else 0
         cls = Cotree
         new = cls.__new__
-        for op, blocks, (kids, codes), out in (
-            (UNION, connected, union_parts, new_disc),
-            (JOIN, disconnected, join_parts, new_conn),
+        for op, side, (part_codes, kids), out in (
+            (UNION, 0, union_parts, new_disc),
+            (JOIN, 1, join_parts, new_conn),
         ):
-            places = _places(kids, codes, op.encode("ascii") + count)
-            block = blocks[remaining]
-            lo, end = start, len(block)
-            for p, (head, tail, code_head, code_tail) in enumerate(places):
-                hi = bisect_left(block, codes[p], lo, end, key=_CODE) if p < len(codes) else end
-                for x in block[lo:hi]:
-                    t = new(cls)
-                    t.op = op
-                    t.children = head + (x,) + tail
-                    t.vertex = None
-                    t._code = code_head + x._code + code_tail
-                    t._order = m
-                    t._profile = None
-                    out.append(t)
+            head = op.encode("ascii") + count
+            block = codes[remaining][side]
+            lo, end, cut = start, len(block), len(part_codes)
+            for p in range(cut + 1):
+                hi = bisect_left(block, part_codes[p], lo, end) if p < cut else end
+                if lo == hi:
+                    continue
+                code_head = head + b"".join(part_codes[:p])
+                code_tail = b"".join(part_codes[p:])
+                if kids is None:
+                    out += [code_head + x + code_tail for x in block[lo:hi]]
+                else:
+                    before, after = kids[:p], kids[p:]
+                    for x in trees[remaining][side][lo:hi]:
+                        t = new(cls)
+                        t.op = op
+                        t.children = before + (x,) + after
+                        t.vertex = None
+                        t._code = code_head + x._code + code_tail
+                        t._order = m
+                        t._profile = None
+                        out.append(t)
                 lo = hi
 
     def classes_of_order(self, n):
-        """Every class of order n, sorted by canonical code, as a new tuple.
+        """The canonical codes of the classes of order n, ascending, as a new tuple.
 
         Every JOIN code (b"J...") sorts before every UNION code (b"U..."), so
-        these are the connected classes followed by the disconnected ones.
-        The tuple is built from ``chain``, not ``conn + disc``, so that no
-        list of the whole order is held next to it.
-
-        The orders up to n are built, and the tuple too, with the cyclic
-        garbage collector paused; the caller's state is restored even on
-        error.  The enumerator allocates only acyclic trees, which reference
-        counting frees, so collector passes over the growing heap of stored
-        nodes find nothing.  The chain and the tuple are the first tracked
-        objects allocated after a build, and with the collector running the
-        first of them would start a pass over every node just built (a
-        quarter more CPU in ``cograph_counts(14)``).  After a build that made
-        a new order, ``gc.freeze`` and ``gc.unfreeze`` move the new nodes to
-        the oldest generation without a pass, and leave the generation-0
-        count at zero; that is skipped when the caller has frozen objects of
-        its own, which ``gc.unfreeze`` would release.
+        these are the connected classes' codes followed by the disconnected
+        ones'.  The tuple is built from ``chain``, not ``conn + disc``, so
+        that no list of the whole order is held next to it.
         """
         _check_int("n", n, 1)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            built = self._built
-            self._build_to(n)
-            if self._built > built and not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            if n == 1:
-                return (_SHARED_LEAF,)
-            return tuple(chain(self.connected[n], self.disconnected[n]))
-        finally:
-            if enabled:
-                gc.enable()
+        self._build_to(n)
+        return _of_order(self.codes, n)
+
+    def trees_of_order(self, n):
+        """The cotrees of the classes of order n, by ascending code, as a new tuple.
+
+        Builds the cotrees of every order up to n that are not built yet.
+        """
+        _check_int("n", n, 1)
+        self._build_to(n, trees=True)
+        return _of_order(self.trees, n)
+
+
+def _of_order(lists, n):
+    """The order's (connected, disconnected) lists as one tuple; the leaf once."""
+    conn, disc = lists[n]
+    return tuple(conn) if n == 1 else tuple(chain(conn, disc))
 
 
 _ENUMERATOR = CographEnumerator()
@@ -304,7 +368,7 @@ def enumerate_cographs(n_max, enumerator=None):
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
     enum = enumerator or _ENUMERATOR
-    return (t for n in range(1, n_max + 1) for t in enum.classes_of_order(n))
+    return (t for n in range(1, n_max + 1) for t in enum.trees_of_order(n))
 
 
 def cograph_counts(n_max, enumerator=None):
@@ -716,10 +780,10 @@ def _mine_types(s, k, n_max, enum):
 
     for n in range(1, n_max + 1):
         if n <= _SPLIT_ORDER:
-            classes = enum.classes_of_order(n)
-            if len(classes) != expected[n - 1]:
-                raise AssertionError(f"{len(classes)} classes of order {n}, not {expected[n - 1]}")
-            minimal.extend(_minimal_codes(classes, s, k, enum.deleted))
+            count = len(enum.classes_of_order(n))
+            if count != expected[n - 1]:
+                raise AssertionError(f"{count} classes of order {n}, not {expected[n - 1]}")
+            minimal.extend(_minimal_codes(enum.trees_of_order(n), s, k, enum.deleted))
         if n > 1:
             total = 0
             for op, knapsack in knapsacks.items():

@@ -213,10 +213,41 @@ def _admits(signatures, s, k):
 # -- (s,k)-types ------------------------------------------------------------------
 
 
-def cap_profile(prof, caps):
-    """The reduced profile with each signature's coordinates capped at ``caps``."""
-    cs, ck = caps
-    return _reduce((min(a, cs), min(b, ck)) for a, b in prof)
+# caps -> (box, up-set masks, below masks, point tables) of ``_point_tables``;
+# they depend on the caps alone, so like ``_MERGED`` they live as long as the
+# process and every algebra with those caps shares them
+_POINT_TABLES = {}
+
+
+def _point_tables(caps):
+    """The cap box of ``caps`` and the tables over it that ``TypeAlgebra`` reads.
+
+    The box lists the pairs (x, y) in [0, cs] x [0, ck], and a pair's box
+    index is x (ck + 1) + y.  The tables give, per box index, the mask of
+    the pairs at or above it, and the mask of the pairs just left of and just
+    below it; and per label and pair of box indices a, b, the up-set mask of
+    the capped ``_point(op, a, b)``, 0 when the pair gives no signature.
+    Built once per caps.
+    """
+    tables = _POINT_TABLES.get(caps)
+    if tables is None:
+        cs, ck = caps
+        box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+        up = [
+            sum(1 << (u * (ck + 1) + v) for u in range(x, cs + 1) for v in range(y, ck + 1))
+            for x, y in box
+        ]
+        below = [
+            (1 << (b - ck - 1) if x else 0) | (1 << (b - 1) if y else 0)
+            for b, (x, y) in enumerate(box)
+        ]
+
+        def capped_up(point):
+            return 0 if point is None else up[min(point[0], cs) * (ck + 1) + min(point[1], ck)]
+
+        points = {op: [[capped_up(_point(op, a, b)) for b in box] for a in box] for op in (UNION, JOIN)}
+        tables = _POINT_TABLES[caps] = box, up, below, points
+    return tables
 
 
 class TypeAlgebra:
@@ -263,7 +294,8 @@ class TypeAlgebra:
     a and b, of a point table's entry: the up-set mask of the capped
     op({a}, {b}), 0 when the pair gives no signature.  That merge has at
     most one point, the pair rule's ``_point(op, a, b)``, capped; the tables
-    are filled from it once per algebra.  A profile's minimal points are
+    depend on the caps alone, so they are filled from it once per caps and
+    shared by every algebra with those caps (``_point_tables``).  A profile's minimal points are
     found only when its mask is first met.  Merges are memoized per label,
     per left profile id, on the right id.  A type is known only by its
     number, keyed by its profile id and the bitset of its deleted-profile
@@ -277,9 +309,9 @@ class TypeAlgebra:
     and right-hand type j, mapping each type i met with it to the number of
     op(i, j), and counts the entries it fills in ``pairs``; a caller that
     applies the same j many times reads ``row`` once and calls ``combine``
-    only on a miss.  The tables live as long as the algebra and are bounded
-    by the number of types and capped profiles, which are finite for each
-    (s, k).
+    only on a miss.  Its other tables live as long as the algebra and are
+    bounded by the number of types and capped profiles, which are finite
+    for each (s, k).
     """
 
     def __init__(self, s, k):
@@ -287,18 +319,8 @@ class TypeAlgebra:
         self.hit = []  # number -> whether the type's classes are minimal obstructions
         self.live = []  # number -> whether the type's classes are polar
         self.pairs = 0  # entries filled in the successor rows
-        self._box = box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
+        self._box, self._up, self._below, self._tables = _point_tables(self.caps)
         self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
-        # box index -> mask of the points at or above it, and of the points
-        # just left of and just below it
-        self._up = [
-            sum(1 << (u * (ck + 1) + v) for u in range(x, cs + 1) for v in range(y, ck + 1))
-            for x, y in box
-        ]
-        self._below = [
-            (1 << (b - ck - 1) if x else 0) | (1 << (b - 1) if y else 0)
-            for b, (x, y) in enumerate(box)
-        ]
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._ids = {}  # polar mask -> profile id
@@ -306,13 +328,6 @@ class TypeAlgebra:
         self._numbers = {}  # (profile id, bitset of deleted-profile ids) -> number
         self._merged = {UNION: [], JOIN: []}  # label -> left id -> right id -> merged id
         self._rows = {UNION: {}, JOIN: {}}
-        # label -> box index a -> box index b -> up-set mask of the capped
-        # op({a}, {b}), 0 when the pair gives no signature
-        self._tables = {UNION: [], JOIN: []}
-        for op, table in self._tables.items():
-            for a in box:
-                points = (_point(op, a, b) for b in box)
-                table.append([0 if point is None else self._mask((point,)) for point in points])
         # the empty graph's type, the identity of the pair rule, and the leaf's,
         # whose one deletion is the empty graph
         nothing = self._intern(self._mask(_EMPTY_SIGS))

@@ -18,7 +18,13 @@ from polarcographs.catalog import conjectured_order, verify_claim
 from polarcographs.obstructions import enumerate_cographs, mine_obstructions
 from polarcographs.polarity import INF
 
-from util import lemma_failures_by_graphs, nx_p4_free_census, perm_canonical, random_cotree
+from util import (
+    delete_vertex,
+    lemma_failures_by_graphs,
+    nx_p4_free_census,
+    perm_canonical,
+    random_cotree,
+)
 
 
 def _report(name, ok, detail):
@@ -108,7 +114,7 @@ def test_criterion_4_two_one_and_two_two(cache):
         if polarity.profile_bruteforce(g).admits(2, 2):
             continue
         if all(
-            polarity.profile_bruteforce(graphs.delete_vertex(g, v)).admits(2, 2)
+            polarity.profile_bruteforce(delete_vertex(g, v)).admits(2, 2)
             for v in range(g.n)
         ):
             oracle_confirmed += 1
@@ -223,7 +229,7 @@ def test_criterion_9_witnesses(cache):
         for r in cache.mine(s, k, n):
             g = graphs.graph6_decode(r.graph6)
             for v in range(g.n):
-                sub = graphs.delete_vertex(g, v)
+                sub = delete_vertex(g, v)
                 verdict, witness = polarity.is_polar(sub, s, k)
                 assert verdict and witness is not None
                 assert polarity.validate_witness(sub, witness)

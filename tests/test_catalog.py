@@ -24,7 +24,14 @@ from polarcographs.obstructions import (
 from polarcographs.polarity import INF
 
 import util
-from util import components_graphs, has_p3_component, is_complete, lemma_failures_by_graphs
+from util import (
+    components_graphs,
+    delete_vertex,
+    has_p3_component,
+    is_cluster,
+    is_complete,
+    lemma_failures_by_graphs,
+)
 
 
 def _codes(exprs):
@@ -375,11 +382,11 @@ def test_cotree_structure_tests_match_the_graph_ones():
             map(is_complete, comps)
         )
         assert catalog._has_p3_component(t) == has_p3_component(g)
-        assert catalog._is_cluster(t) == graphs.is_cluster(g)[0]
+        assert catalog._is_cluster(t) == is_cluster(g)[0]
         if t.order <= 7:
             for index in range(t.order):
-                deleted = graphs.delete_vertex(g, index)
-                assert catalog._is_cluster(remove_leaf(t, index)) == graphs.is_cluster(deleted)[0]
+                deleted = delete_vertex(g, index)
+                assert catalog._is_cluster(remove_leaf(t, index)) == is_cluster(deleted)[0]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

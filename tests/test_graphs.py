@@ -11,7 +11,9 @@ from util import (
     cluster_parts_checked,
     co_components_walk,
     components_walk,
+    delete_vertex,
     graph6_bitwise,
+    is_cluster,
     multipartite_parts_joined,
     permute_graph,
     random_cotree,
@@ -53,8 +55,8 @@ def test_union_and_join_counts():
 def test_components_and_clusters():
     g = graphs.disjoint_union(Graph.complete(2), Graph.complete(3))
     assert len(graphs.components(g)) == 2
-    assert graphs.is_cluster(g) == (True, 2)
-    assert graphs.is_cluster(Graph.path(3))[0] is False
+    assert is_cluster(g) == (True, 2)
+    assert is_cluster(Graph.path(3))[0] is False
     assert graphs.cluster_parts_in(g, g.full_mask()) == 2
     assert graphs.cluster_parts_in(Graph.path(3), 0b111) is None
     assert graphs.cluster_parts_in(g, 0) == 0
@@ -110,7 +112,7 @@ def test_induced_and_delete():
     g = Graph.cycle(4)
     sub = graphs.induced_subgraph(g, 0b0111)
     assert (sub.n, sub.edge_count()) == (3, 2)
-    assert graphs.delete_vertex(g, 0).n == 3
+    assert delete_vertex(g, 0).n == 3
 
 
 def test_brute_force_isomorphic():

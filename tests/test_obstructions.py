@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import weakref
+from itertools import chain
 
 import pytest
 
@@ -24,10 +25,12 @@ from util import (
     ORACLE_PAIRS,
     class_level_records,
     copies_walk_add,
+    delete_vertex,
     deletion_profiles,
     deletions_admit_materialised,
     memo_free_copy,
     minimal_by_all_deletions,
+    node_building_order,
     per_base_add,
     per_class_bisect_order,
     random_cotree,
@@ -70,7 +73,7 @@ def test_cograph_counts_fail_before_building_anything():
     fresh = CographEnumerator()
     with pytest.raises(BoundExceededError, match="enumeration bound 16 exceeds 15"):
         cograph_counts(16, enumerator=fresh)
-    assert fresh._built == 1
+    assert len(fresh.codes) == len(fresh.trees) == 1
 
 
 BAD_PARAMETERS = [
@@ -81,6 +84,7 @@ BAD_PARAMETERS = [
     (lambda enum: mine_obstructions(INF, True, 5, enumerator=enum), "k"),
     (lambda enum: mine_obstructions(INF, 2, 5.0, enumerator=enum), "n_max"),
     (lambda enum: enum.classes_of_order(0), "n"),
+    pytest.param(lambda enum: enum.trees_of_order(0), "n", id="trees_of_order-n"),
     (lambda enum: cograph_counts(-1, enumerator=enum), "n_max"),
     (lambda enum: enumerate_cographs(3.0, enumerator=enum), "n_max"),
 ]
@@ -92,7 +96,7 @@ def test_bad_parameters_raise_before_any_work(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be") as raised:
         call(fresh)
     assert type(raised.value) is ValueError
-    assert fresh._built == 1
+    assert len(fresh.codes) == len(fresh.trees) == 1
 
 
 def test_order_zero_has_no_classes_and_no_obstructions():
@@ -109,7 +113,7 @@ def test_remove_leaf_matches_vertex_deletion():
         g = cotrees.realize(t)
         index = rng.randrange(t.order)
         pruned = remove_leaf(t, index)
-        expected = graphs.delete_vertex(g, index)
+        expected = delete_vertex(g, index)
         if pruned is None:
             assert g.n == 1
         else:
@@ -272,34 +276,33 @@ def test_one_deletion_per_class_meets_every_deleted_class():
 
 def test_stored_lists_are_code_sorted_and_complements_of_each_other():
     # each list ascends by code and holds one label; complementation maps one
-    # onto the other, so their lengths agree and one index walk builds both
+    # onto the other, so their lengths agree and one index walk builds both;
+    # the code lists and the cotree lists of an order agree entry by entry
     enum = CographEnumerator()
-    enum.classes_of_order(10)
+    enum.trees_of_order(10)
     stored = {id(obstructions._SHARED_LEAF)} | {
-        id(t)
-        for lists in (enum.connected, enum.disconnected)
-        for n in range(2, 11)
-        for t in lists[n]
+        id(t) for n in range(2, 11) for lists in enum.trees[n] for t in lists
     }
     for n in range(2, 11):
-        conn, disc = enum.connected[n], enum.disconnected[n]
+        conn, disc = enum.trees[n]
         assert len(conn) == len(disc)
-        for classes, label in ((conn, cotrees.JOIN), (disc, cotrees.UNION)):
-            codes = [t._code for t in classes]
+        for classes, codes, label in zip((conn, disc), enum.codes[n], (cotrees.JOIN, cotrees.UNION)):
+            assert codes == [t._code for t in classes], (n, label)
             assert all(a < b for a, b in zip(codes, codes[1:])), (n, label)
             assert {t.op for t in classes} == {label}
             for t in classes:
                 assert all(id(child) in stored for child in t.children), cotrees.render(t)
         flipped = {cotrees.canonical_code(cotrees.flip_labels(t)) for t in conn}
         assert flipped == {t._code for t in disc}
-        assert enum.classes_of_order(n) == tuple(conn + disc)
+        assert enum.trees_of_order(n) == tuple(conn + disc)
+        assert enum.classes_of_order(n) == tuple(t._code for t in conn + disc)
 
 
 def test_build_time_values_match_the_dp_and_the_oracle():
     # the enumerator sets order and code only; profiles wait for the DP
     fresh = CographEnumerator()
     cograph_counts(10, enumerator=fresh)
-    classes = [t for n in range(1, 11) for t in fresh.classes_of_order(n)]
+    classes = [t for n in range(1, 11) for t in fresh.trees_of_order(n)]
     assert all(t._profile is None for t in classes if t.order > 1)  # the leaf is shared
     for t in classes:
         copy = memo_free_copy(t)
@@ -332,18 +335,65 @@ def test_enumerated_codes_and_child_order_byte_for_byte():
         assert t._code == head + b"".join(codes), cotrees.render(t)
 
 
-def test_per_place_runs_match_the_per_class_bisect_oracle():
-    # the same classes from the same stored children, in the same list order
+def test_codes_and_trees_match_the_node_building_walk_byte_for_byte():
+    # the same classes from the same stored children, in the same list order;
+    # the codes-only walk gives the oracle's codes, and so does a tree build
+    # of orders already held as codes
+    codes_first = CographEnumerator()
+    cograph_counts(12, enumerator=codes_first)
+    assert len(codes_first.trees) == obstructions._SPLIT_ORDER
     enum = CographEnumerator()
-    assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF,)
+    assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF._code,)
+    assert enum.trees_of_order(1) == (obstructions._SHARED_LEAF,)
+    for m in range(2, 13):
+        expected = node_building_order(enum, m)
+        enum.trees_of_order(m)
+        for got, codes, want in zip(enum.trees[m], codes_first.codes[m], expected):
+            assert len(got) == len(codes) == len(want) == A000084[m - 1] // 2, m
+            assert codes == [t._code for t in want], m
+            for a, b in zip(got, want):
+                assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+                assert [id(c) for c in a.children] == [id(c) for c in b.children]
+        assert codes_first.trees_of_order(m) == tuple(chain(*codes_first.trees[m]))
+        assert codes_first.codes[m] == enum.codes[m]
+
+
+def test_per_place_runs_match_the_per_class_bisect_oracle():
+    enum = CographEnumerator()
     for m in range(2, 12):
         expected = per_class_bisect_order(enum, m)
-        enum.classes_of_order(m)
-        for got, want in zip((enum.connected[m], enum.disconnected[m]), expected):
+        enum.trees_of_order(m)
+        for got, want in zip(enum.trees[m], expected):
             assert len(got) == len(want) == A000084[m - 1] // 2, m
             for a, b in zip(got, want):
                 assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
                 assert [id(c) for c in a.children] == [id(c) for c in b.children]
+
+
+def test_trees_built_after_codes_give_the_enumerated_digest():
+    enum = CographEnumerator()
+    cograph_counts(11, enumerator=enum)
+    assert len(enum.trees) == obstructions._SPLIT_ORDER
+    digest = hashlib.sha256()
+    for t in enumerate_cographs(12, enumerator=enum):
+        digest.update((t._code.hex() + "\n").encode())
+    assert digest.hexdigest() == ENUMERATED_12_DIGEST
+
+
+@pytest.mark.parametrize("doctor", ["drop", "swap", "replace"])
+def test_a_tree_build_that_misses_the_held_codes_raises(doctor):
+    enum = CographEnumerator()
+    enum.classes_of_order(10)
+    conn, disc = enum.codes[10]
+    if doctor == "drop":
+        enum.codes[10] = conn, disc[:-1]
+    elif doctor == "swap":
+        enum.codes[10] = [conn[1], conn[0]] + conn[2:], disc
+    else:
+        enum.codes[10] = conn[:-1] + [conn[-1] + b"L"], disc
+    with pytest.raises(AssertionError, match="cotrees of order 10"):
+        enum.trees_of_order(10)
+    assert len(enum.trees) == 9
 
 
 def test_a_build_leaves_no_generation_0_debt():
@@ -352,7 +402,7 @@ def test_a_build_leaves_no_generation_0_debt():
     was_enabled = gc.isenabled()
     try:
         gc.disable()
-        CographEnumerator().classes_of_order(10)
+        CographEnumerator().trees_of_order(10)
         count = gc.get_count()[0]
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -390,7 +440,7 @@ def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     assert seen and not any(seen)
     assert [len(enum.classes_of_order(n)) for n in range(1, 7)] == COGRAPH_COUNTS_10[:6]
     # one construction per class, and no slot left for a later read to miss
-    classes = [t for n in range(2, 7) for t in enum.classes_of_order(n)]
+    classes = [t for n in range(2, 7) for t in enum.trees_of_order(n)]
     assert len(seen) == len(classes) and all(type(t) is Recording for t in classes)
     for t in classes:
         assert all(hasattr(t, name) for name in cotrees.Cotree.__slots__), cotrees.render(t)
@@ -515,7 +565,7 @@ def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
         memo = {}
         for n in range(2, 9):
             by_type = {cotrees.UNION: {}, cotrees.JOIN: {}}
-            for t in enum.classes_of_order(n):
+            for t in enum.trees_of_order(n):
                 i = type_of(algebra, t, memo)
                 by_type[t.op][i] = by_type[t.op].get(i, 0) + 1
             for op, counts in by_type.items():

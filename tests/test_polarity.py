@@ -13,6 +13,8 @@ from util import (
     MERGES,
     ORACLE_PAIRS,
     SetTypeAlgebra,
+    cap_profile,
+    delete_vertex,
     deletion_profiles,
     deletions_admit_materialised,
     least_polar,
@@ -92,7 +94,7 @@ def test_hereditary_monotonicity():
         g = cotrees.realize(t)
         prof = polarity.profile_of_graph(g)
         for v in range(g.n):
-            sub_prof = polarity.profile_of_graph(graphs.delete_vertex(g, v)) \
+            sub_prof = polarity.profile_of_graph(delete_vertex(g, v)) \
                 if g.n > 1 else None
             if sub_prof is None:
                 continue
@@ -248,7 +250,7 @@ def test_profiles_agree_from_a_cleared_and_a_warm_memo():
 
 def _bruteforce_deletion_profiles(g):
     return {
-        polarity.profile_bruteforce(graphs.delete_vertex(g, v)).signatures
+        polarity.profile_bruteforce(delete_vertex(g, v)).signatures
         for v in range(g.n)
     }
 
@@ -301,15 +303,15 @@ def _stored_profiles(n_max):
 def test_capping_commutes_with_merges_and_complement():
     profiles = {p for p, _ in _stored_profiles(10)}
     for caps in {polarity.TypeAlgebra(s, k).caps for s, k in ORACLE_PAIRS}:
-        capped = {p: polarity.cap_profile(p, caps) for p in profiles}
+        capped = {p: cap_profile(p, caps) for p in profiles}
         swapped_caps = caps[::-1]
         for p in profiles:
             swap = frozenset((b, a) for a, b in capped[p])
             complement = frozenset((b, a) for a, b in p)
-            assert swap == polarity.cap_profile(complement, swapped_caps)
+            assert swap == cap_profile(complement, swapped_caps)
             for q in profiles:
                 for merge in (merge_union, merge_join):
-                    assert polarity.cap_profile(merge(p, q), caps) == polarity.cap_profile(
+                    assert cap_profile(merge(p, q), caps) == cap_profile(
                         merge(capped[p], capped[q]), caps
                     ), (p, q, caps, merge.__name__)
 
@@ -319,7 +321,7 @@ def test_caps_keep_every_verdict():
     for s, k in ORACLE_PAIRS:
         caps = polarity.TypeAlgebra(s, k).caps
         for p in profiles:
-            capped = polarity.cap_profile(p, caps)
+            capped = cap_profile(p, caps)
             assert polarity._admits(capped, s, k) == polarity._admits(p, s, k), (p, s, k)
 
 
@@ -340,8 +342,8 @@ def test_pair_rule_folds_children_to_the_class_type():
             if dead:
                 continue
             caps = algebra.caps
-            capped_dels = {polarity.cap_profile(d, caps) for d in dels}
-            exact = (polarity.cap_profile(prof.signatures, caps), least_polar(capped_dels, caps))
+            capped_dels = {cap_profile(d, caps) for d in dels}
+            exact = (cap_profile(prof.signatures, caps), least_polar(capped_dels, caps))
             assert profile_form(algebra, i) == exact, (cotrees.render(t), caps)
 
 
@@ -431,7 +433,7 @@ def test_polar_masks_are_the_up_set_closures(monkeypatch, key):
 
     def capped(op, p, q):
         if (op, p, q) not in merged:
-            merged[(op, p, q)] = polarity.cap_profile(MERGES[op](p, q), caps)
+            merged[(op, p, q)] = cap_profile(MERGES[op](p, q), caps)
         return merged[(op, p, q)]
 
     combined = 0
@@ -472,6 +474,31 @@ def test_point_table_algebra_matches_the_set_based_one(monkeypatch, key):
     ), key
 
 
+@pytest.mark.parametrize("pairs", [[(1, 1), (INF, 1), (1, INF), (INF, INF)], [(4, 4), (4, 4)]])
+def test_algebras_with_equal_caps_share_their_point_tables(monkeypatch, pairs):
+    # caps (2,2) and (5,5); tables built afresh give the same types, type by
+    # type, on every class up to order 9
+    from polarcographs.obstructions import enumerate_cographs
+
+    def tables(algebra):
+        return algebra._box, algebra._up, algebra._below, algebra._tables
+
+    shared = [polarity.TypeAlgebra(s, k) for s, k in pairs]
+    assert len({algebra.caps for algebra in shared}) == 1
+    for algebra in shared[1:]:
+        assert all(a is b for a, b in zip(tables(algebra), tables(shared[0])))
+    monkeypatch.setattr(polarity, "_POINT_TABLES", {})
+    fresh = [polarity.TypeAlgebra(s, k) for s, k in pairs]
+    assert tables(fresh[0]) == tables(shared[0]) and fresh[0]._tables is not shared[0]._tables
+    classes = list(enumerate_cographs(9))
+    for ours, theirs, key in zip(shared, fresh, pairs):
+        ours_memo, theirs_memo = {}, {}
+        for t in classes:
+            assert type_of(ours, t, ours_memo) == type_of(theirs, t, theirs_memo), key
+        assert (ours._keys, ours.hit, ours.live) == (theirs._keys, theirs.hit, theirs.live), key
+        assert ours._polar == theirs._polar and ours._rows == theirs._rows, key
+
+
 @pytest.mark.parametrize("s, k", [(1, 1), (INF, 4), (4, 4), (INF, 10), (12, 12)])
 def test_point_tables_hold_the_capped_merges_of_points(s, k):
     # caps (2,2), (2,5), (5,5), (2,11) and (13,13)
@@ -483,7 +510,7 @@ def test_point_tables_hold_the_capped_merges_of_points(s, k):
         assert len(table) == len(box)
         for a, entries in zip(box, table, strict=True):
             for b, mask in zip(box, entries, strict=True):
-                prof = polarity.cap_profile(MERGES[op]({a}, {b}), caps)
+                prof = cap_profile(MERGES[op]({a}, {b}), caps)
                 if prof not in ups:
                     ups[prof] = sum(1 << (x * (ck + 1) + y) for x, y in polar_pairs(prof, caps))
                 assert mask == ups[prof], (op, a, b, caps)

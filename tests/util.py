@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +21,23 @@ from polarcographs.polarity import INF
 
 # every (s,k) of the grid
 ORACLE_PAIRS = [(s, k) for s in (0, 1, 2, 3, math.inf) for k in (0, 1, 2, 3, math.inf)]
+
+
+def cap_profile(prof, caps):
+    """The reduced profile with each signature's coordinates capped at ``caps``."""
+    cs, ck = caps
+    return polarity._reduce((min(a, cs), min(b, ck)) for a, b in prof)
+
+
+def delete_vertex(g, v):
+    """G minus vertex v, the other vertices renumbered in order."""
+    return graphs.induced_subgraph(g, g.full_mask() ^ (1 << v))
+
+
+def is_cluster(g):
+    """(is-cluster, component count).  A cluster is a P3-free graph."""
+    k = graphs.cluster_parts_in(g, g.full_mask())
+    return (k is not None), (k if k is not None else len(graphs.components(g)))
 
 
 def random_cotree(rng: random.Random, n, op=None):
@@ -274,7 +291,7 @@ def unreduced_type(t, caps, memo):
             merge = MERGES[t.op]
 
             def capped(p, q):
-                return polarity.cap_profile(merge(p, q), caps)
+                return cap_profile(merge(p, q), caps)
 
             typ = EMPTY_TYPE
             for child in t.children:
@@ -436,60 +453,95 @@ def graph6_bitwise(g):
     return bytes(head + body).decode("ascii")
 
 
-def per_class_bisect_order(enum, m):
-    """(connected, disconnected) classes of order m, each list sorted by code.
+def _insert(parts, part):
+    """(children, codes) in code order, with ``part`` inserted where its code falls."""
+    kids, codes = parts
+    p = bisect_right(codes, part._code)
+    return kids[:p] + (part,) + kids[p:], codes[:p] + (part._code,) + codes[p:]
 
-    ``obstructions.CographEnumerator`` as it was before it built each
-    insertion place's run of last parts at once: one bisect of the parts'
-    codes per class.  ``enum`` must hold every order below m, and the new
-    classes' children are its stored classes.
+
+def _places(kids, codes, head):
+    """Per place p of one more child: (kids before, after, head + codes before, after)."""
+    cut = range(len(kids) + 1)
+    return [(kids[:p], kids[p:], head + b"".join(codes[:p]), b"".join(codes[p:])) for p in cut]
+
+
+def node_building_order(enum, m):
+    """(connected, disconnected) cotrees of order m, each list sorted by code.
+
+    ``obstructions.CographEnumerator`` as it was before codes became its
+    state: one walk over index multisets builds a node for every class, and
+    each insertion place's run of last parts is bisected by the nodes'
+    codes.  ``enum.trees`` must hold every order below m, and the new
+    classes' children are its stored cotrees.
     """
+    return _node_walk_order(enum.trees, m, per_class=False)
+
+
+def per_class_bisect_order(enum, m):
+    """``node_building_order`` as it was before it built each insertion
+    place's run of last parts at once: one bisect of the parts' codes per class."""
+    return _node_walk_order(enum.trees, m, per_class=True)
+
+
+def _node_walk_order(trees, m, per_class):
     conn, disc = [], []
-    _per_class_bisect_unions(enum, m, ((), ()), ((), ()), 1, 0, m, conn, disc)
+    _node_walk_unions(trees, m, ((), ()), ((), ()), 1, 0, m, conn, disc, per_class)
     conn.sort(key=obstructions._CODE)
     disc.sort(key=obstructions._CODE)
     return conn, disc
 
 
-def _per_class_bisect_unions(
-    enum, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc
+def _node_walk_unions(
+    trees, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc, per_class
 ):
-    connected, disconnected = enum.connected, enum.disconnected
     for o in range(o0, remaining // 2 + 1):
-        union_block = connected[o]
-        join_block = disconnected[o]
+        union_block, join_block = trees[o]
         for i in range(i0 if o == o0 else 0, len(union_block)):
-            _per_class_bisect_unions(
-                enum,
+            _node_walk_unions(
+                trees,
                 m,
-                obstructions._insert(union_parts, union_block[i]),
-                obstructions._insert(join_parts, join_block[i]),
+                _insert(union_parts, union_block[i]),
+                _insert(join_parts, join_block[i]),
                 o,
                 i,
                 remaining - o,
                 new_conn,
                 new_disc,
+                per_class,
             )
     if not union_parts[0]:
         return
     count = bytes((len(union_parts[0]) + 1,))
     start = i0 if remaining == o0 else 0
     new = Cotree.__new__
-    for op, blocks, (kids, codes), out in (
-        (UNION, connected, union_parts, new_disc),
-        (JOIN, disconnected, join_parts, new_conn),
+
+    def add(out, op, place, x):
+        head, tail, code_head, code_tail = place
+        t = new(Cotree)
+        t.op = op
+        t.children = head + (x,) + tail
+        t.vertex = None
+        t._code = code_head + x._code + code_tail
+        t._order = m
+        t._profile = None
+        out.append(t)
+
+    for op, block, (kids, codes), out in (
+        (UNION, trees[remaining][0], union_parts, new_disc),
+        (JOIN, trees[remaining][1], join_parts, new_conn),
     ):
-        places = obstructions._places(kids, codes, op.encode("ascii") + count)
-        for x in blocks[remaining][start:]:
-            head, tail, code_head, code_tail = places[bisect_right(codes, x._code)]
-            t = new(Cotree)
-            t.op = op
-            t.children = head + (x,) + tail
-            t.vertex = None
-            t._code = code_head + x._code + code_tail
-            t._order = m
-            t._profile = None
-            out.append(t)
+        places = _places(kids, codes, op.encode("ascii") + count)
+        if per_class:
+            for x in block[start:]:
+                add(out, op, places[bisect_right(codes, x._code)], x)
+            continue
+        lo, end = start, len(block)
+        for p, place in enumerate(places):
+            hi = bisect_left(block, codes[p], lo, end, key=obstructions._CODE) if p < len(codes) else end
+            for x in block[lo:hi]:
+                add(out, op, place, x)
+            lo = hi
 
 
 def _walk(g, vertex_mask, row_of):
@@ -619,7 +671,7 @@ class SetTypeAlgebra:
         memo = self._merged[op]
         if (p, q) not in memo:
             profiles = self._profiles
-            prof = polarity.cap_profile(MERGES[op](profiles[p], profiles[q]), self.caps)
+            prof = cap_profile(MERGES[op](profiles[p], profiles[q]), self.caps)
             memo[(p, q)] = self._profile_id(prof)
         return memo[(p, q)]
 
