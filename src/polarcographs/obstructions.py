@@ -149,7 +149,9 @@ def _insert(parts, codes, trees, i):
     have, kids = parts
     code = codes[i]
     p = bisect_right(have, code)
-    return have[:p] + (code,) + have[p:], None if trees is None else kids[:p] + (trees[i],) + kids[p:]
+    if trees is not None:
+        kids = kids[:p] + (trees[i],) + kids[p:]
+    return have[:p] + (code,) + have[p:], kids
 
 
 class CographEnumerator:
@@ -240,9 +242,10 @@ class CographEnumerator:
                 gc.enable()
 
     def _walk(self, m, trees):
-        """(connected, disconnected) classes of order m, unsorted: cotrees, or codes if ``trees`` is None.
+        """(connected, disconnected) classes of order m, unsorted.
 
-        ``trees`` is ``self.trees``, holding every order below m.
+        Cotrees when ``trees`` is ``self.trees``, which must then hold every
+        order below m; codes when it is None.
         """
         conn, disc = [], []
         parts = ((), None if trees is None else ())

@@ -245,7 +245,9 @@ def _point_tables(caps):
         def capped_up(point):
             return 0 if point is None else up[min(point[0], cs) * (ck + 1) + min(point[1], ck)]
 
-        points = {op: [[capped_up(_point(op, a, b)) for b in box] for a in box] for op in (UNION, JOIN)}
+        points = {
+            op: [[capped_up(_point(op, a, b)) for b in box] for a in box] for op in (UNION, JOIN)
+        }
         tables = _POINT_TABLES[caps] = box, up, below, points
     return tables
 
@@ -295,11 +297,12 @@ class TypeAlgebra:
     op({a}, {b}), 0 when the pair gives no signature.  That merge has at
     most one point, the pair rule's ``_point(op, a, b)``, capped; the tables
     depend on the caps alone, so they are filled from it once per caps and
-    shared by every algebra with those caps (``_point_tables``).  A profile's minimal points are
-    found only when its mask is first met.  Merges are memoized per label,
-    per left profile id, on the right id.  A type is known only by its
-    number, keyed by its profile id and the bitset of its deleted-profile
-    ids (``sink``, numbered after ``empty`` and ``leaf``, has no key);
+    shared by every algebra with those caps (``_point_tables``).  A
+    profile's minimal points are found only when its mask is first met.
+    Merges are memoized per label, per left profile id, on the right id.  A
+    type is known only by its number, keyed by its profile id and the bitset
+    of its deleted-profile ids (``sink``, numbered after ``empty`` and
+    ``leaf``, has no key);
     "least polar" is a strict mask inclusion test between two candidates,
     so a miss of ``combine`` builds the key's bitset as it filters its few
     candidates, with no sort, and reads the type by that key.  ``hit`` and

@@ -286,7 +286,8 @@ def test_stored_lists_are_code_sorted_and_complements_of_each_other():
     for n in range(2, 11):
         conn, disc = enum.trees[n]
         assert len(conn) == len(disc)
-        for classes, codes, label in zip((conn, disc), enum.codes[n], (cotrees.JOIN, cotrees.UNION)):
+        labels = (cotrees.JOIN, cotrees.UNION)
+        for classes, codes, label in zip((conn, disc), enum.codes[n], labels):
             assert codes == [t._code for t in classes], (n, label)
             assert all(a < b for a, b in zip(codes, codes[1:])), (n, label)
             assert {t.op for t in classes} == {label}

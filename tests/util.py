@@ -538,7 +538,9 @@ def _node_walk_unions(
             continue
         lo, end = start, len(block)
         for p, place in enumerate(places):
-            hi = bisect_left(block, codes[p], lo, end, key=obstructions._CODE) if p < len(codes) else end
+            hi = end
+            if p < len(codes):
+                hi = bisect_left(block, codes[p], lo, end, key=obstructions._CODE)
             for x in block[lo:hi]:
                 add(out, op, place, x)
             lo = hi
