@@ -101,7 +101,7 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 from math import comb
 from operator import attrgetter
 
@@ -113,7 +113,7 @@ from .values import FrozenValue, set_field
 # Each limit is checked in this module only.  The enumerator keeps the code
 # of every class it has built (1,399,068 of order 15 alone), and the cotree of
 # every class of the orders read as trees: ``cograph_counts(15)``, codes only
-# above order 8, takes 0.47-0.56 s of CPU at 196 MB peak RSS, and
+# above order 8, takes 0.35-0.45 s of CPU at 196 MB peak RSS, and
 # ``enumerate_cographs(15)``, which builds every cotree, 1.1-2.0 s at 498 MB
 # (2-vCPU Xeon VM, Python 3.11); the process keeps that memory.  Mining
 # enumerates only up to _SPLIT_ORDER and counts the rest by type: at order 40
@@ -268,7 +268,10 @@ class CographEnumerator:
         part runs over a block sorted by code, so its insertion place never
         decreases along the block: each place p takes the run of parts whose
         codes x have codes[p-1] <= x < codes[p], which one bisect per place
-        finds, not one per class.
+        finds, not one per class.  A place joins its head (label, number of
+        parts and the codes before p) and its tail (the codes from p on)
+        once; each code of the run is then ``x.join((head, tail))``, one
+        allocation per class, mapped over the run in C.
         """
         codes = self.codes
         # a part that leaves room for another has order <= remaining // 2
@@ -308,7 +311,7 @@ class CographEnumerator:
                 code_head = head + b"".join(part_codes[:p])
                 code_tail = b"".join(part_codes[p:])
                 if kids is None:
-                    out += [code_head + x + code_tail for x in block[lo:hi]]
+                    out.extend(map(bytes.join, block[lo:hi], repeat((code_head, code_tail))))
                 else:
                     before, after = kids[:p], kids[p:]
                     for x in trees[remaining][side][lo:hi]:

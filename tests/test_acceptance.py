@@ -11,11 +11,9 @@ import itertools
 import random
 import time
 
-import pytest
-
 from polarcographs import catalog, cotrees, expressions, graphs, obstructions, polarity
 from polarcographs.catalog import conjectured_order, verify_claim
-from polarcographs.obstructions import enumerate_cographs, mine_obstructions
+from polarcographs.obstructions import enumerate_cographs
 from polarcographs.polarity import INF
 
 from util import (

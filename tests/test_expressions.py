@@ -3,7 +3,6 @@ import pytest
 from polarcographs import cotrees, expressions, graphs
 from polarcographs.expressions import (
     Atom,
-    Biclique,
     Complement,
     ExprError,
     Join,

@@ -381,6 +381,23 @@ def test_trees_built_after_codes_give_the_enumerated_digest():
     assert digest.hexdigest() == ENUMERATED_12_DIGEST
 
 
+# sha256 of code.hex() + "\n" over enumerate_cographs(13), in its order,
+# computed from the tree walk before the codes-only walk joined each code
+ENUMERATED_13_DIGEST = "237e3223a52e7f12fb7131403d4fc67f682045af87fa05be94b8e2b0197c3a92"
+
+
+def test_codes_only_through_order_13_give_the_enumerated_digest():
+    # one order past the oracle comparison, with no cotree above the split order
+    enum = CographEnumerator()
+    assert cograph_counts(13, enumerator=enum) == list(A000084[:13])
+    assert len(enum.trees) == obstructions._SPLIT_ORDER
+    digest = hashlib.sha256()
+    for n in range(1, 14):
+        for code in enum.classes_of_order(n):
+            digest.update((code.hex() + "\n").encode())
+    assert digest.hexdigest() == ENUMERATED_13_DIGEST
+
+
 @pytest.mark.parametrize("doctor", ["drop", "swap", "replace"])
 def test_a_tree_build_that_misses_the_held_codes_raises(doctor):
     enum = CographEnumerator()
