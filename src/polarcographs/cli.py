@@ -82,7 +82,7 @@ def _emit(text, out_path):
 
 
 def _graph_payload(g):
-    c, i = obstructions.classify_type(g)
+    c, i = obstructions.cotree_type(cotrees.cotree_of(g))
     return {
         "graph6": graphs.graph6_encode(g),
         "order": g.n,

@@ -125,14 +125,6 @@ def validate(t):
         validate(c)
 
 
-def normalize(t):
-    """Flatten same-label nesting, contract unary nodes, sort children by code;
-    an internal node with no children raises MalformedCotreeError."""
-    if t.op == LEAF:
-        return t
-    return compose(t.op, [normalize(c) for c in t.children])
-
-
 # -- recognition -------------------------------------------------------------
 
 

@@ -132,17 +132,6 @@ def complement(g):
     return Graph(g.n, [(~row & full) ^ _bit(v) for v, row in enumerate(g.rows)])
 
 
-def induced_subgraph(g, vertex_mask):
-    """Subgraph induced by the set bits of ``vertex_mask``, relabeled in order."""
-    verts = list(bits(vertex_mask))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v in verts:
-        for u in bits(g.rows[v] & vertex_mask):
-            rows[index[v]] |= _bit(index[u])
-    return Graph(len(verts), rows)
-
-
 def disjoint_union(g, h):
     """G + H: g's vertices first, h's shifted by g.n."""
     rows = list(g.rows) + [row << g.n for row in h.rows]
@@ -185,10 +174,6 @@ def _parts_in(g, vertex_mask, flip):
 def components_in(g, vertex_mask):
     """Connected components restricted to ``vertex_mask``, as masks ordered by least vertex."""
     return _parts_in(g, vertex_mask, 0)
-
-
-def components(g):
-    return components_in(g, g.full_mask())
 
 
 def co_components_in(g, vertex_mask):

@@ -19,18 +19,17 @@ sorted lists of ``bytes``; the walk gives each as a few hundred ascending
 runs, which the sort merges in about linear time, and an order's classes are
 the connected list followed by the disconnected one (b"J" < b"U").
 
-Counting needs the codes alone, so the enumerator builds cotrees only for
-the orders read as trees: every order up to the split order, which every
-mining's cross-check reads, and the orders a caller asks for by
-``CographEnumerator.trees_of_order``, which ``enumerate_cographs`` does.  The
-same walk then builds a node per class from the stored cotrees of the lower
-orders, so every child is a stored class or the shared leaf and no node is
-duplicated; each node is well-formed by construction (at least two
-children, labels alternating) and is built in one step with its order and
-code.  A tree build of an order already held as codes must give the same
-codes, or it raises.  No profile is computed while building:
-``polarity.profile_dp`` computes and memoizes one on the first node that
-asks.  The cyclic garbage collector is paused while cotrees are built: they
+Counting needs the codes alone, so ``CographEnumerator.classes_of_order``
+builds codes only, and cotrees are built only where a caller reads them: by
+``CographEnumerator.trees_of_order``, which ``enumerate_cographs`` and
+mining's split cross-check call.  The same walk then builds a node per class
+from the stored cotrees of the lower orders, so every child is a stored class
+or the shared leaf and no node is duplicated; each node is well-formed by
+construction (at least two children, labels alternating) and is built in one
+step with its order and code.  A tree build of an order already held as
+codes must give the same codes, or it raises.  No profile is computed while
+building: ``polarity.profile_dp`` computes and memoizes one on the first node
+that asks.  The cyclic garbage collector is paused while cotrees are built: they
 are acyclic, and the collector's passes over the growing heap of stored
 nodes would find nothing to free.  The new nodes are then handed to the
 collector's oldest generation, so that the caller's next allocation does not
@@ -112,8 +111,8 @@ from .values import FrozenValue, set_field
 
 # Each limit is checked in this module only.  The enumerator keeps the code
 # of every class it has built (1,399,068 of order 15 alone), and the cotree of
-# every class of the orders read as trees: ``cograph_counts(15)``, codes only
-# above order 8, takes 0.35-0.45 s of CPU at 196 MB peak RSS, and
+# every class of the orders asked for as trees: ``cograph_counts(15)``, codes
+# only, takes 0.35-0.45 s of CPU at 196 MB peak RSS, and
 # ``enumerate_cographs(15)``, which builds every cotree, 1.1-2.0 s at 498 MB
 # (2-vCPU Xeon VM, Python 3.11); the process keeps that memory.  Mining
 # enumerates only up to _SPLIT_ORDER and counts the rest by type: at order 40
@@ -169,14 +168,13 @@ class CographEnumerator:
     insertion place, not one per class.
 
     ``trees[n]`` holds the cotrees of the classes of order n, in the same two
-    lists and the same order, for the orders read as trees: every order up
-    to ``_SPLIT_ORDER``, which mining reads, and every order up to the
-    largest asked for by ``trees_of_order``.  The same walk builds them from
-    the stored cotrees of the lower orders, so every child is a stored class
-    or the shared leaf; each node gets its order and code when it is built,
-    its children already in code order.  A tree build of an order whose codes
-    are already held must give those codes, or it raises AssertionError.
-    Profiles are left to ``polarity.profile_dp``.
+    lists and the same order, for every order up to the largest asked for by
+    ``trees_of_order``; ``classes_of_order`` builds none.  The same walk
+    builds them from the stored cotrees of the lower orders, so every child
+    is a stored class or the shared leaf; each node gets its order and code
+    when it is built, its children already in code order.  A tree build of
+    an order whose codes are already held must give those codes, or it
+    raises AssertionError.  Profiles are left to ``polarity.profile_dp``.
 
     ``deleted`` maps the code of a class to the exact profiles of its
     one-vertex deletions (``polarity.deleted_profiles``), which the split
@@ -189,16 +187,9 @@ class CographEnumerator:
         self.trees = {1: ([_SHARED_LEAF], [_SHARED_LEAF])}
         self.deleted = {}
 
-    def _build_to(self, n, trees=False):
-        """Build the codes of every order up to n, and the cotrees of the orders read as trees.
-
-        Those are the orders up to n if ``trees``, and up to ``_SPLIT_ORDER``
-        in any case.
-        """
+    def _build_to(self, n):
+        """Build the codes of every order up to n, and no cotree."""
         _check_enumeration_bound(n)
-        top = n if trees else min(n, _SPLIT_ORDER)
-        if len(self.trees) < top:
-            self._build_trees_to(top)
         while len(self.codes) < n:
             m = len(self.codes) + 1
             conn, disc = self._walk(m, None)
@@ -343,7 +334,9 @@ class CographEnumerator:
         Builds the cotrees of every order up to n that are not built yet.
         """
         _check_int("n", n, 1)
-        self._build_to(n, trees=True)
+        _check_enumeration_bound(n)
+        if len(self.trees) < n:
+            self._build_trees_to(n)
         return _of_order(self.trees, n)
 
 
@@ -441,16 +434,10 @@ def encode_param(x):
     return "inf" if x == INF else int(x)
 
 
-def classify_type(g):
-    """(c, i): number of components and number of trivial (K1) components."""
-    comps = graphs.components(g)
-    trivial = sum(1 for comp in comps if comp.bit_count() == 1)
-    return len(comps), trivial
-
-
 def cotree_type(t):
-    """``classify_type`` read from a normalized cotree's root: a UNION root's
-    children are the components, and any other root is one component."""
+    """(c, i): number of components and number of trivial (K1) components,
+    read from a normalized cotree's root: a UNION root's children are the
+    components, and any other root is one component."""
     if t.op == UNION:
         return len(t.children), sum(1 for child in t.children if child.op == LEAF)
     return 1, int(t.op == LEAF)
@@ -786,10 +773,11 @@ def _mine_types(s, k, n_max, enum):
 
     for n in range(1, n_max + 1):
         if n <= _SPLIT_ORDER:
+            classes = enum.trees_of_order(n)
             count = len(enum.classes_of_order(n))
             if count != expected[n - 1]:
                 raise AssertionError(f"{count} classes of order {n}, not {expected[n - 1]}")
-            minimal.extend(_minimal_codes(enum.trees_of_order(n), s, k, enum.deleted))
+            minimal.extend(_minimal_codes(classes, s, k, enum.deleted))
         if n > 1:
             total = 0
             for op, knapsack in knapsacks.items():

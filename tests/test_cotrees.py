@@ -6,7 +6,7 @@ from polarcographs import cotrees, graphs, obstructions
 from polarcographs.cotrees import JOIN, UNION, Cotree
 from polarcographs.graphs import Graph
 
-from util import permute_graph, random_cotree
+from util import normalize, permute_graph, random_cotree
 
 
 def test_p4_yields_certificate():
@@ -70,12 +70,12 @@ def test_validate_rejects_malformed():
     nested = Cotree(UNION, (Cotree(UNION, (cotrees.leaf(), cotrees.leaf())), cotrees.leaf()))
     with pytest.raises(cotrees.MalformedCotreeError):
         cotrees.validate(nested)
-    assert cotrees.validate(cotrees.normalize(nested)) is None
+    assert cotrees.validate(normalize(nested)) is None
 
 
 def test_normalize_contracts_unary_and_flattens():
     inner = Cotree(JOIN, (cotrees.leaf(), cotrees.leaf()))
-    t = cotrees.normalize(Cotree(UNION, (Cotree(UNION, (inner, cotrees.leaf())), cotrees.leaf())))
+    t = normalize(Cotree(UNION, (Cotree(UNION, (inner, cotrees.leaf())), cotrees.leaf())))
     assert t.op == UNION and len(t.children) == 3
 
 

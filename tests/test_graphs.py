@@ -10,9 +10,11 @@ from polarcographs.graphs import Graph
 from util import (
     cluster_parts_checked,
     co_components_walk,
+    components,
     components_walk,
     delete_vertex,
     graph6_bitwise,
+    induced_subgraph,
     is_cluster,
     multipartite_parts_joined,
     permute_graph,
@@ -54,7 +56,7 @@ def test_union_and_join_counts():
 
 def test_components_and_clusters():
     g = graphs.disjoint_union(Graph.complete(2), Graph.complete(3))
-    assert len(graphs.components(g)) == 2
+    assert len(components(g)) == 2
     assert is_cluster(g) == (True, 2)
     assert is_cluster(Graph.path(3))[0] is False
     assert graphs.cluster_parts_in(g, g.full_mask()) == 2
@@ -110,7 +112,7 @@ def test_walks_match_the_oracles_on_random_graphs():
 
 def test_induced_and_delete():
     g = Graph.cycle(4)
-    sub = graphs.induced_subgraph(g, 0b0111)
+    sub = induced_subgraph(g, 0b0111)
     assert (sub.n, sub.edge_count()) == (3, 2)
     assert delete_vertex(g, 0).n == 3
 

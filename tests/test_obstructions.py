@@ -24,10 +24,12 @@ from polarcographs.polarity import INF
 from util import (
     ORACLE_PAIRS,
     class_level_records,
+    classify_type,
     copies_walk_add,
     delete_vertex,
     deletion_profiles,
     deletions_admit_materialised,
+    induced_subgraph,
     memo_free_copy,
     minimal_by_all_deletions,
     node_building_order,
@@ -161,7 +163,7 @@ def test_records_are_sorted_and_typed():
         assert records == sorted(records, key=lambda r: r.sort_key())
         for r in records:
             g = graphs.graph6_decode(r.graph6)
-            assert (r.c, r.i) == obstructions.classify_type(g)
+            assert (r.c, r.i) == classify_type(g)
             assert r.order == g.n
             assert r.bound == n_max
             # the expression field reproduces the graph
@@ -179,7 +181,7 @@ def test_records_keep_the_cotree_they_were_mined_as():
         assert cotrees.canonical_code(r.tree) == r.code
         assert cotrees.canonical_code(memo_free_copy(r.tree)) == r.code
         assert graphs.graph6_encode(g) == r.graph6
-        assert (r.c, r.i) == obstructions.cotree_type(r.tree) == obstructions.classify_type(g)
+        assert (r.c, r.i) == obstructions.cotree_type(r.tree) == classify_type(g)
         assert "tree" not in json.loads(r.to_json())
         bare = ObstructionRecord(
             r.code, r.order, r.graph6, r.expression, r.s, r.k, r.c, r.i, r.provenance, r.bound
@@ -217,7 +219,7 @@ def test_minimality_against_random_induced_subgraphs():
         for _ in range(10):
             size = rng.randint(1, g.n - 1)
             mask = graphs.mask_of(rng.sample(range(g.n), size))
-            sub = graphs.induced_subgraph(g, mask)
+            sub = induced_subgraph(g, mask)
             assert polarity.profile_of_graph(sub).admits(INF, 2)
 
 
@@ -342,7 +344,7 @@ def test_codes_and_trees_match_the_node_building_walk_byte_for_byte():
     # of orders already held as codes
     codes_first = CographEnumerator()
     cograph_counts(12, enumerator=codes_first)
-    assert len(codes_first.trees) == obstructions._SPLIT_ORDER
+    assert len(codes_first.trees) == 1
     enum = CographEnumerator()
     assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF._code,)
     assert enum.trees_of_order(1) == (obstructions._SHARED_LEAF,)
@@ -374,7 +376,7 @@ def test_per_place_runs_match_the_per_class_bisect_oracle():
 def test_trees_built_after_codes_give_the_enumerated_digest():
     enum = CographEnumerator()
     cograph_counts(11, enumerator=enum)
-    assert len(enum.trees) == obstructions._SPLIT_ORDER
+    assert len(enum.trees) == 1
     digest = hashlib.sha256()
     for t in enumerate_cographs(12, enumerator=enum):
         digest.update((t._code.hex() + "\n").encode())
@@ -387,10 +389,10 @@ ENUMERATED_13_DIGEST = "237e3223a52e7f12fb7131403d4fc67f682045af87fa05be94b8e2b0
 
 
 def test_codes_only_through_order_13_give_the_enumerated_digest():
-    # one order past the oracle comparison, with no cotree above the split order
+    # one order past the oracle comparison, with no cotree built but the leaf
     enum = CographEnumerator()
     assert cograph_counts(13, enumerator=enum) == list(A000084[:13])
-    assert len(enum.trees) == obstructions._SPLIT_ORDER
+    assert len(enum.trees) == 1
     digest = hashlib.sha256()
     for n in range(1, 14):
         for code in enum.classes_of_order(n):
@@ -431,7 +433,7 @@ def test_a_build_keeps_the_callers_frozen_objects_frozen():
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
-        CographEnumerator().classes_of_order(8)
+        CographEnumerator().trees_of_order(8)
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
@@ -451,7 +453,7 @@ def test_build_pauses_and_restores_gc(monkeypatch, enabled):
     try:
         gc.enable() if enabled else gc.disable()
         enum = CographEnumerator()
-        enum.classes_of_order(6)
+        enum.trees_of_order(6)
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -474,7 +476,7 @@ def test_build_restores_gc_when_it_raises(monkeypatch):
     try:
         gc.enable()
         with pytest.raises(RuntimeError):
-            CographEnumerator().classes_of_order(5)
+            CographEnumerator().trees_of_order(5)
         assert gc.isenabled()
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -520,6 +522,16 @@ def test_mined_records_match_the_pinned_digests(key):
     records = mine_obstructions(*key)
     digest = hashlib.sha256(obstructions.records_to_jsonl(records).encode()).hexdigest()
     assert (len(records), digest) == MINED_DIGESTS[key]
+
+
+@pytest.mark.parametrize("s, k, n_max", [(INF, 2, 10), (2, 3, 12), (1, 4, 12), (0, 3, 12)])
+def test_mined_lists_are_complement_dual(s, k, n_max):
+    # G is (s,k)-polar iff its complement is (k,s)-polar, so complementing the
+    # minimal (s,k)-obstructions gives the minimal (k,s)-obstructions
+    records = mine_obstructions(s, k, n_max)
+    flipped = [cotrees.canonical_code(cotrees.flip_labels(r.tree)) for r in records]
+    dual = [r.code for r in mine_obstructions(k, s, n_max)]
+    assert flipped and sorted(flipped) == sorted(dual)
 
 
 # sha256 of the JSONL of each mining at the largest order the enumerator supports

@@ -29,15 +29,45 @@ def cap_profile(prof, caps):
     return polarity._reduce((min(a, cs), min(b, ck)) for a, b in prof)
 
 
+def induced_subgraph(g, vertex_mask):
+    """Subgraph induced by the set bits of ``vertex_mask``, relabeled in order."""
+    verts = list(graphs.bits(vertex_mask))
+    index = {v: i for i, v in enumerate(verts)}
+    rows = [0] * len(verts)
+    for v in verts:
+        for u in graphs.bits(g.rows[v] & vertex_mask):
+            rows[index[v]] |= 1 << index[u]
+    return graphs.Graph(len(verts), rows)
+
+
 def delete_vertex(g, v):
     """G minus vertex v, the other vertices renumbered in order."""
-    return graphs.induced_subgraph(g, g.full_mask() ^ (1 << v))
+    return induced_subgraph(g, g.full_mask() ^ (1 << v))
+
+
+def components(g):
+    """The connected components of g, as vertex masks ordered by least vertex."""
+    return graphs.components_in(g, g.full_mask())
+
+
+def classify_type(g):
+    """(c, i) read from the graph's components: the oracle of ``obstructions.cotree_type``."""
+    comps = components(g)
+    return len(comps), sum(1 for comp in comps if comp.bit_count() == 1)
 
 
 def is_cluster(g):
     """(is-cluster, component count).  A cluster is a P3-free graph."""
     k = graphs.cluster_parts_in(g, g.full_mask())
-    return (k is not None), (k if k is not None else len(graphs.components(g)))
+    return (k is not None), (k if k is not None else len(components(g)))
+
+
+def normalize(t):
+    """Flatten same-label nesting, contract unary nodes, sort children by code;
+    an internal node with no children raises MalformedCotreeError."""
+    if t.op == LEAF:
+        return t
+    return cotrees.compose(t.op, [normalize(c) for c in t.children])
 
 
 def random_cotree(rng: random.Random, n, op=None):
@@ -51,7 +81,7 @@ def random_cotree(rng: random.Random, n, op=None):
     sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     flipped = UNION if op == JOIN else JOIN
     kids = [random_cotree(rng, size, flipped) for size in sizes]
-    return cotrees.normalize(Cotree(op, kids))
+    return normalize(Cotree(op, kids))
 
 
 def random_graph(rng: random.Random, n, p=0.5):
@@ -722,7 +752,7 @@ class SetTypeAlgebra:
 def components_graphs(g):
     """The components of g as graphs: the claims' structure tests as they were
     before they read cotrees."""
-    return [graphs.induced_subgraph(g, comp) for comp in graphs.components(g)]
+    return [induced_subgraph(g, comp) for comp in components(g)]
 
 
 def is_complete(g):
