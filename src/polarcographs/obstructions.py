@@ -29,8 +29,8 @@ construction (at least two children, labels alternating) and is built in one
 step with its order and code.  A tree build of an order already held as
 codes must give the same codes, or it raises.  No profile is computed while
 building: ``polarity.profile_dp`` computes and memoizes one on the first node
-that asks.  The cyclic garbage collector is paused while cotrees are built: they
-are acyclic, and the collector's passes over the growing heap of stored
+that asks.  The cyclic garbage collector is paused while cotrees are built:
+they are acyclic, and the collector's passes over the growing heap of stored
 nodes would find nothing to free.  The new nodes are then handed to the
 collector's oldest generation, so that the caller's next allocation does not
 start a pass over them.  A walk that builds codes only allocates no tracked
