@@ -48,7 +48,7 @@ from functools import partial
 
 from . import expressions, obstructions, polarity
 from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, flip_labels
-from .obstructions import mine_obstructions
+from .obstructions import CographEnumerator, mine_obstructions
 from .polarity import INF
 from .values import FrozenValue, Value, set_field
 
@@ -257,15 +257,21 @@ def instantiate(claim_id, k=None):
 
 
 class MiningCache:
-    """Memoized mining keyed by (s, k, bound); shared across claim verifiers."""
+    """Memoized mining keyed by (s, k, bound); shared across claim verifiers.
+
+    Its passes share one enumerator, and with it the cotrees, memoized
+    profiles and folded deletions of the orders each mining cross-checks;
+    the cache frees them with itself.
+    """
 
     def __init__(self):
         self._mined = {}
+        self.enumerator = CographEnumerator()
 
     def mine(self, s, k, n_max):
         key = (s, k, n_max)
         if key not in self._mined:
-            self._mined[key] = mine_obstructions(s, k, n_max)
+            self._mined[key] = mine_obstructions(s, k, n_max, self.enumerator)
         return self._mined[key]
 
 

@@ -5,19 +5,19 @@ recursion per order: a disconnected class of order n is a multiset (size >=
 2) of connected classes with total order n, and a connected one a multiset
 of disconnected classes, drawn by index in nondecreasing (order, index)
 order so every multiset appears once.  Complementation pairs the connected
-and the disconnected classes of each order, so their stored lists have the
-same length, and one walk over multisets of indices gives each UNION class
-from the connected classes at those indices and each JOIN class from the
-disconnected ones.  The parts chosen so far are carried in code order, each
-inserted where its code falls, so a class's code is assembled, not sorted:
-the label and the number of parts, then the codes of the parts before its
-last part's place, that part's, and the rest.  The last part runs over a
-code-sorted block, so its place never decreases along the block and each
-place takes one contiguous run of it: one bisect per place, not one per
-class.  Each order's connected and disconnected codes are stored as two
-sorted lists of ``bytes``; the walk gives each as a few hundred ascending
-runs, which the sort merges in about linear time, and an order's classes are
-the connected list followed by the disconnected one (b"J" < b"U").
+and the disconnected classes of each order, so the two halves of its stored
+tuple have the same length, and one walk over multisets of indices gives
+each UNION class from the connected classes at those indices and each JOIN
+class from the disconnected ones.  The parts chosen so far are carried in
+code order, each inserted where its code falls, so a class's code is
+assembled, not sorted: the label and the number of parts, then the codes of
+the parts before its last part's place, that part's, and the rest.  The last
+part runs over a code-sorted half, so its place never decreases along it and
+each place takes one contiguous run of it: one bisect per place, not one per
+class.  Each order's codes are stored once, as one ascending tuple of
+``bytes`` with the connected classes first (b"J" < b"U"); the walk gives
+them as a few hundred ascending runs, which the sort merges in about linear
+time.
 
 Counting needs the codes alone, so ``CographEnumerator.classes_of_order``
 builds codes only, and cotrees are built only where a caller reads them: by
@@ -32,9 +32,12 @@ building: ``polarity.profile_dp`` computes and memoizes one on the first node
 that asks.  The cyclic garbage collector is paused while cotrees are built:
 they are acyclic, and the collector's passes over the growing heap of stored
 nodes would find nothing to free.  The new nodes are then handed to the
-collector's oldest generation, so that the caller's next allocation does not
-start a pass over them.  A walk that builds codes only allocates no tracked
-object that outlives a class, and it runs as fast with the collector on.
+collector's oldest generation, so that the young-generation passes of the
+caller's next allocations do not walk them; a full collection still does,
+for as long as they are alive.  A walk that builds codes only allocates no
+tracked object that outlives a class, and it runs as fast with the collector
+on.  An enumerator holds what it built for as long as its owner keeps it;
+the module functions that are given none make one and drop it on return.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -100,7 +103,7 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, repeat
 from math import comb
 from operator import attrgetter
 
@@ -114,12 +117,13 @@ from .values import FrozenValue, set_field
 # every class of the orders asked for as trees: ``cograph_counts(15)``, codes
 # only, takes 0.35-0.45 s of CPU at 196 MB peak RSS, and
 # ``enumerate_cographs(15)``, which builds every cotree, 1.1-2.0 s at 498 MB
-# (2-vCPU Xeon VM, Python 3.11); the process keeps that memory.  Mining
-# enumerates only up to _SPLIT_ORDER and counts the rest by type: at order 40
-# its peak RSS was 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order
-# limit does not bound cost, which follows the types and so the caps; the pair
-# limit does: it bounds the successor-row entries the type algebra fills
-# (``pairs``), checked after each knapsack block.  (inf,19,40) fills 692,241
+# (2-vCPU Xeon VM, Python 3.11); that memory is freed with the enumerator,
+# which a call given none drops on return.  Mining enumerates only up to
+# _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
+# 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order limit does not
+# bound cost, which follows the types and so the caps; the pair limit does: it
+# bounds the successor-row entries the type algebra fills (``pairs``), checked
+# after each knapsack block.  (inf,19,40) fills 692,241
 # of them and (12,12,24) 1,667,821 at 212 MB; (12,12,40) meets the limit after
 # 21 s of CPU at 462 MB peak RSS (same machine; see DECISIONS.md).
 ENUMERATION_MAX_ORDER = 15
@@ -139,10 +143,10 @@ _CODE = attrgetter("_code")
 
 
 def _insert(parts, codes, trees, i):
-    """``parts``, (codes, children) in code order, with a block's i-th class inserted
+    """``parts``, (codes, children) in code order, with an order's i-th class inserted
     where its code falls.
 
-    ``codes`` and ``trees`` are the block's codes and cotrees; in a walk that
+    ``codes`` and ``trees`` are the order's codes and cotrees; in a walk that
     builds codes only, ``trees`` and the children are None.
     """
     have, kids = parts
@@ -156,35 +160,41 @@ def _insert(parts, codes, trees, i):
 class CographEnumerator:
     """Incremental generator of every unlabeled cograph class, by canonical code.
 
-    ``codes[n]`` holds the canonical codes of the classes of order n as two
-    lists, the connected classes' and the disconnected ones', each in
-    ascending order; the leaf's code is in both.  A disconnected class is a
-    UNION of parts drawn by index from the connected lists, and a connected
-    one a JOIN of parts drawn by the same indices from the disconnected
-    lists: both lists of an order have the same length (complementation
-    pairs them), so one walk over index multisets gives every class of both
-    kinds once.  A class's code is assembled, not sorted: parts are carried
-    in code order and its last part is inserted with one bisect per
-    insertion place, not one per class.
+    ``codes[n]`` holds the canonical codes of the classes of order n as one
+    ascending tuple, which ``classes_of_order`` returns as is.  Every JOIN
+    code (b"J...") sorts before every UNION code (b"U..."), so its first half
+    is the connected classes and its second half the disconnected ones; order
+    1 is the leaf alone, which is both.  A disconnected class is a UNION of
+    parts drawn by index from the connected halves, and a connected one a
+    JOIN of parts drawn by the same indices from the disconnected halves: the
+    two halves of an order have the same length (complementation pairs
+    them), so one walk over index multisets gives every class of both kinds
+    once.  A class's code is assembled, not sorted: parts are carried in
+    code order and its last part is inserted with one bisect per insertion
+    place, not one per class.
 
-    ``trees[n]`` holds the cotrees of the classes of order n, in the same two
-    lists and the same order, for every order up to the largest asked for by
-    ``trees_of_order``; ``classes_of_order`` builds none.  The same walk
-    builds them from the stored cotrees of the lower orders, so every child
-    is a stored class or the shared leaf; each node gets its order and code
-    when it is built, its children already in code order.  A tree build of
-    an order whose codes are already held must give those codes, or it
-    raises AssertionError.  Profiles are left to ``polarity.profile_dp``.
+    ``trees[n]`` holds the cotrees of the classes of order n, in the same
+    order, for every order up to the largest asked for by
+    ``trees_of_order``, which returns it as is; ``classes_of_order`` builds
+    none.  The same walk builds them from the stored cotrees of the lower
+    orders, so every child is a stored class or the shared leaf; each node
+    gets its order and code when it is built, its children already in code
+    order.  A tree build of an order whose codes are already held must give
+    those codes, or it raises AssertionError.  Profiles are left to
+    ``polarity.profile_dp``.
 
     ``deleted`` maps the code of a class to the exact profiles of its
     one-vertex deletions (``polarity.deleted_profiles``), which the split
     cross-check of mining fills for the non-polar classes it meets and their
-    subtrees; like the classes, they are kept as long as the enumerator.
+    subtrees.  Everything is kept as long as the enumerator, and nothing
+    longer: its owner is the caller that made it (``catalog.MiningCache``
+    keeps one for a verification's passes), and the module functions make
+    one per call when given none.
     """
 
     def __init__(self):
-        self.codes = {1: ([_SHARED_LEAF._code], [_SHARED_LEAF._code])}
-        self.trees = {1: ([_SHARED_LEAF], [_SHARED_LEAF])}
+        self.codes = {1: (_SHARED_LEAF._code,)}
+        self.trees = {1: (_SHARED_LEAF,)}
         self.deleted = {}
 
     def _build_to(self, n):
@@ -192,12 +202,11 @@ class CographEnumerator:
         _check_enumeration_bound(n)
         while len(self.codes) < n:
             m = len(self.codes) + 1
-            conn, disc = self._walk(m, None)
-            # each comes out of the walk in a few hundred ascending runs,
-            # which timsort merges in about linear time
-            conn.sort()
-            disc.sort()
-            self.codes[m] = conn, disc
+            codes = self._walk(m, None)
+            # the walk gives a few hundred ascending runs, which timsort
+            # merges in about linear time
+            codes.sort()
+            self.codes[m] = tuple(codes)
 
     def _build_trees_to(self, n):
         """Build the cotrees of every order up to n, with the cyclic collector paused.
@@ -207,24 +216,22 @@ class CographEnumerator:
         frees, so collector passes over the growing heap of stored nodes
         would find nothing.  Afterwards ``gc.freeze`` and ``gc.unfreeze``
         move the new nodes to the oldest generation without a pass, and
-        leave the generation-0 count at zero, so that the caller's next
-        allocation does not start a pass over them; that is skipped when the
-        caller has frozen objects of its own, which ``gc.unfreeze`` would
-        release.
+        leave the generation-0 count at zero, so that the young-generation
+        passes the caller's next allocations start do not walk them; that is
+        skipped when the caller has frozen objects of its own, which
+        ``gc.unfreeze`` would release.  The next full collection still walks
+        them for as long as they are alive.
         """
         enabled = gc.isenabled()
         gc.disable()
         try:
             while len(self.trees) < n:
                 m = len(self.trees) + 1
-                conn, disc = self._walk(m, self.trees)
-                conn.sort(key=_CODE)
-                disc.sort(key=_CODE)
-                codes = [t._code for t in conn], [t._code for t in disc]
-                if self.codes.get(m, codes) != codes:
+                trees = tuple(sorted(self._walk(m, self.trees), key=_CODE))
+                codes = tuple(map(_CODE, trees))
+                if self.codes.setdefault(m, codes) != codes:
                     raise AssertionError(f"the cotrees of order {m} do not give its held codes")
-                self.codes[m] = codes
-                self.trees[m] = conn, disc
+                self.trees[m] = trees
             if not gc.get_freeze_count():
                 gc.freeze()
                 gc.unfreeze()
@@ -233,17 +240,17 @@ class CographEnumerator:
                 gc.enable()
 
     def _walk(self, m, trees):
-        """(connected, disconnected) classes of order m, unsorted.
+        """The classes of order m, unsorted.
 
         Cotrees when ``trees`` is ``self.trees``, which must then hold every
         order below m; codes when it is None.
         """
-        conn, disc = [], []
+        out = []
         parts = ((), None if trees is None else ())
-        self._add_unions(m, trees, parts, parts, 1, 0, m, conn, disc)
-        return conn, disc
+        self._add_unions(m, trees, parts, parts, 1, 0, m, out)
+        return out
 
-    def _add_unions(self, m, trees, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc):
+    def _add_unions(self, m, trees, union_parts, join_parts, o0, i0, remaining, out):
         """Add each order-m class whose parts extend the parts chosen so far, once.
 
         Indices (o, i) are drawn in nondecreasing order, starting at (o0, i0),
@@ -251,50 +258,50 @@ class CographEnumerator:
         chosen so far.  Index (o, i) adds the i-th connected class of order o
         to ``union_parts`` and the i-th disconnected one to ``join_parts``,
         both (codes, children) in code order, each part inserted in place;
-        the children are None when ``trees`` is.  Each multiset of at least
-        two indices gives the UNION of its union parts, added to ``new_disc``,
-        and the JOIN of its join parts, added to ``new_conn``: its code, or
-        with ``trees`` its cotree, built in one step with all six slots set
-        on ``Cotree.__new__``, so no initializer runs per node.  The last
-        part runs over a block sorted by code, so its insertion place never
-        decreases along the block: each place p takes the run of parts whose
-        codes x have codes[p-1] <= x < codes[p], which one bisect per place
-        finds, not one per class.  A place joins its head (label, number of
-        parts and the codes before p) and its tail (the codes from p on)
-        once; each code of the run is then ``x.join((head, tail))``, one
-        allocation per class, mapped over the run in C.
+        the children are None when ``trees`` is.  The disconnected classes of
+        an order start at ``half``, the length of its connected half (0 for
+        the leaf, which is both).  Each multiset of at least two indices
+        gives the UNION of its union parts and the JOIN of its join parts,
+        added to ``out``: its code, or with ``trees`` its cotree, built in
+        one step with all six slots set on ``Cotree.__new__``, so no
+        initializer runs per node.  The last part runs over a half sorted by
+        code, so its insertion place never decreases along it: each place p
+        takes the run of parts whose codes x have codes[p-1] <= x <
+        codes[p], which one bisect per place finds, not one per class.  A
+        place joins its head (label, number of parts and the codes before p)
+        and its tail (the codes from p on) once; each code of the run is
+        then ``x.join((head, tail))``, one allocation per class, mapped over
+        the run in C.
         """
         codes = self.codes
         # a part that leaves room for another has order <= remaining // 2
         for o in range(o0, remaining // 2 + 1):
-            union_block, join_block = codes[o]
-            union_kids, join_kids = (None, None) if trees is None else trees[o]
-            for i in range(i0 if o == o0 else 0, len(union_block)):
+            block = codes[o]
+            half = len(block) // 2
+            kids = None if trees is None else trees[o]
+            for i in range(i0 if o == o0 else 0, len(block) - half):
                 self._add_unions(
                     m,
                     trees,
-                    _insert(union_parts, union_block, union_kids, i),
-                    _insert(join_parts, join_block, join_kids, i),
+                    _insert(union_parts, block, kids, i),
+                    _insert(join_parts, block, kids, half + i),
                     o,
                     i,
                     remaining - o,
-                    new_conn,
-                    new_disc,
+                    out,
                 )
         if not union_parts[0]:
             return
         # the last part has the remaining order, at or after the previous part
         count = bytes((len(union_parts[0]) + 1,))
         start = i0 if remaining == o0 else 0
+        block = codes[remaining]
+        half = len(block) // 2
         cls = Cotree
         new = cls.__new__
-        for op, side, (part_codes, kids), out in (
-            (UNION, 0, union_parts, new_disc),
-            (JOIN, 1, join_parts, new_conn),
-        ):
+        for op, first, (part_codes, kids) in ((UNION, 0, union_parts), (JOIN, half, join_parts)):
             head = op.encode("ascii") + count
-            block = codes[remaining][side]
-            lo, end, cut = start, len(block), len(part_codes)
+            lo, end, cut = first + start, first + len(block) - half, len(part_codes)
             for p in range(cut + 1):
                 hi = bisect_left(block, part_codes[p], lo, end) if p < cut else end
                 if lo == hi:
@@ -305,7 +312,7 @@ class CographEnumerator:
                     out.extend(map(bytes.join, block[lo:hi], repeat((code_head, code_tail))))
                 else:
                     before, after = kids[:p], kids[p:]
-                    for x in trees[remaining][side][lo:hi]:
+                    for x in trees[remaining][lo:hi]:
                         t = new(cls)
                         t.op = op
                         t.children = before + (x,) + after
@@ -317,19 +324,17 @@ class CographEnumerator:
                 lo = hi
 
     def classes_of_order(self, n):
-        """The canonical codes of the classes of order n, ascending, as a new tuple.
+        """The canonical codes of the classes of order n, ascending, as a tuple.
 
-        Every JOIN code (b"J...") sorts before every UNION code (b"U..."), so
-        these are the connected classes' codes followed by the disconnected
-        ones'.  The tuple is built from ``chain``, not ``conn + disc``, so
-        that no list of the whole order is held next to it.
+        The connected classes' codes come first; the tuple is the one the
+        enumerator holds, so every call returns the same object.
         """
         _check_int("n", n, 1)
         self._build_to(n)
-        return _of_order(self.codes, n)
+        return self.codes[n]
 
     def trees_of_order(self, n):
-        """The cotrees of the classes of order n, by ascending code, as a new tuple.
+        """The cotrees of the classes of order n, by ascending code, as the held tuple.
 
         Builds the cotrees of every order up to n that are not built yet.
         """
@@ -337,16 +342,7 @@ class CographEnumerator:
         _check_enumeration_bound(n)
         if len(self.trees) < n:
             self._build_trees_to(n)
-        return _of_order(self.trees, n)
-
-
-def _of_order(lists, n):
-    """The order's (connected, disconnected) lists as one tuple; the leaf once."""
-    conn, disc = lists[n]
-    return tuple(conn) if n == 1 else tuple(chain(conn, disc))
-
-
-_ENUMERATOR = CographEnumerator()
+        return self.trees[n]
 
 
 def _check_int(name, n, least):
@@ -362,19 +358,25 @@ def _check_enumeration_bound(n_max):
 def enumerate_cographs(n_max, enumerator=None):
     """An iterator over one normalized cotree per unlabeled cograph class, order 1..n_max.
 
-    ``n_max`` is checked on the call, before the iterator is returned.
+    ``n_max`` is checked on the call, before the iterator is returned.  The
+    cotrees are ``enumerator``'s; given none, the iterator makes its own and
+    keeps it until it is drained or dropped.
     """
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
-    enum = enumerator or _ENUMERATOR
+    enum = enumerator or CographEnumerator()
     return (t for n in range(1, n_max + 1) for t in enum.trees_of_order(n))
 
 
 def cograph_counts(n_max, enumerator=None):
-    """Number of unlabeled cograph classes for each order 1..n_max."""
+    """Number of unlabeled cograph classes for each order 1..n_max.
+
+    The codes are ``enumerator``'s; given none, the call makes one and frees
+    it on return.
+    """
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
-    enum = enumerator or _ENUMERATOR
+    enum = enumerator or CographEnumerator()
     return [len(enum.classes_of_order(n)) for n in range(1, n_max + 1)]
 
 
@@ -866,7 +868,8 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     travels with every record: completeness beyond n_max is never implied.
     Every class found is re-checked by ``is_minimal_obstruction``; a class
     it rejects raises AssertionError.  ``enumerator`` serves the enumerated
-    cross-check of the low orders, and keeps the deleted profiles it folds.
+    cross-check of the low orders, and keeps the deleted profiles it folds;
+    given none, the call makes one and frees it on return.
     s and k must be non-negative ints or INF, and n_max a non-negative int,
     or ValueError is raised before any work.
     An n_max above ``MINING_MAX_ORDER`` raises ``BoundExceededError`` before
@@ -879,7 +882,7 @@ def mine_obstructions(s, k, n_max, enumerator=None):
     if n_max > MINING_MAX_ORDER:
         raise BoundExceededError(f"mining bound {n_max} exceeds {MINING_MAX_ORDER}")
     records = []
-    for t in _mine_types(s, k, n_max, enumerator or _ENUMERATOR):
+    for t in _mine_types(s, k, n_max, enumerator or CographEnumerator()):
         if not is_minimal_obstruction(t, s, k):
             raise AssertionError("a class mined by its type is not a minimal obstruction")
         records.append(_record_from_tree(t, s, k, n_max))

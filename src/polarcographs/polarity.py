@@ -17,14 +17,15 @@ children are folded through one memo per label (``_merged``), keyed by the
 two reduced profiles, so equal profiles met in different trees are merged
 and reduced once; a miss reduces the rule's points over the two profiles.
 The reduced merge depends on the two antichains alone, so the memo is
-exact; like ``obstructions._ENUMERATOR`` it lives as long as the process.
-It is small: 420 entries after ``verify_all(3)``, 1,887 after
-``mine_obstructions(INF, 10, 34)`` and 2,898 after ``(INF, 12, 40)``,
-each in a new process.  Witnesses rebuild their fold prefixes through it
-and pick each child's signature by the pair rule, and ``deleted_profiles``
-folds (profile, deleted set) pairs of a node's children through it, the
-one-vertex deletions exactly, with no deleted tree built; the caller keeps
-those sets by code.
+exact, and it lives as long as the process, unlike an enumerator's classes
+(``obstructions.CographEnumerator``), which their owner frees.  It is small:
+420 entries after ``verify_all(3)``, 1,887 after
+``mine_obstructions(INF, 10, 34)`` and 2,898 after ``(INF, 12, 40)``, each
+in a new process.  Witnesses rebuild their fold prefixes through it and pick
+each child's signature by the pair rule, and ``deleted_profiles`` folds
+(profile, deleted set) pairs of a node's children through it, the one-vertex
+deletions exactly, with no deleted tree built; the caller keeps those sets
+by code.
 
 Mining above small orders works on (s,k)-types (``TypeAlgebra``): a class's
 profile and its least polar one-leaf-deleted profiles, with every signature
@@ -125,7 +126,7 @@ def _point(op, a, b):
 
 
 # label -> (left profile, right profile) -> their reduced merge; exact, so it
-# lives as long as the process, like ``obstructions._ENUMERATOR``
+# lives as long as the process
 _MERGED = {UNION: {}, JOIN: {}}
 
 

@@ -302,9 +302,9 @@ def test_verification_past_the_mining_limit_fails_loudly(monkeypatch):
     mined = []
     mine = catalog.mine_obstructions
 
-    def recording(*key):
-        mined.append(key)
-        return mine(*key)
+    def recording(s, k, n_max, enumerator):
+        mined.append((s, k, n_max))
+        return mine(s, k, n_max, enumerator)
 
     monkeypatch.setattr(catalog, "mine_obstructions", recording)
     with pytest.raises(BoundExceededError, match="mining bound 43 exceeds 40"):

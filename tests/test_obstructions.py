@@ -3,7 +3,6 @@ import hashlib
 import json
 import random
 import weakref
-from itertools import chain
 
 import pytest
 
@@ -277,28 +276,30 @@ def test_one_deletion_per_class_meets_every_deleted_class():
 
 
 def test_stored_lists_are_code_sorted_and_complements_of_each_other():
-    # each list ascends by code and holds one label; complementation maps one
-    # onto the other, so their lengths agree and one index walk builds both;
-    # the code lists and the cotree lists of an order agree entry by entry
+    # each order is one tuple ascending by code; its first half holds the
+    # connected classes (JOIN) and its second the disconnected ones (UNION);
+    # complementation maps one half onto the other, so their lengths agree and
+    # one index walk builds both; the code and cotree tuples of an order agree
+    # entry by entry, and are what the enumerator returns
     enum = CographEnumerator()
     enum.trees_of_order(10)
-    stored = {id(obstructions._SHARED_LEAF)} | {
-        id(t) for n in range(2, 11) for lists in enum.trees[n] for t in lists
-    }
+    assert enum.trees[1] == (obstructions._SHARED_LEAF,)
+    stored = {id(t) for n in range(1, 11) for t in enum.trees[n]}
     for n in range(2, 11):
-        conn, disc = enum.trees[n]
-        assert len(conn) == len(disc)
-        labels = (cotrees.JOIN, cotrees.UNION)
-        for classes, codes, label in zip((conn, disc), enum.codes[n], labels):
-            assert codes == [t._code for t in classes], (n, label)
-            assert all(a < b for a, b in zip(codes, codes[1:])), (n, label)
+        trees, codes = enum.trees[n], enum.codes[n]
+        assert codes == tuple(t._code for t in trees), n
+        assert all(a < b for a, b in zip(codes, codes[1:])), n
+        half = len(trees) // 2
+        assert len(trees) == 2 * half, n
+        conn, disc = trees[:half], trees[half:]
+        for classes, label in zip((conn, disc), (cotrees.JOIN, cotrees.UNION)):
             assert {t.op for t in classes} == {label}
             for t in classes:
                 assert all(id(child) in stored for child in t.children), cotrees.render(t)
         flipped = {cotrees.canonical_code(cotrees.flip_labels(t)) for t in conn}
         assert flipped == {t._code for t in disc}
-        assert enum.trees_of_order(n) == tuple(conn + disc)
-        assert enum.classes_of_order(n) == tuple(t._code for t in conn + disc)
+        assert enum.trees_of_order(n) is trees
+        assert enum.classes_of_order(n) is codes
 
 
 def test_build_time_values_match_the_dp_and_the_oracle():
@@ -349,28 +350,28 @@ def test_codes_and_trees_match_the_node_building_walk_byte_for_byte():
     assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF._code,)
     assert enum.trees_of_order(1) == (obstructions._SHARED_LEAF,)
     for m in range(2, 13):
-        expected = node_building_order(enum, m)
-        enum.trees_of_order(m)
-        for got, codes, want in zip(enum.trees[m], codes_first.codes[m], expected):
-            assert len(got) == len(codes) == len(want) == A000084[m - 1] // 2, m
-            assert codes == [t._code for t in want], m
-            for a, b in zip(got, want):
-                assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
-                assert [id(c) for c in a.children] == [id(c) for c in b.children]
-        assert codes_first.trees_of_order(m) == tuple(chain(*codes_first.trees[m]))
-        assert codes_first.codes[m] == enum.codes[m]
+        want = node_building_order(enum, m)
+        got = enum.trees_of_order(m)
+        codes = codes_first.classes_of_order(m)
+        assert len(got) == len(codes) == len(want) == A000084[m - 1], m
+        assert codes == tuple(t._code for t in want), m
+        for a, b in zip(got, want):
+            assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+            assert [id(c) for c in a.children] == [id(c) for c in b.children]
+        assert codes_first.trees_of_order(m) is codes_first.trees[m]
+        assert codes_first.classes_of_order(m) is codes
+        assert codes == enum.codes[m]
 
 
 def test_per_place_runs_match_the_per_class_bisect_oracle():
     enum = CographEnumerator()
     for m in range(2, 12):
-        expected = per_class_bisect_order(enum, m)
-        enum.trees_of_order(m)
-        for got, want in zip(enum.trees[m], expected):
-            assert len(got) == len(want) == A000084[m - 1] // 2, m
-            for a, b in zip(got, want):
-                assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
-                assert [id(c) for c in a.children] == [id(c) for c in b.children]
+        want = per_class_bisect_order(enum, m)
+        got = enum.trees_of_order(m)
+        assert len(got) == len(want) == A000084[m - 1], m
+        for a, b in zip(got, want):
+            assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+            assert [id(c) for c in a.children] == [id(c) for c in b.children]
 
 
 def test_trees_built_after_codes_give_the_enumerated_digest():
@@ -402,18 +403,89 @@ def test_codes_only_through_order_13_give_the_enumerated_digest():
 
 @pytest.mark.parametrize("doctor", ["drop", "swap", "replace"])
 def test_a_tree_build_that_misses_the_held_codes_raises(doctor):
+    # the last disconnected code dropped, the first two connected ones
+    # swapped, or the last connected one replaced
     enum = CographEnumerator()
-    enum.classes_of_order(10)
-    conn, disc = enum.codes[10]
+    codes = enum.classes_of_order(10)
+    half = len(codes) // 2
     if doctor == "drop":
-        enum.codes[10] = conn, disc[:-1]
+        enum.codes[10] = codes[:-1]
     elif doctor == "swap":
-        enum.codes[10] = [conn[1], conn[0]] + conn[2:], disc
+        enum.codes[10] = (codes[1], codes[0]) + codes[2:]
     else:
-        enum.codes[10] = conn[:-1] + [conn[-1] + b"L"], disc
+        enum.codes[10] = codes[: half - 1] + (codes[half - 1] + b"L",) + codes[half:]
     with pytest.raises(AssertionError, match="cotrees of order 10"):
         enum.trees_of_order(10)
     assert len(enum.trees) == 9
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """A weak reference to each enumerator made while the test runs."""
+    refs = []
+
+    class Recorded(CographEnumerator):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(obstructions, "CographEnumerator", Recorded)
+    return refs
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: cograph_counts(12), id="cograph_counts"),
+        pytest.param(lambda: mine_obstructions(INF, 4, 12), id="mine_obstructions"),
+        pytest.param(lambda: list(enumerate_cographs(9)), id="enumerate_cographs"),
+    ],
+)
+def test_a_call_given_no_enumerator_frees_the_one_it_made(made, call):
+    result = call()
+    assert result
+    assert len(made) == 1 and made[0]() is None
+
+
+def test_an_enumeration_keeps_its_enumerator_until_drained(made):
+    classes = enumerate_cographs(9)
+    first = next(classes)
+    assert len(made) == 1 and made[0]() is not None
+    rest = list(classes)
+    assert made[0]() is None
+    assert [first] + rest == sorted(rest + [first], key=lambda t: (t.order, t._code))
+    assert len(rest) + 1 == sum(A000084[:9])
+
+
+def test_a_verification_walks_each_split_order_once(monkeypatch):
+    # the passes of one verification share its cache's enumerator, which walks
+    # the cotrees of each order up to the split once and builds no other codes
+    from polarcographs import catalog
+
+    walk = CographEnumerator._walk
+    walks = []
+
+    def recording(enum, m, trees):
+        walks.append((enum, m, trees is not None))
+        return walk(enum, m, trees)
+
+    monkeypatch.setattr(CographEnumerator, "_walk", recording)
+    cache = catalog.MiningCache()
+    catalog.verify_all(3, cache=cache)
+    assert all(enum is cache.enumerator for enum, _, _ in walks)
+    assert [(m, trees) for _, m, trees in walks] == [
+        (m, True) for m in range(2, obstructions._SPLIT_ORDER + 1)
+    ]
+
+
+def test_an_order_is_held_once_and_returned_as_is():
+    enum = CographEnumerator()
+    for n in range(1, 10):
+        codes = enum.classes_of_order(n)
+        assert enum.classes_of_order(n) is codes
+        trees = enum.trees_of_order(n)
+        assert enum.trees_of_order(n) is trees
+        assert enum.classes_of_order(n) is codes  # a tree build keeps the held codes
 
 
 def test_a_build_leaves_no_generation_0_debt():
@@ -501,11 +573,12 @@ def _jsonl(records):
 
 def test_type_mining_at_any_split_matches_class_level_mining(monkeypatch):
     # the split sets only how deep the enumerated cross-check goes
+    enum = CographEnumerator()
     for s, k in ORACLE_PAIRS:
         oracle = _jsonl(class_level_records(s, k, 10))
         for split in (1, 4, 8):
             monkeypatch.setattr(obstructions, "_SPLIT_ORDER", split)
-            assert _jsonl(mine_obstructions(s, k, 10)) == oracle, (s, k, split)
+            assert _jsonl(mine_obstructions(s, k, 10, enumerator=enum)) == oracle, (s, k, split)
 
 
 def test_mining_at_the_smallest_orders_matches_class_level_mining():
@@ -813,8 +886,9 @@ def test_a_fold_that_drops_deletions_fails_the_split_cross_check(monkeypatch):
 def test_the_deleted_profile_memo_holds_the_split_orders_only():
     from polarcographs import catalog
 
-    catalog.verify_all(3)
-    memo = obstructions._ENUMERATOR.deleted
+    cache = catalog.MiningCache()
+    catalog.verify_all(3, cache=cache)
+    memo = cache.enumerator.deleted
     assert memo
     found = 0
     for t in enumerate_cographs(obstructions._SPLIT_ORDER):

@@ -497,7 +497,7 @@ def _places(kids, codes, head):
 
 
 def node_building_order(enum, m):
-    """(connected, disconnected) cotrees of order m, each list sorted by code.
+    """The cotrees of order m, connected then disconnected, each half sorted by code.
 
     ``obstructions.CographEnumerator`` as it was before codes became its
     state: one walk over index multisets builds a node for every class, and
@@ -514,19 +514,25 @@ def per_class_bisect_order(enum, m):
     return _node_walk_order(enum.trees, m, per_class=True)
 
 
+def _halves(classes):
+    """(connected, disconnected) halves of an order's held tuple; the leaf is both."""
+    half = len(classes) // 2
+    return (classes, classes) if not half else (classes[:half], classes[half:])
+
+
 def _node_walk_order(trees, m, per_class):
     conn, disc = [], []
     _node_walk_unions(trees, m, ((), ()), ((), ()), 1, 0, m, conn, disc, per_class)
     conn.sort(key=obstructions._CODE)
     disc.sort(key=obstructions._CODE)
-    return conn, disc
+    return tuple(conn + disc)
 
 
 def _node_walk_unions(
     trees, m, union_parts, join_parts, o0, i0, remaining, new_conn, new_disc, per_class
 ):
     for o in range(o0, remaining // 2 + 1):
-        union_block, join_block = trees[o]
+        union_block, join_block = _halves(trees[o])
         for i in range(i0 if o == o0 else 0, len(union_block)):
             _node_walk_unions(
                 trees,
@@ -557,9 +563,10 @@ def _node_walk_unions(
         t._profile = None
         out.append(t)
 
+    conn, disc = _halves(trees[remaining])
     for op, block, (kids, codes), out in (
-        (UNION, trees[remaining][0], union_parts, new_disc),
-        (JOIN, trees[remaining][1], join_parts, new_conn),
+        (UNION, conn, union_parts, new_disc),
+        (JOIN, disc, join_parts, new_conn),
     ):
         places = _places(kids, codes, op.encode("ascii") + count)
         if per_class:
