@@ -15,14 +15,19 @@ texts), ``covers`` ((record, k) -> whether the list must hold that mined
 record; unset covers all), ``mining`` ((s, k) to read, None meaning the
 claim's k) and ``compare`` (the verdict, set equality up to the bound unless
 overridden).  Any other claim has ``check`` ((claim id, k, cache, n_max) ->
-verdict).  ``verify_claim`` is the one entry point: it resolves a claim's
-row and k once, then runs the row's check or compares its list (read from
-the claim's file when a catalog directory is given) with the records.
+verdict) and ``reads`` ((k, n_max) -> the lists the check reads).
+``verify_claim`` is the one entry point: it resolves a claim's row and k
+once, then runs the row's check or compares its list (read from the claim's
+file when a catalog directory is given) with the records.
 
-A verification mines each (s,k) once, to ``_mining_bound``, and each claim
-reads the records up to its own bound from that mining (``_read``); a
-caller's n_max is the claim's bound and is mined exactly.  The conjectured
-largest order 3(k+1) is written once, in ``conjectured_order``.
+Each row declares the (s, k, bound) lists it reads (``Claim.lists``), as
+``_list_key`` gives them: (s,k) to ``_mining_bound``, or to a caller's
+n_max, which is the claim's bound and is mined exactly.  ``verify_all``
+declares the lists of all its rows to the cache before the first read, and
+``verify_claim`` those of its row, so one knapsack pass
+(``obstructions.MiningPass``) mines them all; each claim reads the records
+up to its own bound (``_read``).  The conjectured largest order 3(k+1) is
+written once, in ``conjectured_order``.
 
 Claims are checked on normalized cotrees, and no Graph is built: an
 expression's cotree comes from ``expressions.to_cotree``, and a record's is
@@ -45,10 +50,11 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
+from time import process_time
 
 from . import expressions, obstructions, polarity
 from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, flip_labels
-from .obstructions import CographEnumerator, mine_obstructions
+from .obstructions import CographEnumerator
 from .polarity import INF
 from .values import FrozenValue, Value, set_field
 
@@ -257,22 +263,46 @@ def instantiate(claim_id, k=None):
 
 
 class MiningCache:
-    """Memoized mining keyed by (s, k, bound); shared across claim verifiers.
+    """The records of each (s, k, bound) list, mined by one pass for a plan of them.
 
-    Its passes share one enumerator, and with it the cotrees, memoized
-    profiles and folded deletions of the orders each mining cross-checks;
-    the cache frees them with itself.
+    ``plan`` declares the lists that later reads will ask for, and the first
+    ``mine`` after it runs one ``obstructions.MiningPass`` over all of them,
+    and the list it asks for if that was not declared; each list's records
+    are built at its own first read, from the pass, which the cache drops
+    once every one of its lists has been read.  ``passes`` records each pass
+    as (join (s, k, n_max), lists, CPU seconds of the knapsack pass).  The
+    passes share one enumerator, and with it the cotrees, memoized profiles
+    and folded deletions of the orders each pass cross-checks; the cache
+    frees them with itself.
     """
 
     def __init__(self):
-        self._mined = {}
+        self._mined = {}  # key -> its records
+        self._pending = {}  # key -> the pass that holds it, until its first read
+        self._planned = {}  # keys for the next pass, in the order declared
+        self.passes = []
         self.enumerator = CographEnumerator()
+
+    def plan(self, keys):
+        """Declare (s, k, n_max) lists for the next pass; known ones are left out."""
+        for key in keys:
+            if key not in self._mined and key not in self._pending:
+                self._planned[key] = None
 
     def mine(self, s, k, n_max):
         key = (s, k, n_max)
-        if key not in self._mined:
-            self._mined[key] = mine_obstructions(s, k, n_max, self.enumerator)
-        return self._mined[key]
+        records = self._mined.get(key)
+        if records is None:
+            found = self._pending.pop(key, None)
+            if found is None:
+                lists = tuple(dict.fromkeys((*self._planned, key)))
+                self._planned.clear()
+                start = process_time()
+                found = obstructions.MiningPass(lists, self.enumerator)
+                self.passes.append((found.join, lists, process_time() - start))
+                self._pending.update((other, found) for other in lists if other != key)
+            records = self._mined[key] = found.records(s, k, n_max)
+        return records
 
 
 def conjectured_order(k):
@@ -292,15 +322,18 @@ def _mining_bound(s, k):
     return conjectured_order(k) + 1  # one past it, for conj1 and conj2
 
 
+def _list_key(s, k, n_max=None):
+    """The (s, k, bound) list a claim on (s,k) reads: a caller's n_max, else
+    ``_mining_bound``."""
+    return s, k, _mining_bound(s, k) if n_max is None else n_max
+
+
 def _read(cache, s, k, n_max=None):
     """The bound a claim on (s,k) reports, and the records of (s,k) up to it:
     a caller's n_max, mined exactly; else 3(k+1) for (inf,k) and the whole
-    mining otherwise, read from the one mining of (s,k) to ``_mining_bound``."""
-    if n_max is None:
-        mined = _mining_bound(s, k)
-        bound = min(mined, conjectured_order(k))
-    else:
-        mined = bound = n_max
+    mining otherwise, read from the one list of (s,k) to ``_mining_bound``."""
+    mined = _list_key(s, k, n_max)[2]
+    bound = min(mined, conjectured_order(k)) if n_max is None else n_max
     return bound, [r for r in cache.mine(s, k, mined) if r.order <= bound]
 
 
@@ -489,6 +522,14 @@ def _verify_lift(claim_id, k, cache, n_max, scope, source, lift, text):
     return _compare_up_to(claim_id, k, bound, expected, scoped)
 
 
+def _lift_reads(k, n_max):
+    return [_list_key(INF, k, n_max), _list_key(INF, k - 1)]
+
+
+def _probe_reads(k, n_max):
+    return [_list_key(INF, k, n_max)]
+
+
 def _min_one_k(t):
     """Smallest m with t's graph (1,m)-polar, or None."""
     ks = [sig[1] for sig in polarity.profile_dp(t).signatures if sig[0] <= 1]
@@ -528,8 +569,7 @@ def _verify_thm11(claim_id, k, cache, n_max):
     # backward: the recursion built from (1, k_i - 1)-obstruction mining
     expected = {}
     fig1_codes = set(_codes_of_exprs(_exprs(FIG1)))
-    splits = [(k1, k + 1 - k1) for k1 in range(2, k) if k + 1 - k1 >= k1]
-    for k1, k2 in splits:
+    for k1, k2 in _thm11_splits(k):
         sides2 = _thm11_sides(k2, cache, fig1_codes)
         for h1, e1, special1, record1 in _thm11_sides(k1, cache, fig1_codes):
             for h2, e2, special2, record2 in sides2:
@@ -553,6 +593,17 @@ def _verify_thm11(claim_id, k, cache, n_max):
         notes.append("both directions verified")
     report.notes = "; ".join(filter(None, notes))
     return report
+
+
+def _thm11_splits(k):
+    """The split levels (k1, k2), k1 <= k2, with k1 + k2 - 1 = k and both >= 2."""
+    return [(k1, k + 1 - k1) for k1 in range(2, k) if k + 1 - k1 >= k1]
+
+
+def _thm11_reads(k, n_max):
+    return [_list_key(INF, k, n_max)] + [
+        _list_key(1, ki - 1) for split in _thm11_splits(k) for ki in split
+    ]
 
 
 def _thm11_sides(ki, cache, fig1_codes):
@@ -615,7 +666,7 @@ def _probe(k, cache, n_max):
     and nothing fails: a record of a larger order could still break it, and
     no such order was probed.  So below the probe, only a type with more than
     one record fails conj1; a type with none may have its record above."""
-    bound = _mining_bound(INF, k) if n_max is None else n_max
+    bound = _list_key(INF, k, n_max)[2]
     probed = bound > conjectured_order(k)
     suffix = "" if probed else f"; bound {bound} does not probe beyond the conjecture"
     return bound, cache.mine(INF, k, bound), probed, suffix
@@ -676,7 +727,9 @@ def _sixteen_note(claim_id, k, cache, n_max):
 class Claim(FrozenValue):
     """One row of the claim registry; the module docstring describes the fields."""
 
-    __slots__ = ("id", "k_min", "k_only", "texts", "covers", "mining", "compare", "check")
+    __slots__ = (
+        "id", "k_min", "k_only", "texts", "covers", "mining", "compare", "check", "reads",
+    )
 
     def __init__(
         self,
@@ -688,6 +741,7 @@ class Claim(FrozenValue):
         mining=(INF, None),
         compare=_compare_sets,
         check=None,
+        reads=None,
     ):
         set_field(self, "id", id)
         set_field(self, "k_min", k_min)
@@ -697,11 +751,19 @@ class Claim(FrozenValue):
         set_field(self, "mining", mining)
         set_field(self, "compare", compare)
         set_field(self, "check", check)
+        set_field(self, "reads", reads)
 
     def applies_at(self, k):
         if self.k_only is not None:
             return k == self.k_only
         return self.k_min is None or (k is not None and k >= self.k_min)
+
+    def lists(self, k, n_max=None):
+        """The (s, k, bound) lists the verdict at k reads, as ``_list_key`` gives them."""
+        if self.check is None:
+            s_mined, k_mined = self.mining
+            return [_list_key(s_mined, k_mined or k, n_max)]
+        return [] if self.reads is None else self.reads(k, n_max)
 
 
 CLAIMS = (
@@ -774,7 +836,7 @@ CLAIMS = (
     ),
     Claim("thm21", k_only=2, texts=lambda k: THM21_LIST),
     Claim("thm22", k_only=3, texts=lambda k: THM22_LIST),
-    Claim("thm11", k_min=2, check=_verify_thm11),
+    Claim("thm11", k_min=2, check=_verify_thm11, reads=_thm11_reads),
     # type (2,1): K1 + (K1 join H) over the disconnected level-(k-1) records H
     Claim(
         "thm17",
@@ -786,6 +848,7 @@ CLAIMS = (
             lift=lambda h: compose(UNION, [_K1, compose(JOIN, [_K1, h])]),
             text="K1 + K1 * ({})",
         ),
+        reads=_lift_reads,
     ),
     # type (c,p), 1 <= p <= c-2 <= k: K2 + H over the type (c-1,p) level-(k-1) records H
     Claim(
@@ -798,9 +861,10 @@ CLAIMS = (
             lift=lambda h: compose(UNION, [_K2, h]),
             text="K2 + {}",
         ),
+        reads=_lift_reads,
     ),
-    Claim("conj1", k_min=2, check=_check_conj1),
-    Claim("conj2", k_min=1, check=_check_conj2),
+    Claim("conj1", k_min=2, check=_check_conj1, reads=_probe_reads),
+    Claim("conj2", k_min=1, check=_check_conj2, reads=_probe_reads),
     Claim("sixteen-note", check=_sixteen_note),
 )
 
@@ -835,6 +899,7 @@ def verify_claim(claim_id, k=None, cache=None, n_max=None, catalog_dir=None):
     row = _row(claim_id)
     k = _claim_k(row, k)
     cache = cache or MiningCache()
+    cache.plan(row.lists(k, n_max))
     if row.check is not None:
         return row.check(claim_id, k, cache, n_max)
     if catalog_dir is None:
@@ -848,12 +913,15 @@ def verify_claim(claim_id, k=None, cache=None, n_max=None, catalog_dir=None):
 
 
 def verify_all(k, cache=None, catalog_dir=None):
+    """The verdict of every claim that applies at k, in registry order.
+
+    Every list the claims read is declared to the cache first, so one pass
+    mines them all.
+    """
     cache = cache or MiningCache()
-    return [
-        verify_claim(row.id, k, cache=cache, catalog_dir=catalog_dir)
-        for row in CLAIMS
-        if row.applies_at(k)
-    ]
+    rows = [row for row in CLAIMS if row.applies_at(k)]
+    cache.plan([key for row in rows for key in row.lists(k)])
+    return [verify_claim(row.id, k, cache=cache, catalog_dir=catalog_dir) for row in rows]
 
 
 # -- catalog files ---------------------------------------------------------------------

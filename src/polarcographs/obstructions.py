@@ -52,49 +52,56 @@ normalized cotree keeps its children in code order, so equal ones are
 adjacent; in any other order the check stays exact and only skips less.
 For the 84 records of ``mine(inf,4,14)`` that is 397 deletions, not 909.
 
-Mining works on the (s,k)-types of ``polarity.TypeAlgebra``, since
-minimality depends on a class's type alone.  A type keeps only the least
-polar of its capped deleted profiles, and every type that is neither live
-nor a hit is the algebra's one ``sink``, which keeps the types few: 124 for
-(inf,4) up to order 15, against 129 with a number for each type that is
-neither, and 1,213 with every deleted profile kept as well.  Classes
-are counted, not built, by one knapsack per parent label over blocks (order,
-type, number of classes): unions of connected blocks and joins of
-disconnected ones, starting from the leaf, which is both.  The knapsack adds
-the blocks one at a time and keeps, for each total order, the number of
-multisets of each type, a multiset's type following by the pair rule and its
-number of classes being a product of binomials.  Only live types
-(``TypeAlgebra.live``) and hits are kept by type; every other multiset is
-only counted, since no extension of it is live or a hit.  Each base takes
-its first copy of a block inline, in one loop per base order, and only a
-base still live after it, with room for another, walks the copies r >= 2:
-806 of the 13,360 live bases that ``mine(inf,4,14)`` meets, while 6,739 die
-on the first copy and 5,815 have no room for a second.  Once every block
-below an order is in, the knapsack's numbers of that order must add up to the
-cograph count of an independent Euler transform (OEIS A000084), or mining
-raises; its live types become the blocks of that order and its hit types are
-the minimal obstructions.  Types stop growing while classes roughly triple
-per order, but their number grows with the caps: (inf,12,40) peaked at
-182 MB, while (12,12,40) grew past 1.33 GB.  So mining also bounds its cost:
-after each block it reads how many pairs of types the algebra has combined,
-and past ``MINING_MAX_PAIRS`` it raises ``BoundExceededError``, which
-(12,12,40) now meets after 21 s at 462 MB (DECISIONS.md, "Two order
-limits").  Each hit type is
+Mining works on the (s,k)-types of ``polarity.TypeAlgebra``, since minimality
+depends on a class's type alone.  A type keeps only the least polar of its
+capped deleted profiles, and every type that is neither live nor a hit is the
+algebra's one ``sink``, which keeps the types few: 124 for (inf,4) up to
+order 15, against 129 with a number for each type that is neither, and 1,213
+with every deleted profile kept as well.  One pass (``MiningPass``) mines
+several lists (s, k, bound) at once: its algebra has caps wide enough for
+each pair, its ``sink`` at their coordinatewise join, and a bitmask of the
+pairs a type is a minimal obstruction for (``hit``).  Classes are counted, not
+built, by one knapsack per parent label over blocks (order, type, number of
+classes): unions of connected blocks and joins of disconnected ones, starting
+from the leaf, which is both.  The knapsack adds the blocks one at a time and
+keeps, for each total order, the number of multisets of each type, a
+multiset's type following by the pair rule and its number of classes being a
+product of binomials.  A multiset of order m is live when it is polar at the
+join of the pairs whose bound lies past m (``TypeAlgebra.live_at``), so
+liveness narrows order by order, and at the largest bound nothing is live.
+Only the types live at their order and the hits are kept by type; every other
+multiset is only counted, since no extension of it within a bound is live or
+a hit.  Each base takes its first copy of a block inline, in one loop per base
+order, and only a base still live after it, with room for another, walks the
+copies r >= 2: 806 of the 13,360 live bases that ``mine(inf,4,14)`` meets,
+while 6,739 die on the first copy and 5,815 have no room for a second.  Once
+every block below an order is in, the knapsack's numbers of that order must
+add up to the cograph count of an independent Euler transform (OEIS A000084),
+or mining raises; its live types become the blocks of that order and its hit
+types are the minimal obstructions, each of the pairs its ``hit`` bits name.
+Types stop growing while classes roughly triple per order, but their number
+grows with the caps: (inf,12,40) peaked at 182 MB, while (12,12,40) grew past
+1.33 GB.  So mining also bounds its cost: after each block it reads how many
+pairs of types the algebra has combined, and past ``MINING_MAX_PAIRS`` it
+raises ``BoundExceededError``, which (12,12,40) now meets after 21 s at
+462 MB (DECISIONS.md, "Two order limits").  A list's records are built when it
+is first read (``MiningPass.records``), and ``mine_obstructions`` is the
+one-list case of the same pass.  Each hit type of the list up to its bound is
 expanded into cotrees by following the knapsack's back-pointers down to the
 leaf, through blocks of lower order only; the number of cotrees must equal
 the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
 The leaf is the one record not expanded: it is a minimal obstruction only at
-(0,0).  The classes up to a split order are also enumerated, as a
-cross-check: their number must be A000084's, and the ones that are minimal
-obstructions by their exact profiles must be exactly the mined cotrees of
-those orders, so a record the knapsacks or the expansion lose or add there
-is caught.  That check reads each class's memoized profile and, for a
-non-polar one, the exact profiles of its one-vertex deletions, folded by
-``polarity.deleted_profiles`` from its children's profiles without building
-a deleted tree.  The deleted profiles do not depend on (s,k), so the
-enumerator keeps them by code (``CographEnumerator.deleted``), and each
-class is folded once per enumerator, not once per mining.  The records of
-those orders are thus confirmed by two derivations: the fold and
+(0,0).  The classes up to a split order are also enumerated, as a cross-check:
+their number must be A000084's, once per pass, and for each list the ones
+that are minimal obstructions by their exact profiles must be exactly the
+mined cotrees of those orders, so a record the knapsacks or the expansion
+lose or add there is caught.  That check reads each class's memoized profile
+and, for a non-polar one, the exact profiles of its one-vertex deletions,
+folded by ``polarity.deleted_profiles`` from its children's profiles without
+building a deleted tree.  The deleted profiles do not depend on (s,k), so the
+enumerator keeps them by code (``CographEnumerator.deleted``), and each class
+is folded once per enumerator, not once per mining.  The records of those
+orders are thus confirmed by two derivations: the fold and
 ``is_minimal_obstruction``, which rebuilds each deletion.
 """
 
@@ -629,12 +636,15 @@ class _TypeKnapsack:
 
     ``blocks`` lists (order, type, classes) in the order they were added, the
     leaf first, a block of type None standing for classes that are not live.
-    For each total order m, ``kept[m]`` maps each live or hit type met to its
-    entry; the two never meet, since a live type's capped profile is polar
-    and a hit's is not.  ``dead[m]`` counts every multiset that is not live,
-    hits included: an extension of it is never live nor a hit, so it is only
-    counted.  A live multiset of order n_max is only counted too, since
-    nothing extends it and it is no block.  An entry is a list: its number of
+    A multiset of order m is live when its type is live at level
+    ``levels[m]`` of ``algebra.live_at``: for one list, its (s, k) below
+    n_max, and at n_max the level of no list, since nothing extends a
+    multiset of that order and it is no block.  For each total order m, ``kept[m]`` maps each
+    type met that is live at m or a hit for some list to its entry; a type
+    can be both when the levels are joins of several lists.  ``dead[m]``
+    counts every multiset that is not live at m, hits included: an extension
+    of it within a bound read past m is never live nor a hit, so it is only
+    counted.  An entry is a list: its number of
     multisets, then one back-pointer (previous type, block index, copies)
     per contribution, in block order, standing for the multisets whose last
     block is that block, taken that many times, over a multiset of earlier
@@ -644,8 +654,9 @@ class _TypeKnapsack:
     below it.
     """
 
-    def __init__(self, algebra, op, n_max):
-        self.algebra, self.op, self.n_max = algebra, op, n_max
+    def __init__(self, algebra, op, n_max, levels):
+        self.algebra, self.op, self.n_max, self.levels = algebra, op, n_max, levels
+        self._live = [algebra.live_at[j] for j in levels]  # order -> type -> live
         self.blocks = []
         self.kept = [{} for _ in range(n_max + 1)]
         self.dead = [0] * (n_max + 1)
@@ -659,9 +670,11 @@ class _TypeKnapsack:
         counts only multisets of earlier blocks; a base of m0 gains r copies
         of the block, in C(c + r - 1, r) ways, at total order m0 + r o.  Each
         copy's type is read from the algebra's successor row of the block's
-        type, and ``combine`` runs only on a pair not met before.  A hit
-        base is never combined (the knapsacks combine live types only), so
-        its row entry is missing and it is skipped before any ``combine``.
+        type, and ``combine`` runs only on a pair not met before.  A base
+        that is not live at its order, a hit, is skipped before its row
+        entry is read: the type may have been live at a lower order, where
+        the level was wider, and combined there, and a ``sink`` entry from
+        then would count it in ``dead`` a second time.
 
         One loop per base order takes every base's first copy inline: about
         half the bases die on it, many of them read from the row as the
@@ -677,31 +690,32 @@ class _TypeKnapsack:
         """
         b = len(self.blocks)
         self.blocks.append((o, i, c))
-        n_max, op, kept, dead = self.n_max, self.op, self.kept, self.dead
+        n_max, op, kept, dead, live_of = self.n_max, self.op, self.kept, self.dead, self._live
         algebra = self.algebra
-        combine, is_live, is_hit, sink = algebra.combine, algebra.live, algebra.hit, algebra.sink
+        combine, is_hit, sink = algebra.combine, algebra.hit, algebra.sink
         row = algebra.row(op, i) if i is not None else None
         weights = [comb(c + r - 1, r) for r in range(n_max // o + 1)]
         for m0 in range(n_max - o, -1, -1):
             m1 = m0 + o
             top = (n_max - m0) // o
+            live0 = live_of[m0]
             first = dead[m0]  # the bases that die on their first copy
             dying = None
             if row is None:  # no multiset with this block is live
-                first += sum(base[0] for t0, base in kept[m0].items() if is_live[t0])
+                first += sum(base[0] for t0, base in kept[m0].items() if live0[t0])
             else:
-                kept1, open1 = kept[m1], m1 < n_max
+                kept1, live1 = kept[m1], live_of[m1]
                 for t0, base in kept[m0].items():
+                    if not live0[t0]:  # a hit, counted in dead[m0]
+                        continue
                     typ = row.get(t0)
                     if typ == sink:  # the first copy is neither live nor a hit
                         first += base[0]
                         continue
-                    if not is_live[t0]:  # a hit, counted in dead[m0]
-                        continue
                     if typ is None:
                         typ = combine(op, t0, i)
                     count = base[0]
-                    live = open1 and is_live[typ]
+                    live = live1[typ]
                     if live or is_hit[typ]:
                         entry = kept1.get(typ)
                         if entry is None:
@@ -720,7 +734,7 @@ class _TypeKnapsack:
                         nxt = row.get(typ)
                         typ = combine(op, typ, i) if nxt is None else nxt
                         m += o
-                        live = is_live[typ] and m < n_max
+                        live = live_of[m][typ]
                         if live or is_hit[typ]:
                             entry = kept[m].get(typ)
                             if entry is None:
@@ -747,71 +761,137 @@ class _TypeKnapsack:
         return {typ: entry[0] for typ, entry in self.kept[n].items()}, self.dead[n]
 
 
-def _mine_types(s, k, n_max, enum):
-    """Minimal (s,k)-obstructions of order <= n_max, as cotrees, mined over types.
+class MiningPass:
+    """One type-knapsack pass over the lists of a plan, and each list's records.
 
-    One knapsack per parent label counts every order from the leaf up, and
-    the hit types are expanded into cotrees (see the module docstring); the
-    leaf itself is a hit only at (0,0).  The classes of order <= the split
-    are enumerated as well, as a cross-check: a class is minimal there when
-    its memoized profile is not (s,k)-polar and each of its folded deleted
-    profiles, kept in ``enum.deleted``, is (``_minimal_codes``).  A class
-    count that differs from the Euler transform's, a hit whose expansion
-    differs from its count, or mined cotrees of order <= the split other
-    than the enumerated minimal obstructions raise AssertionError; more than
-    ``MINING_MAX_PAIRS`` pairs combined after a block raises
-    BoundExceededError.
+    ``lists`` are (s, k, n_max) keys, each checked as ``mine_obstructions``
+    checks its arguments, before any work.  The pass mines their (s,k) pairs
+    at once, at their coordinatewise join (INF above every int) and up to
+    the largest bound, which ``join`` holds: the type algebra's ``sink`` is
+    set at the join, ``TypeAlgebra.hit`` marks for each pair the types of
+    its minimal obstructions, and a multiset of order m is live when it is
+    polar at the join of the pairs read past m, so liveness narrows order by
+    order.  That is exact: take a minimal (s',k')-obstruction of order n, at
+    most its bound.  Its deletions are (s',k')-polar, so polar at the join,
+    and each of its children, and each fold of some but not all of them, is
+    (s',k')-polar, so polar at the level of every order m < n, a join of
+    pairs that includes (s',k').  Its knapsack entry thus counts it, and its
+    back-pointers run through live folds and live blocks only.  The
+    enumerated classes of each order up to the split and the knapsacks'
+    numbers of every order are checked against OEIS A000084 once, in the
+    pass.  ``records`` builds a list's records: its hits expanded into
+    cotrees, the split cross-check and the ``is_minimal_obstruction``
+    re-check, each for that list's (s,k) and bound.  ``enumerator`` serves
+    the cross-check and keeps the deleted profiles it folds; given none, the
+    pass makes one.
     """
-    algebra = polarity.TypeAlgebra(s, k)
-    expected = _euler_cograph_counts(n_max)
-    # the knapsack of a parent label takes the blocks of the children it takes
-    knapsacks = {op: _TypeKnapsack(algebra, op, n_max) for op in (UNION, JOIN)}
-    leaf = algebra.leaf
-    # the leaf is a child under both labels: one block of order 1, None if not live
-    first = ({leaf: 1}, 0) if algebra.live[leaf] else ({}, 1)
-    blocks = {UNION: first, JOIN: first}
-    hits = []  # (label, order, type, classes) of each hit type
-    minimal = []  # codes of the enumerated minimal obstructions
 
-    for n in range(1, n_max + 1):
-        if n <= _SPLIT_ORDER:
-            classes = enum.trees_of_order(n)
-            count = len(enum.classes_of_order(n))
-            if count != expected[n - 1]:
-                raise AssertionError(f"{count} classes of order {n}, not {expected[n - 1]}")
-            minimal.extend(_minimal_codes(classes, s, k, enum.deleted))
-        if n > 1:
-            total = 0
-            for op, knapsack in knapsacks.items():
-                kept, not_live = knapsack.nodes(n)
-                live = {i: c for i, c in kept.items() if algebra.live[i]}
-                hits.extend((op, n, i, c) for i, c in kept.items() if algebra.hit[i])
-                total += sum(live.values()) + not_live
-                blocks[_OTHER[op]] = live, not_live  # an op-node is a child of the other label
-            if total != expected[n - 1]:
-                raise AssertionError(
-                    f"the type knapsack counts {total} classes of order {n}, not {expected[n - 1]}"
-                )
-        if n < n_max:  # no later order takes them
-            for op, (live, not_live) in blocks.items():
-                for i in sorted(live):
-                    knapsacks[op].add(n, i, live[i])
-                    if algebra.pairs > MINING_MAX_PAIRS:  # a None block fills no row
-                        raise BoundExceededError(
-                            f"mining ({encode_param(s)},{encode_param(k)},{n_max}) combined "
-                            f"{algebra.pairs} type pairs, above the limit {MINING_MAX_PAIRS}"
-                        )
-                if not_live:
-                    knapsacks[op].add(n, None, not_live)
+    def __init__(self, lists, enumerator=None):
+        self.lists = tuple(dict.fromkeys(lists))
+        if not self.lists:
+            raise ValueError("a mining pass needs at least one list")
+        for s, k, n_max in self.lists:
+            _check_list(s, k, n_max)
+        self._bounds = {}  # (s, k) -> the largest bound it is read to
+        for s, k, n_max in self.lists:
+            self._bounds[(s, k)] = max(self._bounds.get((s, k), 0), n_max)
+        pairs = sorted(self._bounds, key=self._bounds.get)  # by ascending bound
+        n_top = max(self._bounds.values())
+        s, k = map(max, zip(*pairs))
+        self.join = (s, k, n_top)
+        self._bits = {pair: 1 << j for j, pair in enumerate(pairs)}
+        self.enumerator = enum = enumerator or CographEnumerator()
+        # a multiset of order m is live at level j, the join of pairs[j:],
+        # when j pairs are read to m or less; at level len(pairs) none is
+        levels = [sum(self._bounds[pair] <= m for pair in pairs) for m in range(n_top + 1)]
+        self.algebra = algebra = polarity.TypeAlgebra(s, k, pairs)
+        expected = _euler_cograph_counts(n_top)
+        # the knapsack of a parent label takes the blocks of the children it takes
+        self.knapsacks = knapsacks = {
+            op: _TypeKnapsack(algebra, op, n_top, levels) for op in (UNION, JOIN)
+        }
+        leaf, live_at = algebra.leaf, algebra.live_at
+        # the leaf is a child under both labels: one block of order 1, None if not live
+        first = ({leaf: 1}, 0) if n_top and live_at[levels[1]][leaf] else ({}, 1)
+        blocks = {UNION: first, JOIN: first}
+        self.hits = []  # (label, order, type, classes) of each type that is a hit for a pair
 
-    trees = ([_SHARED_LEAF] if algebra.hit[leaf] and n_max else []) + _expand(knapsacks, hits)
-    found = [canonical_code(t) for t in trees if t.order <= _SPLIT_ORDER]
-    if sorted(found) != sorted(minimal):
-        raise AssertionError(
-            f"the mined classes of order <= {_SPLIT_ORDER} ({len(found)}) are not "
-            f"the enumerated minimal obstructions ({len(minimal)})"
+        for n in range(1, n_top + 1):
+            if n <= _SPLIT_ORDER:
+                enum.trees_of_order(n)
+                count = len(enum.classes_of_order(n))
+                if count != expected[n - 1]:
+                    raise AssertionError(f"{count} classes of order {n}, not {expected[n - 1]}")
+            if n > 1:
+                total = 0
+                for op, knapsack in knapsacks.items():
+                    kept, not_live = knapsack.nodes(n)
+                    # a kept type live at the join but not at n is counted in not_live
+                    live = {i: c for i, c in kept.items() if live_at[levels[n]][i]}
+                    self.hits.extend((op, n, i, c) for i, c in kept.items() if algebra.hit[i])
+                    total += sum(live.values()) + not_live
+                    blocks[_OTHER[op]] = live, not_live  # an op-node is a child of the other label
+                if total != expected[n - 1]:
+                    raise AssertionError(
+                        f"the type knapsack counts {total} classes of order {n}, "
+                        f"not {expected[n - 1]}"
+                    )
+            if n < n_top:  # no later order takes them
+                for op, (live, not_live) in blocks.items():
+                    for i in sorted(live):
+                        knapsacks[op].add(n, i, live[i])
+                        if algebra.pairs > MINING_MAX_PAIRS:  # a None block fills no row
+                            raise BoundExceededError(
+                                f"mining ({encode_param(s)},{encode_param(k)},{n_top}) "
+                                f"combined {algebra.pairs} type pairs, above the limit "
+                                f"{MINING_MAX_PAIRS}"
+                            )
+                    if not_live:
+                        knapsacks[op].add(n, None, not_live)
+
+    def records(self, s, k, n_max):
+        """The minimal (s,k)-obstructions of order <= n_max, as records, by (order, code).
+
+        (s,k) must be a pair of the pass, and n_max at most its bound.  The
+        hits of (s,k) of order <= n_max are expanded into cotrees (the leaf
+        itself is a hit only at (0,0)); the classes of order <= the split
+        and n_max that are minimal by their memoized profiles and folded
+        deleted profiles (``_minimal_codes``) must be exactly the mined
+        cotrees of those orders, and each cotree must pass
+        ``is_minimal_obstruction``, or AssertionError is raised.
+        """
+        if n_max > self._bounds.get((s, k), -1):
+            raise KeyError(f"({encode_param(s)},{encode_param(k)},{n_max}) is not in the pass")
+        algebra, enum, bit = self.algebra, self.enumerator, self._bits[(s, k)]
+        hits = [hit for hit in self.hits if hit[1] <= n_max and algebra.hit[hit[2]] & bit]
+        trees = ([_SHARED_LEAF] if algebra.hit[algebra.leaf] & bit and n_max else []) + _expand(
+            self.knapsacks, hits
         )
-    return trees
+        minimal = []  # codes of the enumerated minimal obstructions
+        for n in range(1, min(n_max, _SPLIT_ORDER) + 1):
+            minimal.extend(_minimal_codes(enum.trees_of_order(n), s, k, enum.deleted))
+        found = [canonical_code(t) for t in trees if t.order <= _SPLIT_ORDER]
+        if sorted(found) != sorted(minimal):
+            raise AssertionError(
+                f"the mined classes of order <= {_SPLIT_ORDER} ({len(found)}) are not "
+                f"the enumerated minimal obstructions ({len(minimal)})"
+            )
+        records = []
+        for t in trees:
+            if not is_minimal_obstruction(t, s, k):
+                raise AssertionError("a class mined by its type is not a minimal obstruction")
+            records.append(_record_from_tree(t, s, k, n_max))
+        records.sort(key=ObstructionRecord.sort_key)
+        return records
+
+
+def _check_list(s, k, n_max):
+    """Raise unless (s, k, n_max) can be mined, before any work."""
+    polarity.check_param("s", s)
+    polarity.check_param("k", k)
+    _check_int("n_max", n_max, 0)
+    if n_max > MINING_MAX_ORDER:
+        raise BoundExceededError(f"mining bound {n_max} exceeds {MINING_MAX_ORDER}")
 
 
 def _expand(knapsacks, hits):
@@ -866,28 +946,18 @@ def mine_obstructions(s, k, n_max, enumerator=None):
 
     Deterministic output ordered by (order, canonical code).  The bound
     travels with every record: completeness beyond n_max is never implied.
-    Every class found is re-checked by ``is_minimal_obstruction``; a class
-    it rejects raises AssertionError.  ``enumerator`` serves the enumerated
-    cross-check of the low orders, and keeps the deleted profiles it folds;
-    given none, the call makes one and frees it on return.
+    The one-list case of ``MiningPass``: every class found is re-checked by
+    ``is_minimal_obstruction``; a class it rejects raises AssertionError.
+    ``enumerator`` serves the enumerated cross-check of the low orders, and
+    keeps the deleted profiles it folds; given none, the call makes one and
+    frees it on return.
     s and k must be non-negative ints or INF, and n_max a non-negative int,
     or ValueError is raised before any work.
     An n_max above ``MINING_MAX_ORDER`` raises ``BoundExceededError`` before
     any work; so does, during the mining, a type algebra that has combined
     more than ``MINING_MAX_PAIRS`` pairs.
     """
-    polarity.check_param("s", s)
-    polarity.check_param("k", k)
-    _check_int("n_max", n_max, 0)
-    if n_max > MINING_MAX_ORDER:
-        raise BoundExceededError(f"mining bound {n_max} exceeds {MINING_MAX_ORDER}")
-    records = []
-    for t in _mine_types(s, k, n_max, enumerator or CographEnumerator()):
-        if not is_minimal_obstruction(t, s, k):
-            raise AssertionError("a class mined by its type is not a minimal obstruction")
-        records.append(_record_from_tree(t, s, k, n_max))
-    records.sort(key=ObstructionRecord.sort_key)
-    return records
+    return MiningPass([(s, k, n_max)], enumerator).records(s, k, n_max)
 
 
 def records_to_jsonl(records):

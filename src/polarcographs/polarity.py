@@ -45,10 +45,14 @@ deleted-profile ids; the least polar test is a mask inclusion and the (s,k)
 test one bit.  A type that is neither polar nor a minimal obstruction's is
 never told apart from another such: nothing built on it is either, so every
 such type is one absorbing ``sink``, found at the first non-polar deletion.
-Each (label, type) keeps a successor row of the types it has been combined
-with, which the mining knapsacks read before calling ``combine``.  There are
-finitely many types per (s, k), so the algebra's tables, which live as long
-as one mining call, do not grow with the order.
+One algebra serves the several (s, k) pairs of a mining pass: its caps are
+the widest they need, its ``sink`` is at their join, and each type carries a
+bitmask of the pairs it is a minimal obstruction for and its polarity at
+each join of the pairs still read at an order.  Each (label, type) keeps a
+successor row of the types it has been combined with, which the mining
+knapsacks read before calling ``combine``.  There are finitely many types
+per (s, k), so the algebra's tables, which live as long as one mining pass,
+do not grow with the order.
 
 The recurrences are checked against :func:`profile_bruteforce`, which
 enumerates all bipartitions and is the authoritative oracle.
@@ -286,6 +290,20 @@ class TypeAlgebra:
     profile of the node is at least as polar as one of them, so a
     non-polar one among all of them shows up among the candidates.
 
+    One algebra serves several lists: ``lists`` are their (s', k') pairs,
+    ((s, k),) by default, and (s, k) must be their coordinatewise join (INF
+    above every int).  ``caps`` are the widest any pair needs, so each
+    pair's test stays exact, and "polar" above, ``sink`` included, is at the
+    join.  A minimal (s',k')-obstruction has (s',k')-polar deletions, so
+    they are polar at the join and its type is never ``sink``.  ``hit[i]``
+    is a bitmask: bit j is set when type i's classes are minimal
+    obstructions for lists[j], tested on its least polar deleted profiles,
+    and a type can be live and a hit for another pair at once.
+    ``live_at[j][i]`` tells whether type i's classes are polar at level j,
+    the join of lists[j:] (a mining pass orders its lists by bound, so the
+    pairs read past an order are a suffix); ``live`` is ``live_at[0]``, and
+    the last level, the join of no list, has no live type.
+
     Internally a capped profile is its polar mask: the bitmask of its polar
     pairs in the cap box [0, cs] x [0, ck] (bit x (ck + 1) + y for the pair
     (x, y)), which is the up-set of its signatures.  A reduced profile is the
@@ -306,8 +324,9 @@ class TypeAlgebra:
     ``leaf``, has no key);
     "least polar" is a strict mask inclusion test between two candidates,
     so a miss of ``combine`` builds the key's bitset as it filters its few
-    candidates, with no sort, and reads the type by that key.  ``hit`` and
-    ``live`` test the one bit of (min(s, cs), min(k, ck)).  Every type is
+    candidates, with no sort, and reads the type by that key.  A pair or
+    level (x, y) is tested by the one bit of (min(x, cs), min(y, ck)), once
+    per type, when it is numbered.  Every type is
     built from ``empty`` (the empty graph's, the identity of the pair rule)
     and ``leaf`` by ``combine``, which fills one successor row per label
     and right-hand type j, mapping each type i met with it to the number of
@@ -315,16 +334,32 @@ class TypeAlgebra:
     applies the same j many times reads ``row`` once and calls ``combine``
     only on a miss.  Its other tables live as long as the algebra and are
     bounded by the number of types and capped profiles, which are finite
-    for each (s, k).
+    for each (s, k) and lists.
     """
 
-    def __init__(self, s, k):
-        self.caps = cs, ck = tuple(2 if x == INF else max(x, 1) + 1 for x in (s, k))
-        self.hit = []  # number -> whether the type's classes are minimal obstructions
-        self.live = []  # number -> whether the type's classes are polar
+    def __init__(self, s, k, lists=None):
+        lists = ((s, k),) if lists is None else tuple(lists)
+        # level j is the join of lists[j:]; level 0, the join of them all, is (s, k)
+        levels = [tuple(map(max, zip(*lists[j:]))) for j in range(len(lists))]
+        if levels[0] != (s, k):
+            raise ValueError(f"({s}, {k}) is not the join of the lists {lists}")
+        self.caps = cs, ck = tuple(
+            max(2 if x == INF else max(x, 1) + 1 for x in xs) for xs in zip(*lists)
+        )
+        self.hit = []  # number -> bitmask of the lists whose minimal obstructions it gives
+        # level -> number -> whether the type's classes are polar there; the
+        # last level, the join of no list, has none
+        self.live_at = [[] for _ in range(len(levels) + 1)]
+        self.live = self.live_at[0]
         self.pairs = 0  # entries filled in the successor rows
         self._box, self._up, self._below, self._tables = _point_tables(self.caps)
-        self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
+
+        def bit(x, y):
+            return 1 << (min(x, cs) * (ck + 1) + min(y, ck))
+
+        self._level_bits = [bit(*level) for level in levels]
+        self._bit = self._level_bits[0]  # the join's
+        self._hit_bits = [bit(*pair) for pair in lists]
         self._points = []  # profile id -> box indices of its signatures
         self._polar = []  # profile id -> mask of its polar pairs in the cap box
         self._ids = {}  # polar mask -> profile id
@@ -340,8 +375,9 @@ class TypeAlgebra:
         # every type that is neither live nor a hit; it has no key
         self.sink = len(self._keys)
         self._keys.append(None)
-        self.hit.append(False)
-        self.live.append(False)
+        self.hit.append(0)
+        for live in self.live_at:
+            live.append(False)
 
     def _mask(self, prof):
         """The polar mask of a profile, its signatures capped: the OR of their up-sets."""
@@ -367,15 +403,28 @@ class TypeAlgebra:
     def _new_type(self, p, deleted):
         """Number the type keyed by profile id p and the bitset of its deleted-profile ids.
 
-        Every deleted profile is polar (``combine`` sends the other types
-        to ``sink``), so the type is live when p is polar and a hit when it
-        is not.  The new type gets the next number.
+        Every deleted profile is polar at the join (``combine`` sends the
+        other types to ``sink``), so the type is live there when p is polar
+        and a hit for the join when it is not.  Its ``hit`` bits and
+        ``live_at`` entries test each pair and level.  The new type gets the
+        next number.
         """
         i = self._numbers[(p, deleted)] = len(self._keys)
-        live = bool(self._polar[p] & self._bit)
-        self._keys.append((p, tuple(bits(deleted))))
-        self.hit.append(not live)
-        self.live.append(live)
+        dels = tuple(bits(deleted))
+        self._keys.append((p, dels))
+        polar = self._polar
+        mask, hit = polar[p], 0
+        for j, b in enumerate(self._hit_bits):
+            if not mask & b:
+                for d in dels:
+                    if not polar[d] & b:
+                        break
+                else:
+                    hit |= 1 << j
+        self.hit.append(hit)
+        for live, b in zip(self.live_at, self._level_bits):
+            live.append(mask & b != 0)
+        self.live_at[-1].append(False)
         return i
 
     def _merge(self, op, p, q):

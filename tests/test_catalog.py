@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarcographs import catalog, cotrees, expressions, graphs, obstructions
+from polarcographs import catalog, cotrees, expressions, graphs, obstructions, polarity
 from polarcographs.catalog import (
     FIG1,
     ClaimParameterError,
@@ -151,6 +151,9 @@ class _FixedCache:
     def __init__(self, records):
         self.records = records
 
+    def plan(self, keys):
+        pass
+
     def mine(self, s, k, n_max):
         return self.records
 
@@ -277,10 +280,14 @@ def test_a_unions_one_k_level_is_the_sum_of_its_sides():
 
 
 class _PlanCache:
-    """Records every (s, k, n_max) it is asked to mine, and mines nothing."""
+    """Records every (s, k, n_max) it is declared and asked to mine, and mines nothing."""
 
     def __init__(self):
+        self.planned = set()
         self.keys = set()
+
+    def plan(self, keys):
+        self.planned.update(keys)
 
     def mine(self, s, k, n_max):
         self.keys.add((s, k, n_max))
@@ -292,24 +299,79 @@ def test_verification_plan_stays_within_the_mining_limit(k):
     cache = _PlanCache()
     verify_all(k, cache=cache)
     assert cache.keys
+    assert cache.planned == cache.keys
     assert max(n for _, _, n in cache.keys) <= obstructions.MINING_MAX_ORDER
     # one mining per (s,k): every claim on it reads the same bound
     assert len({(s, k) for s, k, _ in cache.keys}) == len(cache.keys)
 
 
 def test_verification_past_the_mining_limit_fails_loudly(monkeypatch):
-    # remark4 asks for (inf,13,43), after fig1's and thm2's order-10 minings
-    mined = []
-    mine = catalog.mine_obstructions
+    # remark4 asks for (inf,13,43); the one pass checks every list of the
+    # plan before it builds an algebra or enumerates a class
+    algebras = []
 
-    def recording(s, k, n_max, enumerator):
-        mined.append((s, k, n_max))
-        return mine(s, k, n_max, enumerator)
+    class Recording(polarity.TypeAlgebra):
+        def __init__(self, *args):
+            algebras.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(catalog, "mine_obstructions", recording)
+    monkeypatch.setattr(polarity, "TypeAlgebra", Recording)
+    cache = catalog.MiningCache()
     with pytest.raises(BoundExceededError, match="mining bound 43 exceeds 40"):
-        verify_all(13, cache=catalog.MiningCache())
-    assert mined == [(1, INF, 10), (INF, INF, 10), (INF, 13, 43)]
+        verify_all(13, cache=cache)
+    assert (INF, 13, 43) in catalog._ROWS["remark4"].lists(13)
+    assert algebras == [] and cache.passes == []
+    assert list(cache.enumerator.codes) == [1] and cache._mined == {}
+
+
+class _ReadingCache(catalog.MiningCache):
+    """A mining cache that records the (s, k, n_max) of every read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def mine(self, s, k, n_max):
+        self.read.append((s, k, n_max))
+        return super().mine(s, k, n_max)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_each_row_declares_the_lists_it_reads(k):
+    # the keys _read and _probe ask the cache for are the row's declared lists
+    for n_max in (None, 7):
+        cache = _ReadingCache()
+        for row in catalog.CLAIMS:
+            if row.applies_at(k):
+                cache.read.clear()
+                verify_claim(row.id, k, cache=cache, n_max=n_max)
+                assert set(cache.read) == set(row.lists(k, n_max)), (row.id, k, n_max)
+                assert bool(cache.read) == (row.id != "sixteen-note"), (row.id, k, n_max)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_verification_runs_one_pass(k):
+    cache = catalog.MiningCache()
+    verify_all(k, cache=cache)
+    keys = {key for row in catalog.CLAIMS if row.applies_at(k) for key in row.lists(k)}
+    ((join, lists, cpu),) = cache.passes
+    assert set(lists) == keys and len(lists) == len(keys)
+    assert join == tuple(max(column) for column in zip(*keys))
+    assert cpu > 0
+    assert cache._pending == {}  # every list was read, and the pass is dropped
+
+
+def test_a_read_outside_the_plan_joins_the_next_pass():
+    cache = catalog.MiningCache()
+    cache.plan([(INF, 2, 10), (1, INF, 10)])
+    cache.plan([(INF, 2, 10)])  # declared twice, mined once
+    assert len(cache.mine(INF, 3, 13)) == 49
+    assert [lists for _, lists, _ in cache.passes] == [((INF, 2, 10), (1, INF, 10), (INF, 3, 13))]
+    cache.plan([(INF, 2, 10), (INF, 3, 13)])  # pending or mined: not planned again
+    assert len(cache.mine(INF, 2, 10)) == 23 and len(cache.mine(1, INF, 10)) == 4
+    assert len(cache.passes) == 1 and cache._pending == {}
+    assert len(cache.mine(INF, 0, 4)) == 1  # no plan: a pass of its own
+    assert cache.passes[-1][:2] == ((INF, 0, 4), ((INF, 0, 4),))
 
 
 def test_cor20_takes_p_from_each_listed_graph(tmp_path, cache):

@@ -714,7 +714,9 @@ def test_folded_deaths_match_the_per_base_add(monkeypatch, key):
     def both(knapsack, o, i, c):
         if id(knapsack) not in twins:
             assert not knapsack.blocks
-            twin = obstructions._TypeKnapsack(knapsack.algebra, knapsack.op, knapsack.n_max)
+            twin = obstructions._TypeKnapsack(
+                knapsack.algebra, knapsack.op, knapsack.n_max, knapsack.levels
+            )
             twins[id(knapsack)] = knapsack, twin
         twin = twins[id(knapsack)][1]
         add(knapsack, o, i, c)
@@ -783,8 +785,8 @@ def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):
     refs = []
 
     class Recording(polarity.TypeAlgebra):
-        def __init__(self, s, k):
-            super().__init__(s, k)
+        def __init__(self, *args):
+            super().__init__(*args)
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(polarity, "TypeAlgebra", Recording)
@@ -967,3 +969,97 @@ def test_live_types_absorb_and_hits_have_live_children():
         for op in (cotrees.UNION, cotrees.JOIN):
             for i in range(len(algebra.hit)):
                 assert algebra.combine(op, i, sink) == algebra.combine(op, sink, i) == sink
+
+
+# plans mined by one pass: mixed bounds; a list at the join's top order;
+# (0,0), whose record is the leaf, beside (0,3); repeated keys and a key read
+# below its pair's bound; a finite join, (2,3); an (inf,3) list whose order-12
+# records are (inf,4)-polar at the top order; and verify_all(4)'s plan
+ONE_PASS_PLANS = [
+    [(INF, INF, 10), (INF, 3, 13), (1, 1, 6)],
+    [(1, INF, 10), (INF, INF, 10)],
+    [(0, 0, 4), (0, 3, 14)],
+    [(INF, 3, 13), (INF, 2, 10), (INF, 3, 13), (INF, 3, 12)],
+    [(2, 2, 13), (1, 3, 10), (0, 0, 0)],
+    [(INF, 4, 10), (INF, 3, 12)],
+    [(1, INF, 10), (INF, INF, 10), (INF, 4, 16), (INF, 3, 13), (1, 1, 6), (1, 2, 8)],
+]
+
+
+@pytest.mark.parametrize("plan", ONE_PASS_PLANS)
+def test_one_pass_gives_each_list_the_records_of_its_own_mining(plan):
+    # mining each list alone, with its own caps and sink, is the oracle
+    enum = CographEnumerator()
+    one = obstructions.MiningPass(plan, enum)
+    s, k, n_max = zip(*plan)
+    assert one.join == (max(s), max(k), max(n_max))
+    assert one.lists == tuple(dict.fromkeys(plan))
+    for key in plan:
+        assert _jsonl(one.records(*key)) == _jsonl(mine_obstructions(*key, enumerator=enum)), key
+    with pytest.raises(KeyError):
+        one.records(max(s), max(k), max(n_max) + 1)
+
+
+def test_a_pass_holds_the_pinned_records_of_each_list():
+    keys = [(INF, INF, 10), (0, 0, 4), (1, 3, 10), (2, 2, 13)]
+    one = obstructions.MiningPass(keys)
+    for key in keys:
+        jsonl = obstructions.records_to_jsonl(one.records(*key))
+        digest = hashlib.sha256(jsonl.encode()).hexdigest()
+        assert (jsonl.count("\n") + 1, digest) == MINED_DIGESTS[key], key
+
+
+def test_a_pass_checks_every_list_before_any_work(monkeypatch):
+    monkeypatch.setattr(polarity, "TypeAlgebra", None)  # building one would raise TypeError
+    enum = CographEnumerator()
+    with pytest.raises(BoundExceededError, match="mining bound 41 exceeds 40"):
+        obstructions.MiningPass([(INF, 2, 10), (INF, 13, 41)], enum)
+    with pytest.raises(ValueError, match="k must be"):
+        obstructions.MiningPass([(INF, 2, 10), (1, -1, 5)], enum)
+    assert list(enum.codes) == [1]
+
+
+def test_a_hit_base_with_a_row_entry_from_a_lower_order_dies_once():
+    # lists (inf,3) to order 6 and (inf,2) to order 10: a multiset of order
+    # below 6 is live when (inf,3)-polar, from 6 on when (inf,2)-polar.
+    # K1 + 3K2, a minimal (inf,2)-obstruction that is (inf,3)-polar, sits at
+    # order 7 as a hit only, counted in dead[7]; its row entry with P3, the
+    # sink (K1 + 3K2 + P3 less a leaf of P3 is K1 + 4K2), was filled where it
+    # was live.  Read before its liveness, that entry would count it in
+    # dead[10] a second time.
+    algebra = polarity.TypeAlgebra(INF, 3, [(INF, 3), (INF, 2)])
+    knapsack = obstructions._TypeKnapsack(algebra, cotrees.UNION, 10, [0] * 6 + [1] * 4 + [2])
+    memo = {}
+    base, p3 = (
+        type_of(algebra, expressions.to_cotree(expressions.parse(text)), memo)
+        for text in ("K1 + 3K2", "P3")
+    )
+    assert algebra.live_at[0][base] and not algebra.live_at[1][base] and algebra.hit[base] == 2
+    assert algebra.combine(cotrees.UNION, base, p3) == algebra.sink
+    knapsack.kept[7][base] = [1]
+    knapsack.dead[7] = 1
+    knapsack.add(3, p3, 1)
+    assert knapsack.dead[10] == 1
+    assert list(knapsack.kept[10]) == []
+
+
+def test_the_top_order_counts_a_hit_that_is_polar_at_the_join_as_not_live(monkeypatch):
+    # some minimal (inf,3)-obstructions of order 12 are (inf,4)-polar: at the
+    # pass's top order they are kept as hits, with the live bit of the join
+    # (inf,4), and counted in dead; the count check must not add them again
+    nodes = obstructions._TypeKnapsack.nodes
+    widened = []
+
+    def recording(knapsack, n):
+        kept, dead = nodes(knapsack, n)
+        if n == knapsack.n_max:
+            widened.extend(i for i in kept if knapsack.algebra.live[i])
+        return kept, dead
+
+    monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", recording)
+    plan = [(INF, 4, 10), (INF, 3, 12)]
+    one = obstructions.MiningPass(plan)
+    assert widened and one.knapsacks[cotrees.UNION].levels[12] == 2  # no list reads past 12
+    monkeypatch.undo()
+    for key in plan:
+        assert _jsonl(one.records(*key)) == _jsonl(mine_obstructions(*key)), key

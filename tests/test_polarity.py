@@ -382,8 +382,8 @@ def _mined_algebra(monkeypatch, cls, key):
     algebras = []
 
     class Recording(cls):
-        def __init__(self, s, k):
-            super().__init__(s, k)
+        def __init__(self, *args):
+            super().__init__(*args)
             algebras.append(self)
 
     monkeypatch.setattr(polarity, "TypeAlgebra", Recording)

@@ -648,14 +648,19 @@ class SetTypeAlgebra:
     profiles first and then the candidate deletions in ascending id order up
     to the first non-polar one, so both algebras intern the same profiles in
     the same order.  ``types`` and ``_profiles`` keep each type (None for
-    ``sink``) and each capped profile in profile form.
+    ``sink``) and each capped profile in profile form.  It mines one list,
+    (s, k), as the only one of ``lists``; ``live_at`` holds ``live`` and the
+    level past that list's bound, where no type is live.
     """
 
-    def __init__(self, s, k):
+    def __init__(self, s, k, lists=None):
+        if lists not in (None, ((s, k),), [(s, k)]):
+            raise ValueError(f"the set-based algebra mines one list, not {lists}")
         self.caps = cs, ck = tuple(2 if x == polarity.INF else max(x, 1) + 1 for x in (s, k))
         self.types = []
         self.hit = []
         self.live = []
+        self.live_at = [self.live, []]
         self.pairs = 0
         self._box = [(x, y) for x in range(cs + 1) for y in range(ck + 1)]
         self._bit = 1 << (min(s, cs) * (ck + 1) + min(k, ck))
@@ -674,6 +679,7 @@ class SetTypeAlgebra:
         self._keys.append(None)
         self.hit.append(False)
         self.live.append(False)
+        self.live_at[1].append(False)
 
     def _profile_id(self, prof):
         p = self._profile_ids.get(prof)
@@ -698,6 +704,7 @@ class SetTypeAlgebra:
             self.types.append((profiles[p], frozenset(profiles[d] for d in dels)))
             self.hit.append(not polar[p] & bit and all(polar[d] & bit for d in dels))
             self.live.append(bool(polar[p] & bit))
+            self.live_at[1].append(False)
         return i
 
     def number(self, typ):
@@ -961,3 +968,4 @@ class Claim:
     mining: tuple = (INF, None)
     compare: Callable = catalog._compare_sets
     check: Callable | None = None
+    reads: Callable | None = None
