@@ -54,7 +54,6 @@ from time import process_time
 
 from . import expressions, obstructions, polarity
 from .cotrees import JOIN, LEAF, UNION, canonical_code, compose, flip_labels
-from .obstructions import CographEnumerator
 from .polarity import INF
 from .values import FrozenValue, Value, set_field
 
@@ -270,10 +269,9 @@ class MiningCache:
     and the list it asks for if that was not declared; each list's records
     are built at its own first read, from the pass, which the cache drops
     once every one of its lists has been read.  ``passes`` records each pass
-    as (join (s, k, n_max), lists, CPU seconds of the knapsack pass).  The
-    passes share one enumerator, and with it the cotrees, memoized profiles
-    and folded deletions of the orders each pass cross-checks; the cache
-    frees them with itself.
+    as (join (s, k, n_max), lists, CPU seconds of the pass).  Each pass owns
+    what it builds and keeps only the cotrees its lists read, so a pending
+    pass holds no knapsack, type algebra or enumerator.
     """
 
     def __init__(self):
@@ -281,7 +279,6 @@ class MiningCache:
         self._pending = {}  # key -> the pass that holds it, until its first read
         self._planned = {}  # keys for the next pass, in the order declared
         self.passes = []
-        self.enumerator = CographEnumerator()
 
     def plan(self, keys):
         """Declare (s, k, n_max) lists for the next pass; known ones are left out."""
@@ -298,7 +295,7 @@ class MiningCache:
                 lists = tuple(dict.fromkeys((*self._planned, key)))
                 self._planned.clear()
                 start = process_time()
-                found = obstructions.MiningPass(lists, self.enumerator)
+                found = obstructions.MiningPass(lists)
                 self.passes.append((found.join, lists, process_time() - start))
                 self._pending.update((other, found) for other in lists if other != key)
             records = self._mined[key] = found.records(s, k, n_max)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: eval, recognize, polarity, profile, mine, verify, census.
-Exit codes: 0 success/pass, 1 verification failure, 2 parse error,
+Exit codes: 0 success/pass, 1 verification failure, 2 parse error or a path
+that cannot be read or written (a graph argument, --out, a catalog file),
 3 not a cograph, 4 bound exceeded, 5 unknown claim.
 """
 
@@ -353,6 +354,7 @@ _EXIT_CODES = {
     BoundExceededError: EXIT_BOUND,
     NotCographError: EXIT_NOT_COGRAPH,
     ExprError: EXIT_PARSE,
+    OSError: EXIT_PARSE,  # a path that is a directory, unreadable or unwritable
 }
 
 

@@ -36,8 +36,8 @@ collector's oldest generation, so that the young-generation passes of the
 caller's next allocations do not walk them; a full collection still does,
 for as long as they are alive.  A walk that builds codes only allocates no
 tracked object that outlives a class, and it runs as fast with the collector
-on.  An enumerator holds what it built for as long as its owner keeps it;
-the module functions that are given none make one and drop it on return.
+on.  An enumerator holds what it built for as long as its owner keeps it:
+each module function and each mining pass makes one and drops it on return.
 
 Minimality uses single-vertex deletions only: (s,k)-polarity is hereditary,
 so a non-polar graph with every one-vertex-deleted subgraph polar has every
@@ -84,24 +84,23 @@ grows with the caps: (inf,12,40) peaked at 182 MB, while (12,12,40) grew past
 1.33 GB.  So mining also bounds its cost: after each block it reads how many
 pairs of types the algebra has combined, and past ``MINING_MAX_PAIRS`` it
 raises ``BoundExceededError``, which (12,12,40) now meets after 21 s at
-462 MB (DECISIONS.md, "Two order limits").  A list's records are built when it
-is first read (``MiningPass.records``), and ``mine_obstructions`` is the
-one-list case of the same pass.  Each hit type of the list up to its bound is
-expanded into cotrees by following the knapsack's back-pointers down to the
-leaf, through blocks of lower order only; the number of cotrees must equal
-the knapsack's count, and each is re-checked by ``is_minimal_obstruction``.
-The leaf is the one record not expanded: it is a minimal obstruction only at
-(0,0).  The classes up to a split order are also enumerated, as a cross-check:
-their number must be A000084's, once per pass, and for each list the ones
-that are minimal obstructions by their exact profiles must be exactly the
-mined cotrees of those orders, so a record the knapsacks or the expansion
-lose or add there is caught.  That check reads each class's memoized profile
-and, for a non-polar one, the exact profiles of its one-vertex deletions,
-folded by ``polarity.deleted_profiles`` from its children's profiles without
-building a deleted tree.  The deleted profiles do not depend on (s,k), so the
-enumerator keeps them by code (``CographEnumerator.deleted``), and each class
-is folded once per enumerator, not once per mining.  The records of those
-orders are thus confirmed by two derivations: the fold and
+462 MB (DECISIONS.md, "Two order limits").  ``mine_obstructions`` is the
+one-list case of a ``MiningPass``, which keeps only cotrees once it is made.
+Each hit type its lists read is expanded into cotrees once, by following the
+knapsack's back-pointers down to the leaf, through blocks of lower order
+only; the number of cotrees must equal the knapsack's count, and each is
+re-checked by ``is_minimal_obstruction`` when its list is first read.  The
+leaf is the one record not expanded: it is a minimal obstruction only at
+(0,0).  The classes up to a split order are also enumerated, as a
+cross-check: their number must be A000084's, and for each (s,k) pair the
+ones that are minimal obstructions by their exact profiles must be exactly
+the pair's mined cotrees of those orders, so a record the knapsacks or the
+expansion lose or add there is caught.  That check reads each class's
+memoized profile and, for a non-polar one, the exact profiles of its
+one-vertex deletions, folded by ``polarity.deleted_profiles`` from its
+children's profiles without building a deleted tree; they do not depend on
+(s,k), so each class is folded once per pass.  The records of those orders
+are thus confirmed by two derivations: the fold and
 ``is_minimal_obstruction``, which rebuilds each deletion.
 """
 
@@ -125,7 +124,7 @@ from .values import FrozenValue, set_field
 # only, takes 0.35-0.45 s of CPU at 196 MB peak RSS, and
 # ``enumerate_cographs(15)``, which builds every cotree, 1.1-2.0 s at 498 MB
 # (2-vCPU Xeon VM, Python 3.11); that memory is freed with the enumerator,
-# which a call given none drops on return.  Mining enumerates only up to
+# which each call makes and drops on return.  Mining enumerates only up to
 # _SPLIT_ORDER and counts the rest by type: at order 40 its peak RSS was
 # 182 MB at (inf,12,40) and 323 MB at (inf,19,40).  The order limit does not
 # bound cost, which follows the types and so the caps; the pair limit does: it
@@ -190,19 +189,14 @@ class CographEnumerator:
     those codes, or it raises AssertionError.  Profiles are left to
     ``polarity.profile_dp``.
 
-    ``deleted`` maps the code of a class to the exact profiles of its
-    one-vertex deletions (``polarity.deleted_profiles``), which the split
-    cross-check of mining fills for the non-polar classes it meets and their
-    subtrees.  Everything is kept as long as the enumerator, and nothing
-    longer: its owner is the caller that made it (``catalog.MiningCache``
-    keeps one for a verification's passes), and the module functions make
-    one per call when given none.
+    Everything is kept as long as the enumerator, and nothing longer: each
+    module function and each mining pass makes its own and drops it when it
+    returns.
     """
 
     def __init__(self):
         self.codes = {1: (_SHARED_LEAF._code,)}
         self.trees = {1: (_SHARED_LEAF,)}
-        self.deleted = {}
 
     def _build_to(self, n):
         """Build the codes of every order up to n, and no cotree."""
@@ -362,28 +356,28 @@ def _check_enumeration_bound(n_max):
         raise BoundExceededError(f"enumeration bound {n_max} exceeds {ENUMERATION_MAX_ORDER}")
 
 
-def enumerate_cographs(n_max, enumerator=None):
+def enumerate_cographs(n_max):
     """An iterator over one normalized cotree per unlabeled cograph class, order 1..n_max.
 
     ``n_max`` is checked on the call, before the iterator is returned.  The
-    cotrees are ``enumerator``'s; given none, the iterator makes its own and
-    keeps it until it is drained or dropped.
+    iterator makes its own enumerator and keeps it until it is drained or
+    dropped.
     """
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
-    enum = enumerator or CographEnumerator()
+    enum = CographEnumerator()
     return (t for n in range(1, n_max + 1) for t in enum.trees_of_order(n))
 
 
-def cograph_counts(n_max, enumerator=None):
+def cograph_counts(n_max):
     """Number of unlabeled cograph classes for each order 1..n_max.
 
-    The codes are ``enumerator``'s; given none, the call makes one and frees
-    it on return.
+    The call makes its own enumerator, which builds codes only, and frees it
+    on return.
     """
     _check_int("n_max", n_max, 0)
     _check_enumeration_bound(n_max)
-    enum = enumerator or CographEnumerator()
+    enum = CographEnumerator()
     return [len(enum.classes_of_order(n)) for n in range(1, n_max + 1)]
 
 
@@ -762,7 +756,7 @@ class _TypeKnapsack:
 
 
 class MiningPass:
-    """One type-knapsack pass over the lists of a plan, and each list's records.
+    """One type-knapsack pass over the lists of a plan, and each (s,k) pair's cotrees.
 
     ``lists`` are (s, k, n_max) keys, each checked as ``mine_obstructions``
     checks its arguments, before any work.  The pass mines their (s,k) pairs
@@ -778,43 +772,41 @@ class MiningPass:
     pairs that includes (s',k').  Its knapsack entry thus counts it, and its
     back-pointers run through live folds and live blocks only.  The
     enumerated classes of each order up to the split and the knapsacks'
-    numbers of every order are checked against OEIS A000084 once, in the
-    pass.  ``records`` builds a list's records: its hits expanded into
-    cotrees, the split cross-check and the ``is_minimal_obstruction``
-    re-check, each for that list's (s,k) and bound.  ``enumerator`` serves
-    the cross-check and keeps the deleted profiles it folds; given none, the
-    pass makes one.
+    numbers of every order are checked against OEIS A000084.  Each hit a
+    pair reads, up to its largest bound, is expanded once, and the pair's
+    cotrees of the split orders are cross-checked once, at that bound, which
+    covers every smaller one.  The pass makes its own algebra, knapsacks and
+    enumerator and keeps only each pair's cotrees, which ``records`` reads.
     """
 
-    def __init__(self, lists, enumerator=None):
+    def __init__(self, lists):
         self.lists = tuple(dict.fromkeys(lists))
         if not self.lists:
             raise ValueError("a mining pass needs at least one list")
         for s, k, n_max in self.lists:
             _check_list(s, k, n_max)
-        self._bounds = {}  # (s, k) -> the largest bound it is read to
+        bounds = {}  # (s, k) -> the largest bound it is read to
         for s, k, n_max in self.lists:
-            self._bounds[(s, k)] = max(self._bounds.get((s, k), 0), n_max)
-        pairs = sorted(self._bounds, key=self._bounds.get)  # by ascending bound
-        n_top = max(self._bounds.values())
+            bounds[(s, k)] = max(bounds.get((s, k), 0), n_max)
+        pairs = sorted(bounds, key=bounds.get)  # by ascending bound
+        n_top = max(bounds.values())
         s, k = map(max, zip(*pairs))
         self.join = (s, k, n_top)
-        self._bits = {pair: 1 << j for j, pair in enumerate(pairs)}
-        self.enumerator = enum = enumerator or CographEnumerator()
+        enum = CographEnumerator()
         # a multiset of order m is live at level j, the join of pairs[j:],
         # when j pairs are read to m or less; at level len(pairs) none is
-        levels = [sum(self._bounds[pair] <= m for pair in pairs) for m in range(n_top + 1)]
-        self.algebra = algebra = polarity.TypeAlgebra(s, k, pairs)
+        levels = [sum(bounds[pair] <= m for pair in pairs) for m in range(n_top + 1)]
+        algebra = polarity.TypeAlgebra(s, k, pairs)
         expected = _euler_cograph_counts(n_top)
         # the knapsack of a parent label takes the blocks of the children it takes
-        self.knapsacks = knapsacks = {
+        knapsacks = {
             op: _TypeKnapsack(algebra, op, n_top, levels) for op in (UNION, JOIN)
         }
         leaf, live_at = algebra.leaf, algebra.live_at
         # the leaf is a child under both labels: one block of order 1, None if not live
         first = ({leaf: 1}, 0) if n_top and live_at[levels[1]][leaf] else ({}, 1)
         blocks = {UNION: first, JOIN: first}
-        self.hits = []  # (label, order, type, classes) of each type that is a hit for a pair
+        hits = []  # (label, order, type, classes) of each type that is a hit for a pair
 
         for n in range(1, n_top + 1):
             if n <= _SPLIT_ORDER:
@@ -828,7 +820,7 @@ class MiningPass:
                     kept, not_live = knapsack.nodes(n)
                     # a kept type live at the join but not at n is counted in not_live
                     live = {i: c for i, c in kept.items() if live_at[levels[n]][i]}
-                    self.hits.extend((op, n, i, c) for i, c in kept.items() if algebra.hit[i])
+                    hits.extend((op, n, i, c) for i, c in kept.items() if algebra.hit[i])
                     total += sum(live.values()) + not_live
                     blocks[_OTHER[op]] = live, not_live  # an op-node is a child of the other label
                 if total != expected[n - 1]:
@@ -848,39 +840,46 @@ class MiningPass:
                             )
                     if not_live:
                         knapsacks[op].add(n, None, not_live)
+        # the hits each pair reads: those its bit names, up to its bound
+        read = {
+            pair: [hit for hit in hits if algebra.hit[hit[2]] >> j & 1 and hit[1] <= bounds[pair]]
+            for j, pair in enumerate(pairs)
+        }
+        wanted = list(dict.fromkeys(hit for pair_hits in read.values() for hit in pair_hits))
+        built = dict(zip(wanted, _expand(knapsacks, wanted)))
+        memo = {}  # code -> the exact deleted profiles the cross-check folds
+        self._trees = {}  # (s, k) -> its cotrees up to its bound
+        for j, (s, k) in enumerate(pairs):
+            bound = bounds[(s, k)]
+            trees = [_SHARED_LEAF] if algebra.hit[algebra.leaf] >> j & 1 and bound else []
+            trees.extend(t for hit in read[(s, k)] for t in built[hit])
+            minimal = []  # codes of the enumerated minimal obstructions
+            for n in range(1, min(bound, _SPLIT_ORDER) + 1):
+                minimal.extend(_minimal_codes(enum.trees_of_order(n), s, k, memo))
+            found = [canonical_code(t) for t in trees if t.order <= _SPLIT_ORDER]
+            if sorted(found) != sorted(minimal):
+                raise AssertionError(
+                    f"the mined classes of order <= {_SPLIT_ORDER} ({len(found)}) are not "
+                    f"the enumerated minimal obstructions ({len(minimal)})"
+                )
+            self._trees[(s, k)] = trees
 
     def records(self, s, k, n_max):
         """The minimal (s,k)-obstructions of order <= n_max, as records, by (order, code).
 
-        (s,k) must be a pair of the pass, and n_max at most its bound.  The
-        hits of (s,k) of order <= n_max are expanded into cotrees (the leaf
-        itself is a hit only at (0,0)); the classes of order <= the split
-        and n_max that are minimal by their memoized profiles and folded
-        deleted profiles (``_minimal_codes``) must be exactly the mined
-        cotrees of those orders, and each cotree must pass
-        ``is_minimal_obstruction``, or AssertionError is raised.
+        (s,k) must be a pair of the pass, and n_max at most the largest bound
+        of its lists, or KeyError is raised.  Each of the pair's cotrees of
+        order <= n_max must pass ``is_minimal_obstruction``, or
+        AssertionError is raised.
         """
-        if n_max > self._bounds.get((s, k), -1):
+        if n_max > max((n for s1, k1, n in self.lists if (s1, k1) == (s, k)), default=-1):
             raise KeyError(f"({encode_param(s)},{encode_param(k)},{n_max}) is not in the pass")
-        algebra, enum, bit = self.algebra, self.enumerator, self._bits[(s, k)]
-        hits = [hit for hit in self.hits if hit[1] <= n_max and algebra.hit[hit[2]] & bit]
-        trees = ([_SHARED_LEAF] if algebra.hit[algebra.leaf] & bit and n_max else []) + _expand(
-            self.knapsacks, hits
-        )
-        minimal = []  # codes of the enumerated minimal obstructions
-        for n in range(1, min(n_max, _SPLIT_ORDER) + 1):
-            minimal.extend(_minimal_codes(enum.trees_of_order(n), s, k, enum.deleted))
-        found = [canonical_code(t) for t in trees if t.order <= _SPLIT_ORDER]
-        if sorted(found) != sorted(minimal):
-            raise AssertionError(
-                f"the mined classes of order <= {_SPLIT_ORDER} ({len(found)}) are not "
-                f"the enumerated minimal obstructions ({len(minimal)})"
-            )
         records = []
-        for t in trees:
-            if not is_minimal_obstruction(t, s, k):
-                raise AssertionError("a class mined by its type is not a minimal obstruction")
-            records.append(_record_from_tree(t, s, k, n_max))
+        for t in self._trees[(s, k)]:
+            if t.order <= n_max:
+                if not is_minimal_obstruction(t, s, k):
+                    raise AssertionError("a class mined by its type is not a minimal obstruction")
+                records.append(_record_from_tree(t, s, k, n_max))
         records.sort(key=ObstructionRecord.sort_key)
         return records
 
@@ -895,12 +894,13 @@ def _check_list(s, k, n_max):
 
 
 def _expand(knapsacks, hits):
-    """The cotrees of the hit types, drawn down to the leaf.
+    """The cotrees of each hit type, drawn down to the leaf, one list per hit.
 
     Each hit follows its knapsack's back-pointers below the limit of its
     order, so its children come from blocks of lower order only; every block
-    but the leaf, the first, is expanded the same way in the other label's
-    knapsack.  A hit that expands to other than its number of classes raises
+    but the leaf, the first, is expanded once, the same way, in the other
+    label's knapsack, and its classes are shared by every hit built on it.
+    A hit that expands to other than its number of classes raises
     AssertionError.
     """
     built = {(op, 0): [_SHARED_LEAF] for op in knapsacks}  # (parent label, block) -> classes
@@ -933,7 +933,7 @@ def _expand(knapsacks, hits):
         trees = nodes(op, n, i)
         if len(trees) != count:
             raise AssertionError(f"a hit type expands to {len(trees)} classes, not {count}")
-        out.extend(trees)
+        out.append(trees)
     # the nested functions reach each other through their closure cells: a
     # cycle that holds the knapsacks and the algebra until the cyclic
     # collector runs; emptying the cells frees them when this returns
@@ -941,23 +941,20 @@ def _expand(knapsacks, hits):
     return out
 
 
-def mine_obstructions(s, k, n_max, enumerator=None):
+def mine_obstructions(s, k, n_max):
     """All minimal (s,k)-polar obstructions of order <= n_max.
 
     Deterministic output ordered by (order, canonical code).  The bound
     travels with every record: completeness beyond n_max is never implied.
     The one-list case of ``MiningPass``: every class found is re-checked by
     ``is_minimal_obstruction``; a class it rejects raises AssertionError.
-    ``enumerator`` serves the enumerated cross-check of the low orders, and
-    keeps the deleted profiles it folds; given none, the call makes one and
-    frees it on return.
     s and k must be non-negative ints or INF, and n_max a non-negative int,
     or ValueError is raised before any work.
     An n_max above ``MINING_MAX_ORDER`` raises ``BoundExceededError`` before
     any work; so does, during the mining, a type algebra that has combined
     more than ``MINING_MAX_PAIRS`` pairs.
     """
-    return MiningPass([(s, k, n_max)], enumerator).records(s, k, n_max)
+    return MiningPass([(s, k, n_max)]).records(s, k, n_max)
 
 
 def records_to_jsonl(records):

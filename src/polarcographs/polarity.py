@@ -465,10 +465,7 @@ class TypeAlgebra:
         repeated id is one bit.  The type is then read by (profile id,
         bitset), and numbered if it is new.
         """
-        rows = self._rows[op]
-        row = rows.get(j)
-        if row is None:
-            row = rows[j] = {}
+        row = self.row(op, j)
         out = row.get(i)
         if out is None:
             out = row[i] = self._combined(op, i, j)

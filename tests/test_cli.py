@@ -270,6 +270,39 @@ def test_unparsable_catalog_file_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: ") and "P4" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "{path}"],
+        ["recognize", "{path}"],
+        ["eval", "K1", "--out", "{path}"],
+        ["mine", "--s", "inf", "--k", "2", "--n-max", "5", "--out", "{path}"],
+        ["verify", "fig1", "--catalog-dir", "{dir}"],
+    ],
+    ids=["graph", "recognize", "eval-out", "mine-out", "catalog-file"],
+)
+def test_a_directory_as_a_file_is_an_error_not_a_failed_verification(capsys, tmp_path, argv):
+    # exit 1 would read as a failed verification; a bad path is a usage error
+    (tmp_path / "fig1.txt").mkdir()
+    argv = [arg.format(path=tmp_path / "fig1.txt", dir=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+
+
+def test_an_unreadable_graph_file_is_an_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "graph.txt"
+    path.write_text("P3\n")
+
+    def unreadable(name, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(name))
+
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    code, out, err = run(capsys, "profile", str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "eval", "C4", "--out", str(target))

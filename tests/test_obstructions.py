@@ -70,29 +70,39 @@ def test_enumeration_bound():
         enumerate_cographs(obstructions.ENUMERATION_MAX_ORDER + 1)
 
 
-def test_cograph_counts_fail_before_building_anything():
-    fresh = CographEnumerator()
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any enumerator walks an order or any type algebra is made."""
+
+    def work(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(CographEnumerator, "_walk", work)
+    monkeypatch.setattr(polarity, "TypeAlgebra", work)
+
+
+def test_cograph_counts_fail_before_building_anything(no_work):
     with pytest.raises(BoundExceededError, match="enumeration bound 16 exceeds 15"):
-        cograph_counts(16, enumerator=fresh)
-    assert len(fresh.codes) == len(fresh.trees) == 1
+        cograph_counts(16)
 
 
 BAD_PARAMETERS = [
-    (lambda enum: mine_obstructions(INF, -1, 5, enumerator=enum), "k"),
-    (lambda enum: mine_obstructions(-1, 2, 5, enumerator=enum), "s"),
-    (lambda enum: mine_obstructions(INF, 2, -1, enumerator=enum), "n_max"),
-    (lambda enum: mine_obstructions(2.5, 2, 5, enumerator=enum), "s"),
-    (lambda enum: mine_obstructions(INF, True, 5, enumerator=enum), "k"),
-    (lambda enum: mine_obstructions(INF, 2, 5.0, enumerator=enum), "n_max"),
+    (lambda enum: mine_obstructions(INF, -1, 5), "k"),
+    (lambda enum: mine_obstructions(-1, 2, 5), "s"),
+    (lambda enum: mine_obstructions(INF, 2, -1), "n_max"),
+    (lambda enum: mine_obstructions(2.5, 2, 5), "s"),
+    (lambda enum: mine_obstructions(INF, True, 5), "k"),
+    (lambda enum: mine_obstructions(INF, 2, 5.0), "n_max"),
     (lambda enum: enum.classes_of_order(0), "n"),
     pytest.param(lambda enum: enum.trees_of_order(0), "n", id="trees_of_order-n"),
-    (lambda enum: cograph_counts(-1, enumerator=enum), "n_max"),
-    (lambda enum: enumerate_cographs(3.0, enumerator=enum), "n_max"),
+    (lambda enum: cograph_counts(-1), "n_max"),
+    (lambda enum: enumerate_cographs(3.0), "n_max"),
 ]
 
 
 @pytest.mark.parametrize("call, name", BAD_PARAMETERS)
-def test_bad_parameters_raise_before_any_work(call, name):
+def test_bad_parameters_raise_before_any_work(no_work, call, name):
+    # a call that walked an order or made a type algebra would raise AssertionError
     fresh = CographEnumerator()
     with pytest.raises(ValueError, match=f"^{name} must be") as raised:
         call(fresh)
@@ -187,7 +197,7 @@ def test_records_keep_the_cotree_they_were_mined_as():
         )
         assert bare.tree is None
         assert bare == r and hash(bare) == hash(r) and repr(bare) == repr(r)
-    again = mine_obstructions(INF, 3, 13, enumerator=CographEnumerator())
+    again = mine_obstructions(INF, 3, 13)
     assert again == records
     assert all(a.tree is not b.tree for a, b in zip(again, records))
 
@@ -233,7 +243,8 @@ def test_cotree_to_expr_roundtrip():
 
 def test_fresh_enumerator_matches_shared():
     fresh = CographEnumerator()
-    assert cograph_counts(6, enumerator=fresh) == COGRAPH_COUNTS_10[:6]
+    counts = [len(fresh.classes_of_order(n)) for n in range(1, 7)]
+    assert counts == cograph_counts(6) == COGRAPH_COUNTS_10[:6]
 
 
 def test_minimality_matches_all_deletions_oracle():
@@ -305,7 +316,7 @@ def test_stored_lists_are_code_sorted_and_complements_of_each_other():
 def test_build_time_values_match_the_dp_and_the_oracle():
     # the enumerator sets order and code only; profiles wait for the DP
     fresh = CographEnumerator()
-    cograph_counts(10, enumerator=fresh)
+    fresh.classes_of_order(10)
     classes = [t for n in range(1, 11) for t in fresh.trees_of_order(n)]
     assert all(t._profile is None for t in classes if t.order > 1)  # the leaf is shared
     for t in classes:
@@ -325,12 +336,11 @@ ENUMERATED_12_DIGEST = "a8e1eecc1d4e1bf7c3be1522ba565843d933020bd2cb97746b917360
 
 def test_enumerated_codes_and_child_order_byte_for_byte():
     # realize and graph6 read children in stored order, so it must be code order
-    fresh = CographEnumerator()
     digest = hashlib.sha256()
-    for t in enumerate_cographs(12, enumerator=fresh):
+    for t in enumerate_cographs(12):
         digest.update((t._code.hex() + "\n").encode())
     assert digest.hexdigest() == ENUMERATED_12_DIGEST
-    for t in enumerate_cographs(10, enumerator=fresh):
+    for t in enumerate_cographs(10):
         if t.op == cotrees.LEAF:
             continue
         codes = [child._code for child in t.children]
@@ -344,7 +354,7 @@ def test_codes_and_trees_match_the_node_building_walk_byte_for_byte():
     # the codes-only walk gives the oracle's codes, and so does a tree build
     # of orders already held as codes
     codes_first = CographEnumerator()
-    cograph_counts(12, enumerator=codes_first)
+    codes_first.classes_of_order(12)
     assert len(codes_first.trees) == 1
     enum = CographEnumerator()
     assert enum.classes_of_order(1) == (obstructions._SHARED_LEAF._code,)
@@ -376,11 +386,12 @@ def test_per_place_runs_match_the_per_class_bisect_oracle():
 
 def test_trees_built_after_codes_give_the_enumerated_digest():
     enum = CographEnumerator()
-    cograph_counts(11, enumerator=enum)
+    enum.classes_of_order(11)
     assert len(enum.trees) == 1
     digest = hashlib.sha256()
-    for t in enumerate_cographs(12, enumerator=enum):
-        digest.update((t._code.hex() + "\n").encode())
+    for n in range(1, 13):
+        for t in enum.trees_of_order(n):
+            digest.update((t._code.hex() + "\n").encode())
     assert digest.hexdigest() == ENUMERATED_12_DIGEST
 
 
@@ -392,7 +403,7 @@ ENUMERATED_13_DIGEST = "237e3223a52e7f12fb7131403d4fc67f682045af87fa05be94b8e2b0
 def test_codes_only_through_order_13_give_the_enumerated_digest():
     # one order past the oracle comparison, with no cotree built but the leaf
     enum = CographEnumerator()
-    assert cograph_counts(13, enumerator=enum) == list(A000084[:13])
+    assert [len(enum.classes_of_order(n)) for n in range(1, 14)] == list(A000084[:13])
     assert len(enum.trees) == 1
     digest = hashlib.sha256()
     for n in range(1, 14):
@@ -458,8 +469,8 @@ def test_an_enumeration_keeps_its_enumerator_until_drained(made):
 
 
 def test_a_verification_walks_each_split_order_once(monkeypatch):
-    # the passes of one verification share its cache's enumerator, which walks
-    # the cotrees of each order up to the split once and builds no other codes
+    # a verification runs one pass, whose enumerator walks the cotrees of
+    # each order up to the split once and builds no other codes
     from polarcographs import catalog
 
     walk = CographEnumerator._walk
@@ -472,7 +483,7 @@ def test_a_verification_walks_each_split_order_once(monkeypatch):
     monkeypatch.setattr(CographEnumerator, "_walk", recording)
     cache = catalog.MiningCache()
     catalog.verify_all(3, cache=cache)
-    assert all(enum is cache.enumerator for enum, _, _ in walks)
+    assert len(cache.passes) == len({enum for enum, _, _ in walks}) == 1
     assert [(m, trees) for _, m, trees in walks] == [
         (m, True) for m in range(2, obstructions._SPLIT_ORDER + 1)
     ]
@@ -573,12 +584,11 @@ def _jsonl(records):
 
 def test_type_mining_at_any_split_matches_class_level_mining(monkeypatch):
     # the split sets only how deep the enumerated cross-check goes
-    enum = CographEnumerator()
     for s, k in ORACLE_PAIRS:
         oracle = _jsonl(class_level_records(s, k, 10))
         for split in (1, 4, 8):
             monkeypatch.setattr(obstructions, "_SPLIT_ORDER", split)
-            assert _jsonl(mine_obstructions(s, k, 10, enumerator=enum)) == oracle, (s, k, split)
+            assert _jsonl(mine_obstructions(s, k, 10)) == oracle, (s, k, split)
 
 
 def test_mining_at_the_smallest_orders_matches_class_level_mining():
@@ -643,7 +653,7 @@ def test_type_knapsack_counts_every_class_up_to_order_15(monkeypatch):
         return kept, dead
 
     monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", counting)
-    mine_obstructions(INF, 4, 15, enumerator=CographEnumerator())
+    mine_obstructions(INF, 4, 15)
     assert sorted({n for n, _ in totals}) == list(range(2, 16))
     for n in range(2, 16):
         assert totals[(n, cotrees.UNION)] == totals[(n, cotrees.JOIN)] == A000084[n - 1] // 2
@@ -663,7 +673,7 @@ def test_type_knapsack_counts_the_enumerated_classes_type_by_type(monkeypatch):
             return counted[(knapsack.op, n)]
 
         monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", recording)
-        mine_obstructions(s, k, 9, enumerator=enum)
+        mine_obstructions(s, k, 9)
         (algebra,) = algebras
         memo = {}
         for n in range(2, 9):
@@ -800,6 +810,44 @@ def test_mining_frees_its_tables_without_the_cyclic_collector(monkeypatch):
             gc.enable()
 
 
+def test_a_pass_keeps_none_of_its_tables_once_made(monkeypatch):
+    # reference counting alone frees each pass's algebra, knapsacks and
+    # enumerator when the pass is made, even while a cache holds the pass
+    # for a list not read yet, and when a mining returns
+    from polarcographs import catalog
+
+    refs = []
+
+    def recorded(base):
+        class Recorded(base):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        return Recorded
+
+    monkeypatch.setattr(polarity, "TypeAlgebra", recorded(polarity.TypeAlgebra))
+    monkeypatch.setattr(obstructions, "_TypeKnapsack", recorded(obstructions._TypeKnapsack))
+    monkeypatch.setattr(obstructions, "CographEnumerator", recorded(CographEnumerator))
+    plan = [(INF, 3, 13), (INF, 2, 10)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        one = obstructions.MiningPass(plan)
+        assert len(refs) == 4 and not any(ref() for ref in refs)
+        cache = catalog.MiningCache()
+        cache.plan(plan)
+        assert cache.mine(INF, 2, 10)
+        assert list(cache._pending) == [(INF, 3, 13)]  # its pass is held, unread
+        assert len(refs) == 8 and not any(ref() for ref in refs)
+        assert len(mine_obstructions(INF, 4, 14)) == 84
+        assert len(refs) == 12 and not any(ref() for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert _jsonl(one.records(INF, 3, 13)) == _jsonl(cache.mine(INF, 3, 13))
+
+
 def test_a_mining_past_the_pair_limit_raises(monkeypatch):
     # (inf,4,14) fills 5,455 successor-row entries; the check runs after each block
     monkeypatch.setattr(obstructions, "MINING_MAX_PAIRS", 5_000)
@@ -849,11 +897,10 @@ def test_a_lost_record_fails_the_split_cross_check(monkeypatch):
     dropped = []
 
     def dropping(knapsacks, hits):
-        trees = expand(knapsacks, hits)
-        low = [t for t in trees if t.order <= obstructions._SPLIT_ORDER]
-        dropped.append(low[-1])
-        trees.remove(low[-1])
-        return trees
+        built = expand(knapsacks, hits)  # one list per hit, all of its order
+        low = [trees for trees in built if trees[0].order <= obstructions._SPLIT_ORDER]
+        dropped.append(low[-1].pop())
+        return built
 
     monkeypatch.setattr(obstructions, "_expand", dropping)
     with pytest.raises(
@@ -882,15 +929,22 @@ def test_a_fold_that_drops_deletions_fails_the_split_cross_check(monkeypatch):
     # the type knapsacks rightly do not mine
     monkeypatch.setattr(polarity, "deleted_profiles", _dropping_last_children)
     with pytest.raises(AssertionError, match="enumerated minimal obstructions"):
-        mine_obstructions(0, 3, 12, enumerator=CographEnumerator())
+        mine_obstructions(0, 3, 12)
 
 
-def test_the_deleted_profile_memo_holds_the_split_orders_only():
+def test_the_deleted_profile_memo_holds_the_split_orders_only(monkeypatch):
     from polarcographs import catalog
 
-    cache = catalog.MiningCache()
-    catalog.verify_all(3, cache=cache)
-    memo = cache.enumerator.deleted
+    minimal_codes = obstructions._minimal_codes
+    memos = {}  # id -> each memo the cross-check folds into
+
+    def recording(classes, s, k, memo):
+        memos[id(memo)] = memo
+        return minimal_codes(classes, s, k, memo)
+
+    monkeypatch.setattr(obstructions, "_minimal_codes", recording)
+    catalog.verify_all(3)
+    (memo,) = memos.values()  # one pass, one memo for all its pairs
     assert memo
     found = 0
     for t in enumerate_cographs(obstructions._SPLIT_ORDER):
@@ -989,13 +1043,12 @@ ONE_PASS_PLANS = [
 @pytest.mark.parametrize("plan", ONE_PASS_PLANS)
 def test_one_pass_gives_each_list_the_records_of_its_own_mining(plan):
     # mining each list alone, with its own caps and sink, is the oracle
-    enum = CographEnumerator()
-    one = obstructions.MiningPass(plan, enum)
+    one = obstructions.MiningPass(plan)
     s, k, n_max = zip(*plan)
     assert one.join == (max(s), max(k), max(n_max))
     assert one.lists == tuple(dict.fromkeys(plan))
     for key in plan:
-        assert _jsonl(one.records(*key)) == _jsonl(mine_obstructions(*key, enumerator=enum)), key
+        assert _jsonl(one.records(*key)) == _jsonl(mine_obstructions(*key)), key
     with pytest.raises(KeyError):
         one.records(max(s), max(k), max(n_max) + 1)
 
@@ -1009,14 +1062,11 @@ def test_a_pass_holds_the_pinned_records_of_each_list():
         assert (jsonl.count("\n") + 1, digest) == MINED_DIGESTS[key], key
 
 
-def test_a_pass_checks_every_list_before_any_work(monkeypatch):
-    monkeypatch.setattr(polarity, "TypeAlgebra", None)  # building one would raise TypeError
-    enum = CographEnumerator()
+def test_a_pass_checks_every_list_before_any_work(no_work):
     with pytest.raises(BoundExceededError, match="mining bound 41 exceeds 40"):
-        obstructions.MiningPass([(INF, 2, 10), (INF, 13, 41)], enum)
+        obstructions.MiningPass([(INF, 2, 10), (INF, 13, 41)])
     with pytest.raises(ValueError, match="k must be"):
-        obstructions.MiningPass([(INF, 2, 10), (1, -1, 5)], enum)
-    assert list(enum.codes) == [1]
+        obstructions.MiningPass([(INF, 2, 10), (1, -1, 5)])
 
 
 def test_a_hit_base_with_a_row_entry_from_a_lower_order_dies_once():
@@ -1048,10 +1098,11 @@ def test_the_top_order_counts_a_hit_that_is_polar_at_the_join_as_not_live(monkey
     # pass's top order they are kept as hits, with the live bit of the join
     # (inf,4), and counted in dead; the count check must not add them again
     nodes = obstructions._TypeKnapsack.nodes
-    widened = []
+    widened, knapsacks = [], {}
 
     def recording(knapsack, n):
         kept, dead = nodes(knapsack, n)
+        knapsacks[knapsack.op] = knapsack
         if n == knapsack.n_max:
             widened.extend(i for i in kept if knapsack.algebra.live[i])
         return kept, dead
@@ -1059,7 +1110,7 @@ def test_the_top_order_counts_a_hit_that_is_polar_at_the_join_as_not_live(monkey
     monkeypatch.setattr(obstructions._TypeKnapsack, "nodes", recording)
     plan = [(INF, 4, 10), (INF, 3, 12)]
     one = obstructions.MiningPass(plan)
-    assert widened and one.knapsacks[cotrees.UNION].levels[12] == 2  # no list reads past 12
+    assert widened and knapsacks[cotrees.UNION].levels[12] == 2  # no list reads past 12
     monkeypatch.undo()
     for key in plan:
         assert _jsonl(one.records(*key)) == _jsonl(mine_obstructions(*key)), key
