@@ -53,26 +53,21 @@ class P4Certificate(FrozenValue):
 
 
 class Cotree:
-    """Immutable cotree node.  Leaves may carry the vertex id they represent."""
+    """Immutable cotree node.  Leaves may carry the vertex id they represent.
 
-    __slots__ = ("op", "children", "vertex", "_code", "_order", "_profile")
+    ``order``, the number of leaves, is set when the node is built: 1 for a
+    leaf, otherwise the sum of its children's orders.
+    """
+
+    __slots__ = ("op", "children", "vertex", "order", "_code", "_profile")
 
     def __init__(self, op, children=(), vertex=None):
         self.op = op
         self.children = tuple(children)
         self.vertex = vertex
+        self.order = 1 if op == LEAF else sum(c.order for c in self.children)
         self._code = None
-        self._order = None
         self._profile = None  # polarity memo: signature antichain of this subtree
-
-    @property
-    def order(self):
-        if self._order is None:
-            if self.op == LEAF:
-                self._order = 1
-            else:
-                self._order = sum(c.order for c in self.children)
-        return self._order
 
     def __repr__(self):
         return f"Cotree({render(self)})"
@@ -312,7 +307,12 @@ def flip_labels(t, _memo=None):
 
 
 def is_isomorphic(g, h):
-    """Cographs via canonical codes; anything else via permutation backtracking."""
+    """Cographs via canonical codes; anything else via permutation backtracking.
+
+    Two non-cographs of equal order above ``graphs.ISOMORPHISM_MAX_ORDER``
+    (9) raise GraphError before any permutation is walked; cographs of any
+    order compare by code.
+    """
     if g.n != h.n:
         return False
     if g.n == 0:

@@ -142,7 +142,6 @@ class BoundExceededError(ValueError):
 
 
 _SHARED_LEAF = cotrees.leaf()
-_SHARED_LEAF._order = 1
 _SHARED_LEAF._code = canonical_code(_SHARED_LEAF)
 
 _CODE = attrgetter("_code")
@@ -258,21 +257,21 @@ class CographEnumerator:
         until their orders add up to m; ``remaining`` is m minus the orders
         chosen so far.  Index (o, i) adds the i-th connected class of order o
         to ``union_parts`` and the i-th disconnected one to ``join_parts``,
-        both (codes, children) in code order, each part inserted in place;
-        the children are None when ``trees`` is.  The disconnected classes of
-        an order start at ``half``, the length of its connected half (0 for
-        the leaf, which is both).  Each multiset of at least two indices
-        gives the UNION of its union parts and the JOIN of its join parts,
-        added to ``out``: its code, or with ``trees`` its cotree, built in
-        one step with all six slots set on ``Cotree.__new__``, so no
-        initializer runs per node.  The last part runs over a half sorted by
-        code, so its insertion place never decreases along it: each place p
-        takes the run of parts whose codes x have codes[p-1] <= x <
-        codes[p], which one bisect per place finds, not one per class.  A
-        place joins its head (label, number of parts and the codes before p)
-        and its tail (the codes from p on) once; each code of the run is
-        then ``x.join((head, tail))``, one allocation per class, mapped over
-        the run in C.
+        both (codes, children) in code order, each part inserted in place; the
+        children are None when ``trees`` is.  The disconnected classes of an
+        order start at ``half``, the length of its connected half (0 for the
+        leaf, which is both).  Each multiset of at least two indices gives the
+        UNION of its union parts and the JOIN of its join parts, added to
+        ``out``: its code, or with ``trees`` its cotree, built in one step
+        with all six slots, ``order`` (m) and the code among them, set on
+        ``Cotree.__new__``, so no initializer runs per node.  The last part
+        runs over a half sorted by code, so its insertion place never
+        decreases along it: each place p takes the run of parts whose codes x
+        have codes[p-1] <= x < codes[p], which one bisect per place finds, not
+        one per class.  A place joins its head (label, number of parts and the
+        codes before p) and its tail (the codes from p on) once; each code of
+        the run is then ``x.join((head, tail))``, one allocation per class,
+        mapped over the run in C.
         """
         codes = self.codes
         # a part that leaves room for another has order <= remaining // 2
@@ -318,8 +317,8 @@ class CographEnumerator:
                         t.op = op
                         t.children = before + (x,) + after
                         t.vertex = None
+                        t.order = m
                         t._code = code_head + x._code + code_tail
-                        t._order = m
                         t._profile = None
                         out.append(t)
                 lo = hi
@@ -901,43 +900,40 @@ def _expand(knapsacks, hits):
     but the leaf, the first, is expanded once, the same way, in the other
     label's knapsack, and its classes are shared by every hit built on it.
     A hit that expands to other than its number of classes raises
-    AssertionError.
+    AssertionError.  ``_nodes`` and ``_folds`` recurse over the knapsacks
+    and one memo of expanded blocks, so nothing outlives the call in a cycle.
     """
     built = {(op, 0): [_SHARED_LEAF] for op in knapsacks}  # (parent label, block) -> classes
-
-    def children(op, b):
-        if (op, b) not in built:
-            o, i, _ = knapsacks[op].blocks[b]
-            built[(op, b)] = nodes(_OTHER[op], o, i)
-        return built[(op, b)]
-
-    def folds(op, m, typ, limit):
-        """The child tuples of the multisets of order m and type typ over blocks below limit."""
-        if m == 0:
-            return [()]
-        knapsack, out = knapsacks[op], []
-        for t0, b, r in knapsack.kept[m][typ][1:]:  # the first item is the count
-            if b >= limit:
-                break
-            picks = list(combinations_with_replacement(children(op, b), r))
-            for prefix in folds(op, m - r * knapsack.blocks[b][0], t0, b):
-                out.extend(prefix + pick for pick in picks)
-        return out
-
-    def nodes(op, n, i):
-        limit = knapsacks[op].limits[n]
-        return [cotrees.node(op, kids) for kids in folds(op, n, i, limit)]
-
     out = []
     for op, n, i, count in hits:
-        trees = nodes(op, n, i)
+        trees = _nodes(knapsacks, built, op, n, i)
         if len(trees) != count:
             raise AssertionError(f"a hit type expands to {len(trees)} classes, not {count}")
         out.append(trees)
-    # the nested functions reach each other through their closure cells: a
-    # cycle that holds the knapsacks and the algebra until the cyclic
-    # collector runs; emptying the cells frees them when this returns
-    del children, folds, nodes
+    return out
+
+
+def _nodes(knapsacks, built, op, n, i):
+    """The op-nodes of order n and type i, over the blocks below the limit of order n."""
+    limit = knapsacks[op].limits[n]
+    return [cotrees.node(op, kids) for kids in _folds(knapsacks, built, op, n, i, limit)]
+
+
+def _folds(knapsacks, built, op, m, typ, limit):
+    """The child tuples of the multisets of order m and type typ over blocks below limit."""
+    if m == 0:
+        return [()]
+    knapsack, out = knapsacks[op], []
+    for t0, b, r in knapsack.kept[m][typ][1:]:  # the first item is the count
+        if b >= limit:
+            break
+        kids = built.get((op, b))
+        if kids is None:  # a block's classes are the other label's nodes
+            o, i, _ = knapsack.blocks[b]
+            kids = built[(op, b)] = _nodes(knapsacks, built, _OTHER[op], o, i)
+        picks = list(combinations_with_replacement(kids, r))
+        for prefix in _folds(knapsacks, built, op, m - r * knapsack.blocks[b][0], t0, b):
+            out.extend(prefix + pick for pick in picks)
     return out
 
 

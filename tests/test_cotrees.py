@@ -87,6 +87,27 @@ def test_is_isomorphic_mixed():
     assert not cotrees.is_isomorphic(Graph.cycle(5), Graph.path(5))
 
 
+def test_is_isomorphic_refuses_non_cographs_above_its_limit(monkeypatch):
+    # the limit is checked before any permutation is walked; cographs of any
+    # order compare by code, and at the limit the brute force still answers
+    def no_walk(*args):
+        raise AssertionError("a permutation walk was started")
+
+    monkeypatch.setattr(graphs, "permutations", no_walk)
+    n = graphs.ISOMORPHISM_MAX_ORDER + 1
+    cycle = Graph.cycle(n)
+    two_cycles = graphs.disjoint_union(Graph.cycle(5), Graph.cycle(n - 5))
+    shuffled = permute_graph(cycle, list(range(1, n)) + [0])
+    for g, h in ((cycle, two_cycles), (cycle, shuffled)):
+        with pytest.raises(graphs.GraphError, match=f"limited to order {n - 1}$"):
+            cotrees.is_isomorphic(g, h)
+    kab = graphs.join(Graph.empty(n), Graph.empty(n + 1))
+    flipped = permute_graph(kab, list(range(2 * n, -1, -1)))
+    assert cotrees.is_isomorphic(kab, flipped)
+    assert not cotrees.is_isomorphic(kab, graphs.join(Graph.empty(n - 1), Graph.empty(n + 2)))
+    assert not cotrees.is_isomorphic(Graph.cycle(n - 1), Graph.path(n - 1))  # edge counts differ
+
+
 def test_canonical_relabel_merges_isomorphs():
     a = cotrees.canonical_relabel(Graph.cycle(4))
     b = cotrees.canonical_relabel(graphs.join(Graph.empty(2), Graph.empty(2)))

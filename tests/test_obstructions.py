@@ -324,7 +324,7 @@ def test_build_time_values_match_the_dp_and_the_oracle():
         prof = polarity.profile_dp(t).signatures
         assert prof == polarity.profile_dp(copy).signatures, cotrees.render(t)
         assert t._code == cotrees.canonical_code(copy)
-        assert t._order == copy.order
+        assert t.order == copy.order
         if t.order <= 8:
             expected = polarity.profile_bruteforce(cotrees.realize(t)).signatures
             assert prof == expected, cotrees.render(t)
@@ -366,7 +366,7 @@ def test_codes_and_trees_match_the_node_building_walk_byte_for_byte():
         assert len(got) == len(codes) == len(want) == A000084[m - 1], m
         assert codes == tuple(t._code for t in want), m
         for a, b in zip(got, want):
-            assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+            assert (a._code, a.order, a.op) == (b._code, b.order, b.op)
             assert [id(c) for c in a.children] == [id(c) for c in b.children]
         assert codes_first.trees_of_order(m) is codes_first.trees[m]
         assert codes_first.classes_of_order(m) is codes
@@ -380,7 +380,7 @@ def test_per_place_runs_match_the_per_class_bisect_oracle():
         got = enum.trees_of_order(m)
         assert len(got) == len(want) == A000084[m - 1], m
         for a, b in zip(got, want):
-            assert (a._code, a._order, a.op) == (b._code, b._order, b.op)
+            assert (a._code, a.order, a.op) == (b._code, b.order, b.op)
             assert [id(c) for c in a.children] == [id(c) for c in b.children]
 
 
@@ -846,6 +846,41 @@ def test_a_pass_keeps_none_of_its_tables_once_made(monkeypatch):
         if was_enabled:
             gc.enable()
     assert _jsonl(one.records(INF, 3, 13)) == _jsonl(cache.mine(INF, 3, 13))
+
+
+def test_a_failed_expansion_frees_its_tables(monkeypatch):
+    # the expansion holds no reference cycle, so reference counting alone
+    # frees the pass's algebra, knapsacks and enumerator with the error when
+    # a hit expands to fewer classes than its knapsack counted
+    refs = []
+
+    def recorded(base):
+        class Recorded(base):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        return Recorded
+
+    pick = obstructions.combinations_with_replacement
+
+    def losing(kids, r):  # of two or more picks, the last is lost
+        picks = list(pick(kids, r))
+        return picks[:-1] if len(picks) > 1 else picks
+
+    monkeypatch.setattr(polarity, "TypeAlgebra", recorded(polarity.TypeAlgebra))
+    monkeypatch.setattr(obstructions, "_TypeKnapsack", recorded(obstructions._TypeKnapsack))
+    monkeypatch.setattr(obstructions, "CographEnumerator", recorded(CographEnumerator))
+    monkeypatch.setattr(obstructions, "combinations_with_replacement", losing)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(AssertionError, match="a hit type expands to 6 classes, not 10"):
+            obstructions.MiningPass([(INF, 2, 9)])
+        assert len(refs) == 4 and not any(ref() for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_a_mining_past_the_pair_limit_raises(monkeypatch):

@@ -475,23 +475,22 @@ def test_point_table_algebra_matches_the_set_based_one(monkeypatch, key):
 
 
 @pytest.mark.parametrize("pairs", [[(1, 1), (INF, 1), (1, INF), (INF, INF)], [(4, 4), (4, 4)]])
-def test_algebras_with_equal_caps_share_their_point_tables(monkeypatch, pairs):
-    # caps (2,2) and (5,5); tables built afresh give the same types, type by
-    # type, on every class up to order 9
+def test_algebras_with_equal_caps_build_equal_tables_and_types(pairs):
+    # caps (2,2) and (5,5); each algebra builds its own point tables, equal
+    # to those of every algebra with its caps, and two algebras of one pair
+    # give the same types, type by type, on every class up to order 9
     from polarcographs.obstructions import enumerate_cographs
 
     def tables(algebra):
         return algebra._box, algebra._up, algebra._below, algebra._tables
 
-    shared = [polarity.TypeAlgebra(s, k) for s, k in pairs]
-    assert len({algebra.caps for algebra in shared}) == 1
-    for algebra in shared[1:]:
-        assert all(a is b for a, b in zip(tables(algebra), tables(shared[0])))
-    monkeypatch.setattr(polarity, "_POINT_TABLES", {})
-    fresh = [polarity.TypeAlgebra(s, k) for s, k in pairs]
-    assert tables(fresh[0]) == tables(shared[0]) and fresh[0]._tables is not shared[0]._tables
+    first = [polarity.TypeAlgebra(s, k) for s, k in pairs]
+    second = [polarity.TypeAlgebra(s, k) for s, k in pairs]
+    assert len({algebra.caps for algebra in first}) == 1
+    for algebra in first[1:] + second:
+        assert tables(algebra) == tables(first[0])
     classes = list(enumerate_cographs(9))
-    for ours, theirs, key in zip(shared, fresh, pairs):
+    for ours, theirs, key in zip(first, second, pairs):
         ours_memo, theirs_memo = {}, {}
         for t in classes:
             assert type_of(ours, t, ours_memo) == type_of(theirs, t, theirs_memo), key

@@ -558,8 +558,8 @@ def _node_walk_unions(
         t.op = op
         t.children = head + (x,) + tail
         t.vertex = None
+        t.order = m
         t._code = code_head + x._code + code_tail
-        t._order = m
         t._profile = None
         out.append(t)
 
